@@ -5,6 +5,13 @@ transaction work items and its capacity ``λ`` per time unit (block
 interval).  Cross-shard transactions appear as work items in *every*
 involved shard, each costing ``η`` workload but contributing only
 ``1/μ(Tx)`` throughput — the paper's no-double-counting rule.
+
+Every per-tick read is O(1): :attr:`ShardState.backlog_workload` comes
+from a running sum of queued cost kept by ``enqueue`` and ``step`` (reset
+to exactly ``0.0`` whenever the queue drains, so float dust from
+non-dyadic ``η`` cannot accumulate across busy periods), and completed
+items are folded into counters (``processed_count``, ``latency_sum``,
+``latency_max``) instead of a list that grows with the run.
 """
 
 from __future__ import annotations
@@ -41,7 +48,13 @@ class ProcessedItem:
 
 
 class ShardState:
-    """One shard's accounts, queue and processing loop."""
+    """One shard's accounts, queue and processing loop.
+
+    ``backlog_workload`` is the queued cost minus the partial progress on
+    the head, read in O(1) from a running total.  Completed items are
+    returned by :meth:`step` and summarised in ``processed_count``,
+    ``latency_sum`` (an exact int) and ``latency_max``.
+    """
 
     def __init__(self, shard_id: int, capacity: float) -> None:
         if capacity <= 0:
@@ -51,8 +64,11 @@ class ShardState:
         self.accounts: Set[Address] = set()
         self._queue: Deque[WorkItem] = collections.deque()
         self._carry = 0.0  # partial progress on the queue head
+        self._queued_cost = 0.0  # sum of item.cost over the queue
         self.total_workload = 0.0
-        self.processed: List[ProcessedItem] = []
+        self.processed_count = 0
+        self.latency_sum = 0
+        self.latency_max = 0
         self.throughput_credit = 0.0
 
     # ------------------------------------------------------------------
@@ -69,6 +85,7 @@ class ShardState:
                 f"work item needs positive cost/share, got cost={cost!r} share={share!r}"
             )
         self._queue.append(WorkItem(tx=tx, cost=cost, share=share, enqueued_at=now))
+        self._queued_cost += cost
         self.total_workload += cost
 
     @property
@@ -77,7 +94,8 @@ class ShardState:
 
     @property
     def backlog_workload(self) -> float:
-        return sum(item.cost for item in self._queue) - self._carry
+        """Workload still to process: queued cost minus head progress."""
+        return self._queued_cost - self._carry
 
     # ------------------------------------------------------------------
     def step(self, now: int) -> List[ProcessedItem]:
@@ -97,10 +115,15 @@ class ShardState:
             if remaining <= budget + 1e-12:
                 self._queue.popleft()
                 self._carry = 0.0
+                self._queued_cost = self._queued_cost - head.cost if self._queue else 0.0
                 budget -= remaining
                 completed = ProcessedItem(item=head, completed_at=now)
                 done.append(completed)
-                self.processed.append(completed)
+                latency = completed.latency
+                self.processed_count += 1
+                self.latency_sum += latency
+                if latency > self.latency_max:
+                    self.latency_max = latency
                 self.throughput_credit += head.share
             else:
                 self._carry += budget

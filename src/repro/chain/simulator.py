@@ -102,18 +102,11 @@ class ShardedChainSimulator:
                     first_unit_credit += shard.throughput_credit - before
             now += 1
         units = now
-        per_shard_latency = []
-        for shard in self.shards:
-            if shard.processed:
-                per_shard_latency.append(
-                    sum(p.latency for p in shard.processed) / len(shard.processed)
-                )
-            else:
-                per_shard_latency.append(1.0)
-        worst = 0
-        for shard in self.shards:
-            for p in shard.processed:
-                worst = max(worst, p.latency)
+        per_shard_latency = [
+            s.latency_sum / s.processed_count if s.processed_count else 1.0
+            for s in self.shards
+        ]
+        worst = max(s.latency_max for s in self.shards)
         total = self._num_transactions
         return SimulationReport(
             num_transactions=total,

@@ -27,6 +27,19 @@ loop does not freeze the graph at all.  Results are byte-identical with
 the workspace on or off; :attr:`TxAlloController.workspace_stats`
 exposes its rebuild/extend counters.
 
+A scheduled G-TxAllo refresh whose inputs have not changed since the
+last installed G-TxAllo result is not re-run: when the graph's
+:attr:`~repro.core.graph.TransactionGraph.version` and the allocation's
+:attr:`~repro.core.allocation.Allocation.mutation_count` both still
+match what that result left behind, the controller keeps the current
+allocation and still records the refresh as a ``"global"`` event.  This
+is exact, not an approximation: G-TxAllo is deterministic in the graph on
+every backend tier (the turbo tier's warm Louvain is memoised on the
+cached snapshot), so a re-run would rebuild the very allocation already
+installed.  Long runs of empty blocks (a live network draining its
+backlog) thus cost nothing at the τ₂ ticks, and the adaptive workspace
+survives them instead of being rebuilt.
+
 ``params.workers`` needs no controller plumbing: the adaptive kernel is
 resolved through the backend registry and workers-aware tiers (the
 ``"parallel"`` backend's shard-parallel A-TxAllo) read the thread count
@@ -118,6 +131,11 @@ class TxAlloController(OnlineAllocator):
         self._adaptive_enabled = adaptive_enabled
         self._global_enabled = global_enabled
         self._warm_counts: dict = {"warm": 0, "cold": 0}
+        # (graph.version, allocation.mutation_count) right after the last
+        # installed G-TxAllo result, and that run's move count; None until
+        # G-TxAllo has run (an initial_mapping= start must still refresh).
+        self._global_mark: Optional[tuple] = None
+        self._global_moves = 0
         # The adaptive workspace batches consecutive A-TxAllo runs over
         # one persistent neighbourhood view (byte-identical results; see
         # repro.core.engine).  The backend's registry spec declares
@@ -131,25 +149,20 @@ class TxAlloController(OnlineAllocator):
         if seed_transactions is not None:
             for accounts in seed_transactions:
                 self.graph.add_transaction(accounts)
+        if initial_mapping is None:
+            # The seed G-TxAllo run is the global refresh at height 0.
+            self._run_global()
+            return
         # Same timing semantics as _run_global: wall-clock around the
         # whole call, so the seed event is comparable to scheduled ones.
         t0 = time.perf_counter()
-        if initial_mapping is not None:
-            self.allocation: Allocation = Allocation.from_partition(
-                self.graph, params, initial_mapping
-            )
-            moves = 0
-        else:
-            result = g_txallo(self.graph, params)
-            self.allocation = result.allocation
-            moves = result.moves
-            self._count_warm()
+        self.allocation: Allocation = Allocation.from_partition(self.graph, params, initial_mapping)
         self.events.append(
             UpdateEvent(
                 kind="global",
                 block_height=0,
                 seconds=time.perf_counter() - t0,
-                moves=moves,
+                moves=0,
                 touched=self.graph.num_nodes,
             )
         )
@@ -224,20 +237,35 @@ class TxAlloController(OnlineAllocator):
         self._warm_counts["warm" if hit else "cold"] += 1
 
     def _run_global(self) -> UpdateEvent:
+        """Run G-TxAllo, or reuse its last result when nothing changed.
+
+        The refresh is skipped when neither the graph (``version``) nor
+        the allocation (``mutation_count``: an A-TxAllo move, a foreign
+        ``Allocation.move``) changed since the last installed G-TxAllo
+        result.  G-TxAllo is deterministic in the graph, so the skipped
+        run would have produced exactly the installed allocation; the
+        event it records carries that run's ``moves`` and ``touched``,
+        and only ``seconds`` differs.  The workspace stays valid too.
+        """
         t0 = time.perf_counter()
-        result = g_txallo(self.graph, self.params)
-        self.allocation = result.allocation
-        self._count_warm()
-        if self._workspace is not None:
-            # The refresh replaced the allocation wholesale; the cached
-            # id→shard view has nothing left to say.
-            self._workspace.invalidate()
+        mark = self._global_mark
+        # None short-circuits the seed run, before any allocation exists.
+        if mark is None or mark != (self.graph.version, self.allocation.mutation_count):
+            result = g_txallo(self.graph, self.params)
+            self.allocation = result.allocation
+            self._count_warm()
+            if self._workspace is not None:
+                # The refresh replaced the allocation wholesale; the cached
+                # id→shard view has nothing left to say.
+                self._workspace.invalidate()
+            self._global_mark = (self.graph.version, self.allocation.mutation_count)
+            self._global_moves = result.moves
         self._touched.clear()
         event = UpdateEvent(
             kind="global",
             block_height=self.block_height,
             seconds=time.perf_counter() - t0,
-            moves=result.moves,
+            moves=self._global_moves,
             touched=self.graph.num_nodes,
         )
         self.events.append(event)
@@ -287,7 +315,8 @@ class TxAlloController(OnlineAllocator):
         """Adaptive-workspace counters: ``{"rebuilds", "extends", "runs"}``.
 
         ``rebuilds`` counts full re-lowerings (controller start, global
-        refreshes, decay), ``extends`` journal replays that carried the
+        refreshes that re-ran G-TxAllo, decay; a reused idle refresh
+        keeps the workspace), ``extends`` journal replays that carried the
         cached views across a τ₁ window, ``runs`` adaptive runs served
         through the workspace.  All zero when the workspace is disabled
         (``adaptive_workspace=False`` or the reference backend).
@@ -303,7 +332,9 @@ class TxAlloController(OnlineAllocator):
         ``warm`` counts global runs whose Louvain was seeded from the
         previous snapshot's partition, ``cold`` from-scratch partitions
         (including every run on non-turbo backends' behalf: both stay 0
-        unless ``params.backend == "turbo"``).  Benchmarks and tests use
-        this to prove the warm path actually carried across refreshes.
+        unless ``params.backend == "turbo"``).  Refreshes reused because
+        nothing changed count in neither: no Louvain ran.  Benchmarks and
+        tests use this to prove the warm path actually carried across
+        refreshes.
         """
         return dict(self._warm_counts)

@@ -293,6 +293,14 @@ class TransactionGraph:
         """
         return self._total_weight
 
+    @property
+    def version(self) -> int:
+        """Mutation counter: bumped by every node/edge insertion and by
+        bulk rewrites (decay, pruning).  Equal versions of one graph mean
+        equal content; the freeze cache and the controller's idle-refresh
+        reuse both key on it."""
+        return self._version
+
     def nodes(self) -> Iterator[Node]:
         """Nodes in insertion (chronological-appearance) order."""
         return iter(self._adj)

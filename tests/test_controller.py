@@ -3,7 +3,12 @@
 
 import pytest
 
+from repro.core import backends
+from repro.core import controller as controller_module
 from repro.core.controller import TxAlloController
+from repro.core.forecast import DecayingTransactionGraph
+from repro.core.graph import TransactionGraph
+from repro.core.gtxallo import g_txallo
 from repro.core.params import TxAlloParams
 from repro.data.synthetic import EthereumWorkloadGenerator, WorkloadConfig
 
@@ -320,3 +325,194 @@ class TestAdaptiveWorkspace:
         ]
         assert on.workspace_stats["extends"] > 0
         assert off.workspace_stats == {"rebuilds": 0, "extends": 0, "runs": 0}
+
+
+# ----------------------------------------------------------------------
+# Idle-refresh reuse: a scheduled global whose graph and allocation are
+# unchanged since the last installed G-TxAllo result keeps that result.
+# ----------------------------------------------------------------------
+REUSE_BACKENDS = [
+    "fast",
+    "reference",
+    "turbo",
+    pytest.param(
+        "vector",
+        marks=pytest.mark.skipif(
+            not backends.numpy_available(), reason="vector tier needs numpy"
+        ),
+    ),
+]
+
+#: Block heights (1-based) that carry transactions; every other block of
+#: REUSE_HEIGHT is empty.  With tau1=2, tau2=4 the globals at 4 and 16
+#: see new transactions; those at 8, 12 and 20 are idle.
+DATA_HEIGHTS = (1, 2, 3, 4, 13)
+REUSE_HEIGHT = 20
+
+
+def reuse_params(backend="fast"):
+    return TxAlloParams.with_capacity_for(240, k=4, tau1=2, tau2=4, backend=backend)
+
+
+def reuse_stream():
+    data = iter(block_stream(len(DATA_HEIGHTS), block_size=20, seed=11))
+    return [
+        next(data) if h in DATA_HEIGHTS else [] for h in range(1, REUSE_HEIGHT + 1)
+    ]
+
+
+def reuse_seed():
+    return [tx for block in block_stream(4) for tx in block]
+
+
+def event_tuples(events):
+    return [(e.kind, e.block_height, e.moves, e.touched, e.converged) for e in events]
+
+
+def count_g_txallo(monkeypatch):
+    """Count the controller's G-TxAllo runs; returns the live counter."""
+    calls = [0]
+    original = controller_module.g_txallo
+
+    def counting(graph, params, **kwargs):
+        calls[0] += 1
+        return original(graph, params, **kwargs)
+
+    monkeypatch.setattr(controller_module, "g_txallo", counting)
+    return calls
+
+
+def assert_matches_fresh_global(controller):
+    fresh = g_txallo(controller.graph, controller.params).allocation
+    assert controller.mapping() == fresh.mapping()
+    assert controller.allocation.sigma == fresh.sigma  # exact floats
+    assert controller.allocation.lam_hat == fresh.lam_hat  # exact floats
+
+
+class _AlwaysRefresh(TxAlloController):
+    """Oracle: forgets the reuse mark, so every scheduled global re-runs."""
+
+    def _run_global(self):
+        self._global_mark = None
+        return super()._run_global()
+
+
+class TestIdleRefreshReuse:
+    @pytest.mark.parametrize("backend", REUSE_BACKENDS)
+    def test_reused_refresh_equals_a_fresh_global(self, backend, monkeypatch):
+        params = reuse_params(backend)
+        calls = count_g_txallo(monkeypatch)
+        controller = TxAlloController(params, seed_transactions=reuse_seed())
+        for block in reuse_stream():
+            event = controller.observe_block(block)
+            if event is not None and event.kind == "global":
+                assert_matches_fresh_global(controller)
+        # Seed run + the globals at 4 and 16; 8, 12 and 20 were reused.
+        assert calls[0] == 3
+
+    @pytest.mark.parametrize("backend", REUSE_BACKENDS)
+    def test_event_stream_unchanged_by_reuse(self, backend):
+        params = reuse_params(backend)
+        stream = reuse_stream()
+        runs = []
+        for cls in (TxAlloController, _AlwaysRefresh):
+            controller = cls(params, seed_transactions=reuse_seed())
+            for block in stream:
+                controller.observe_block(block)
+            runs.append(controller)
+        reused, oracle = runs
+        assert event_tuples(reused.events) == event_tuples(oracle.events)
+        assert reused.mapping() == oracle.mapping()
+        assert reused.allocation.sigma == oracle.allocation.sigma
+
+        # The hand-computed schedule: globals every tau2, adaptives every
+        # other tau1; idle adaptive windows sweep nothing, and a reused
+        # global repeats the moves of the run it reuses.
+        kinds = [(e.kind, e.block_height) for e in reused.events]
+        assert kinds == [("global", 0)] + [
+            ("global" if h % 4 == 0 else "adaptive", h)
+            for h in range(2, REUSE_HEIGHT + 1, 2)
+        ]
+        by_height = {e.block_height: e for e in reused.events}
+        num_nodes = reused.graph.num_nodes
+        for h in (6, 10, 18):
+            assert (by_height[h].moves, by_height[h].touched) == (0, 0)
+            assert by_height[h].converged is True
+        assert by_height[8].moves == by_height[12].moves == by_height[4].moves
+        assert by_height[20].moves == by_height[16].moves
+        for h in (16, 20):
+            assert by_height[h].touched == num_nodes
+
+    def test_idle_refresh_keeps_the_workspace(self):
+        params = reuse_params()
+        controller = TxAlloController(params, seed_transactions=reuse_seed())
+        for block in block_stream(4, block_size=20, seed=11):
+            controller.observe_block(block)
+        controller.observe_block([])
+        controller.observe_block([])  # adaptive at 6 rebuilds after global at 4
+        before = controller.workspace_stats
+        assert before["rebuilds"] == 2  # adaptive runs at 2 and 6
+        for _ in range(12):  # globals at 8, 12, 16 are all idle
+            controller.observe_block([])
+        after = controller.workspace_stats
+        assert after["rebuilds"] == before["rebuilds"]
+        assert after["runs"] == before["runs"] + 3
+
+    def test_reused_refresh_not_counted_as_warm_or_cold(self):
+        params = reuse_params("turbo")
+        controller = TxAlloController(params, seed_transactions=reuse_seed())
+        for block in reuse_stream():
+            controller.observe_block(block)
+        stats = controller.warm_stats
+        assert stats["warm"] + stats["cold"] == 3  # seed, 4 and 16 only
+
+    def test_foreign_move_forces_a_rerun(self, monkeypatch):
+        params = reuse_params()
+        controller = TxAlloController(params, seed_transactions=reuse_seed())
+        calls = count_g_txallo(monkeypatch)
+        account = min(controller.mapping())
+        shard = controller.allocation.shard_of(account)
+        controller.allocation.move(account, (shard + 1) % params.k)
+        for _ in range(4):
+            controller.observe_block([])
+        assert calls[0] == 1
+        assert controller.allocation.shard_of(account) == shard
+        assert_matches_fresh_global(controller)
+
+    def test_mutating_an_adopted_graph_forces_a_rerun(self, monkeypatch):
+        params = reuse_params()
+        graph = TransactionGraph()
+        graph.add_transactions(reuse_seed())
+        controller = TxAlloController(params, graph=graph)
+        calls = count_g_txallo(monkeypatch)
+        graph.add_transaction(("fresh-1", "fresh-2"))  # behind the controller's back
+        for _ in range(4):
+            controller.observe_block([])
+        assert calls[0] == 1
+        assert "fresh-1" in controller.mapping()
+        assert_matches_fresh_global(controller)
+
+    def test_decay_step_forces_a_rerun(self, monkeypatch):
+        params = reuse_params()
+        graph = DecayingTransactionGraph(decay=0.5, prune_threshold=0.0)
+        graph.add_transactions(reuse_seed())
+        controller = TxAlloController(params, graph=graph)
+        calls = count_g_txallo(monkeypatch)
+        graph.advance_window()
+        for _ in range(4):
+            controller.observe_block([])
+        assert calls[0] == 1
+        assert_matches_fresh_global(controller)
+
+    def test_initial_mapping_start_still_refreshes(self, monkeypatch):
+        params = reuse_params()
+        graph = TransactionGraph()
+        graph.add_transactions(reuse_seed())
+        start = {v: i % params.k for i, v in enumerate(graph.nodes_sorted())}
+        calls = count_g_txallo(monkeypatch)
+        controller = TxAlloController(params, graph=graph, initial_mapping=start)
+        assert calls[0] == 0
+        for _ in range(8):
+            controller.observe_block([])
+        assert calls[0] == 1  # the global at 4 runs, the one at 8 reuses it
+        assert_matches_fresh_global(controller)

@@ -58,7 +58,7 @@ class TestStaticRouting:
             assert net.allocator.shard_of(a) == hash_shard(a, params.k)
         pairs = list(zip(accounts[::2], accounts[1::2]))
         net.run([[tx(a, b) for a, b in pairs]], drain=True)
-        busy = {i for i, s in enumerate(net.shards) if s.processed}
+        busy = {i for i, s in enumerate(net.shards) if s.processed_count}
         assert len(busy) > 1, "hash fallback must spread unknown accounts"
 
     def test_backlog_accumulates_when_overloaded(self):
