@@ -1,25 +1,17 @@
-"""Multi-core execution layer run-table: parallel grids + shard sweeps.
+"""Multi-core execution layer run-table: the process-parallel grid.
 
-Times both halves of :mod:`repro.core.parallel` (ROADMAP item 5's
-multi-core layer) and writes ``BENCH_parallel.json`` next to this file:
-
-* **grid scaling** — the Fig. 8 evaluation grid
-  (:func:`repro.eval.experiments.sweep`) at ``workers`` 1, 2 and 4,
-  asserting the records are identical across worker counts (the
-  process-parallel contract: ``workers=N`` changes wall-clock only);
-* **window sweeps** — a τ₁-cadenced controller run over the block
-  stream on the ``vector`` baseline vs the ``parallel`` backend at
-  ``workers`` 1 and 4, recording adaptive-seconds totals, the minimum
-  TxAllo objective ratio against the baseline, and the
-  workers-independence of the final mapping.
+Times :mod:`repro.core.parallel`'s evaluation grid and writes
+``BENCH_parallel.json`` next to this file: the Fig. 8 evaluation grid
+(:func:`repro.eval.experiments.sweep`) at ``workers`` 1, 2 and 4,
+asserting the records are identical across worker counts (the
+process-parallel contract: ``workers=N`` changes wall-clock only).
 
 ``cpu_count`` and ``fork_available`` ride in the payload because the
-*speedup* gates are environment-conditional: a 1-core container cannot
-exhibit multi-core speedups, so ``check_gates`` enforces them only when
+*speedup* gate is environment-conditional: a 1-core container cannot
+exhibit multi-core speedups, so ``check_gates`` enforces it only when
 the recording host actually had the cores (>= 4) at the committed
-scale-2 row — the structural gates (record identity, objective ratio,
-workers-independence, the batched path actually running) hold
-everywhere and always.
+scale-2 row — the structural gate (record identity) and the pool
+overhead floor hold everywhere and always.
 
 Scale knob: ``--scale`` / the ``BENCH_SCALE`` env crank the workload
 (CI's perf leg regenerates this table with ``--workers 2``;
@@ -49,9 +41,6 @@ from repro.core.parallel import pin_blas_threads
 pin_blas_threads()
 
 from repro.core import backends, parallel
-from repro.core.controller import TxAlloController
-from repro.core.params import TxAlloParams
-from repro.data.synthetic import account_sets
 from repro.eval import experiments
 
 BENCH_SCALE = float(os.environ.get("BENCH_SCALE", "0.5"))
@@ -64,14 +53,6 @@ GRID_KS = (2, 10, 20, 40, 60)
 GRID_ETAS = (2.0, 6.0, 10.0)
 GRID_METHODS = ("txallo", "metis")
 GRID_WORKERS = (1, 2, 4)
-
-#: Window-sweep scenario: adaptive-only cadence (no global refresh
-#: inside the run) so the measured seconds are pure A-TxAllo kernel
-#: time, with windows large enough to exercise the batched path.
-WINDOW_TAU1 = 10
-WINDOW_MAX_BLOCKS = 400
-WINDOW_K = 20
-WINDOW_ETA = 2.0
 
 OUT_PATH = Path(__file__).resolve().parent / "BENCH_parallel.json"
 
@@ -107,94 +88,15 @@ def _grid_part(scale: float) -> dict:
     }
 
 
-def _window_run(scale: float, backend: str, workers: int):
-    """One adaptive-only controller run; returns the per-run summary."""
-    workload = experiments.build_workload(scale=scale, seed=2022)
-    blocks = list(workload.blocks)[:WINDOW_MAX_BLOCKS]
-    # Finite capacity (the paper's lam = |T|/k convention) so the sweeps
-    # chase real capped-throughput gains: with the uncapped default every
-    # join/leave pair cancels exactly and the kernels converge on noise.
-    params = TxAlloParams.with_capacity_for(
-        workload.num_transactions,
-        k=WINDOW_K,
-        eta=WINDOW_ETA,
-        tau1=WINDOW_TAU1,
-        tau2=10**6,
-        backend=backend,
-        workers=workers,
-    )
-    controller = TxAlloController(params)
-    batched_runs = 0
-    for block in blocks:
-        event = controller.observe_block(account_sets(list(block)))
-        if (
-            event is not None
-            and event.kind == "adaptive"
-            and backend == "parallel"
-            and parallel.LAST_RUN_STATS.get("batched")
-        ):
-            batched_runs += 1
-    adaptive_seconds = sum(e.seconds for e in controller.adaptive_events)
-    return {
-        "adaptive_seconds": adaptive_seconds,
-        "adaptive_runs": len(controller.adaptive_events),
-        "objective": controller.allocation.total_throughput(),
-        "mapping": controller.allocation.mapping(),
-        "batched_runs": batched_runs,
-    }
-
-
-def _window_part(scale: float) -> dict:
-    if not backends.get_backend("parallel").available():
-        # No numpy: the parallel tier resolves to its fallback chain, so
-        # there is nothing new to measure.  Keep the schema stable.
-        return {
-            "window_tau1": WINDOW_TAU1,
-            "window_blocks": WINDOW_MAX_BLOCKS,
-            "window_adaptive_runs": None,
-            "window_vector_seconds": None,
-            "window_par1_seconds": None,
-            "window_par4_seconds": None,
-            "window_speedup_w4": None,
-            "window_objective_ratio_min": None,
-            "window_workers_independent": None,
-            "window_batched_runs": None,
-        }
-    base = _window_run(scale, "vector", 1)
-    par1 = _window_run(scale, "parallel", 1)
-    par4 = _window_run(scale, "parallel", 4)
-    ratio_min = min(
-        par1["objective"] / base["objective"],
-        par4["objective"] / base["objective"],
-    )
-    return {
-        "window_tau1": WINDOW_TAU1,
-        "window_blocks": WINDOW_MAX_BLOCKS,
-        "window_adaptive_runs": base["adaptive_runs"],
-        "window_vector_seconds": base["adaptive_seconds"],
-        "window_par1_seconds": par1["adaptive_seconds"],
-        "window_par4_seconds": par4["adaptive_seconds"],
-        "window_speedup_w4": (
-            base["adaptive_seconds"] / par4["adaptive_seconds"]
-            if par4["adaptive_seconds"] > 0
-            else None
-        ),
-        "window_objective_ratio_min": ratio_min,
-        "window_workers_independent": par1["mapping"] == par4["mapping"],
-        "window_batched_runs": par4["batched_runs"],
-    }
-
-
 def run_bench(scale: float = BENCH_SCALE, out_path: Path = OUT_PATH) -> dict:
     payload = {
         "scale": scale,
         "cpu_count": os.cpu_count(),
         "fork_available": parallel.fork_available(),
-        "numpy_available": backends.get_backend("parallel").available(),
+        "numpy_available": backends.numpy_available(),
         "blas_pinned": parallel.blas_threads_pinned(),
     }
     payload.update(_grid_part(scale))
-    payload.update(_window_part(scale))
     out_path.write_text(json.dumps(payload, indent=2) + "\n")
     print()
     print(f"== multi-core execution layer (scale={scale}) ==")
@@ -207,7 +109,7 @@ def check_gates(payload: dict) -> list:
     """Return the list of failed gate descriptions (empty = all green).
 
     Structural gates apply unconditionally; the multi-core *speedup*
-    gates only where the recording host could exhibit them (>= 4 cores,
+    gate only where the recording host could exhibit it (>= 4 cores,
     the committed scale-2 row) — a 1-core container records honest
     ~1.0x columns without failing.
     """
@@ -219,23 +121,10 @@ def check_gates(payload: dict) -> list:
     w4 = payload.get("grid_speedup_w4")
     if w4 is not None and w4 < 0.8:
         failures.append(f"parallel grid overhead too high: {w4:.2f}x at 4 workers")
-    if payload.get("window_objective_ratio_min") is not None:
-        ratio = payload["window_objective_ratio_min"]
-        if ratio < 1.0 - backends.OBJECTIVE_TOLERANCE:
-            failures.append(
-                f"shard-parallel objective ratio out of tolerance: {ratio:.4f}"
-            )
-        if not payload["window_workers_independent"]:
-            failures.append("shard-parallel mapping depends on workers")
-        if not payload["window_batched_runs"]:
-            failures.append("no window ever took the batched shard-parallel path")
     cpus = payload.get("cpu_count") or 1
     if cpus >= 4 and payload["scale"] >= 2.0:
         if w4 is not None and w4 < 2.5:
             failures.append(f"parallel grid speedup regressed: {w4:.2f}x < 2.5x")
-        ws = payload.get("window_speedup_w4")
-        if ws is not None and ws < 1.5:
-            failures.append(f"window sweep speedup regressed: {ws:.2f}x < 1.5x")
     return failures
 
 

@@ -61,8 +61,6 @@ COLUMNS = (
     "resilience_recovery_blocks",
     "parallel_grid_w1_s",
     "parallel_grid_speedup_w4",
-    "parallel_window_speedup_w4",
-    "parallel_window_obj_ratio",
     "matrix_s",
     "matrix_cells",
     "matrix_txallo_tps",
@@ -133,8 +131,6 @@ def build_row(bench_dir: Path, commit: str, suffix: str = "") -> dict:
         "resilience_recovery_blocks": resilience.get("recovery_blocks"),
         "parallel_grid_w1_s": (par.get("grid_seconds") or {}).get("1"),
         "parallel_grid_speedup_w4": par.get("grid_speedup_w4"),
-        "parallel_window_speedup_w4": par.get("window_speedup_w4"),
-        "parallel_window_obj_ratio": par.get("window_objective_ratio_min"),
         "matrix_s": matrix.get("matrix_seconds"),
         "matrix_cells": matrix.get("cells"),
         "matrix_txallo_tps": matrix.get("txallo_tps_ethereum"),

@@ -53,6 +53,13 @@ def _parse_str_list(text: str) -> List[str]:
     return [chunk.strip() for chunk in text.split(",") if chunk.strip()]
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="txallo",
@@ -140,17 +147,14 @@ def build_parser() -> argparse.ArgumentParser:
              "work-skipping sweeps) and 'vector' (numpy batched "
              "sweeps, falls back to fast when numpy is absent) are "
              "deterministic and objective-gated within the registry "
-             "tolerance; 'parallel' adds shard-parallel A-TxAllo sweeps "
-             "on top of vector (default fast)",
+             "tolerance (default fast)",
     )
     parser.add_argument(
-        "--workers", type=int, default=1,
-        help="worker count for the multi-core execution layer: >1 fans "
-             "the sweep/fig4 evaluation grid out to a process pool "
+        "--workers", type=_positive_int, default=1,
+        help="process count for the evaluation grid: >1 fans the "
+             "sweep/fig4 grid and the matrix cells out to a process pool "
              "(records identical to --workers 1; requires fork, "
-             "otherwise runs sequentially) and sets "
-             "TxAlloParams.workers so workers-aware backends like "
-             "'parallel' thread their A-TxAllo sweeps (default 1)",
+             "otherwise runs sequentially; default 1)",
     )
     return parser
 
@@ -208,14 +212,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 experiments.figure9(
                     workload, k=args.k, eta=args.eta,
                     gaps=args.gaps, max_steps=args.steps,
-                    backend=args.backend, workers=args.workers,
+                    backend=args.backend,
                 ).render()
             )
         elif figure == "fig10":
             print(
                 experiments.figure10(
                     workload, k=args.k, eta=args.eta, max_steps=args.steps,
-                    backend=args.backend, workers=args.workers,
+                    backend=args.backend,
                 ).render()
             )
         else:

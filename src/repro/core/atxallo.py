@@ -76,12 +76,6 @@ def a_txallo(
     adaptive-specific behaviour — A-TxAllo already touches only the
     block frontier, where the flat engine is optimal — so both register
     the fast kernel unchanged (and stay byte-identical here).
-    ``"parallel"`` swaps in the shard-parallel kernel
-    (:func:`repro.core.parallel.a_txallo_parallel`): windows above its
-    batching threshold sweep as vectorized frozen proposal batches with
-    a sequential exact apply + conflict pass — objective-gated within
-    the registry tolerance rather than byte-identical, though the
-    result never depends on ``params.workers``.
 
     ``workspace`` (an :class:`repro.core.engine.AdaptiveWorkspace`) makes
     consecutive flat-backend runs share one persistent neighbourhood

@@ -9,7 +9,7 @@ contract and its availability predicate.  ``louvain_partition``,
 ``g_txallo``, ``a_txallo``, ``TxAlloParams`` validation, the controller's
 workspace/warm-stats decisions, the CLI's ``--backend`` choices and the
 benchmarks all resolve backends through :func:`get_backend` /
-:func:`resolve_backend` instead of string-switching, so a fourth tier
+:func:`resolve_backend` instead of string-switching, so a new tier
 (numba, a C extension, ...) is one :func:`register_backend` call, not a
 multi-file surgery.
 
@@ -34,14 +34,9 @@ Built-in tiers
     *optional*: numpy is the ``repro[vector]`` extra, and when the
     import is unavailable the tier falls back to ``fast`` at resolve
     time with a single warning (:func:`resolve_backend`).
-``parallel``
-    The vector tier's Louvain/G-TxAllo kernels plus the shard-parallel
-    A-TxAllo kernel (:mod:`repro.core.parallel`): per-shard batched
-    frozen-state proposals in ``TxAlloParams.workers`` threads, exact
-    sequential apply + conflict passes.  Objective-gated, optional like
-    vector (falls back to ``vector`` → ``fast``), and
-    *workers-independent*: any ``workers`` value yields the identical
-    allocation — the knob trades wall-clock only.
+
+Every tier runs A-TxAllo on a serial kernel: the adaptive sweeps touch
+only the accounts in new blocks, where the flat engine is already cheap.
 
 Kernel signatures
 -----------------
@@ -111,12 +106,6 @@ class BackendSpec:
     :class:`~repro.core.engine.AdaptiveWorkspace`; ``warm_louvain``
     that its global runs stamp ``louvain_warm_hit`` for the warm/cold
     counters.
-
-    ``workers_aware`` declares that the tier's kernels read
-    ``TxAlloParams.workers`` and split work across that many
-    threads/processes (the ``parallel`` tier today).  Other tiers ignore
-    the knob entirely, so ``workers`` composes with any backend without
-    changing its results.
     """
 
     name: str
@@ -130,7 +119,6 @@ class BackendSpec:
     fallback: Optional[str] = None
     uses_workspace: bool = False
     warm_louvain: bool = False
-    workers_aware: bool = False
 
 
 _REGISTRY: Dict[str, BackendSpec] = {}
@@ -321,12 +309,6 @@ register_backend(BackendSpec(
     warm_louvain=True,
 ))
 
-def _atxallo_parallel(alloc, touched, epsilon, workspace):
-    from repro.core.parallel import a_txallo_parallel
-
-    return a_txallo_parallel(alloc, touched, epsilon, workspace=workspace)
-
-
 register_backend(BackendSpec(
     name="vector",
     description="numpy segment-op kernels (requires the repro[vector] extra)",
@@ -341,29 +323,4 @@ register_backend(BackendSpec(
     # optimal and the AdaptiveWorkspace batching applies unchanged.
     atxallo_kernel=_atxallo_flat,
     uses_workspace=True,
-))
-
-register_backend(BackendSpec(
-    name="parallel",
-    description=(
-        "vector tier + shard-parallel A-TxAllo sweeps across "
-        "TxAlloParams.workers threads (requires the repro[vector] extra)"
-    ),
-    parity=OBJECTIVE_GATED,
-    tolerance=OBJECTIVE_TOLERANCE,
-    available=numpy_available,
-    fallback="vector",
-    louvain_kernel=_louvain_vector,
-    gtxallo_kernel=_gtxallo_vector,
-    # Large windows run the shard-parallel batched kernel
-    # (repro.core.parallel): per-shard frozen-state proposal batches in
-    # worker threads, an exact sequential apply pass, and a sequential
-    # conflict pass over the overlap — identical results for any
-    # ``workers`` value, objective-gated like turbo/vector.  Windows
-    # under MIN_PARALLEL_TOUCHED delegate to the flat kernel.  Both
-    # paths consume the AdaptiveWorkspace, so the τ₁ loop keeps its
-    # freeze-free batching.
-    atxallo_kernel=_atxallo_parallel,
-    uses_workspace=True,
-    workers_aware=True,
 ))

@@ -39,13 +39,6 @@ cached snapshot), so a re-run would rebuild the very allocation already
 installed.  Long runs of empty blocks (a live network draining its
 backlog) thus cost nothing at the τ₂ ticks, and the adaptive workspace
 survives them instead of being rebuilt.
-
-``params.workers`` needs no controller plumbing: the adaptive kernel is
-resolved through the backend registry and workers-aware tiers (the
-``"parallel"`` backend's shard-parallel A-TxAllo) read the thread count
-straight off ``allocation.params``.  The knob is semantically inert —
-any ``workers`` value yields the identical allocation; only wall-clock
-changes (see :mod:`repro.core.parallel`).
 """
 
 from __future__ import annotations

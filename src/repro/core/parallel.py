@@ -1,7 +1,9 @@
-"""Multi-core execution layer: process-parallel grids, shard-parallel sweeps.
+"""Multi-core execution layer: the process-parallel evaluation grid.
 
-Everything upstream of this module is single-threaded; ROADMAP item 5
-names the two independent wins this module delivers:
+Everything else in the package is single-threaded.  The one multi-core
+win this module delivers is the evaluation grid; the allocation kernels
+themselves stay serial (A-TxAllo sweeps only the accounts in new blocks,
+where the flat engine is already cheap).
 
 Process-parallel evaluation grid
 --------------------------------
@@ -17,51 +19,9 @@ unpickling it.  Task descriptors are tiny ``(method, k, eta)`` tuples
 and results come back in canonical cell order, so ``workers=N`` produces
 records identical to ``workers=1`` up to wall-clock fields
 (:func:`canonical_records` strips those; ``tests/test_parallel.py`` pins
-the parity).  Platforms without ``fork`` (and ``workers=1``) run the
-same warmed path inline — the fallback is a slower spelling of the same
-computation, not a different one.
-
-Shard-parallel A-TxAllo
------------------------
-:func:`a_txallo_parallel` is the A-TxAllo kernel of the ``"parallel"``
-backend tier (registered in :mod:`repro.core.backends`, objective-gated
-within the registry's 2% tolerance like turbo/vector, available only
-with numpy and falling back to ``"vector"``).  A τ₁ window's touched
-accounts are partitioned into mostly-disjoint shard neighbourhoods
-(grouped by current community, packed into ``params.workers`` batches).
-Like the other flat tiers the kernel consumes the controller's
-:class:`~repro.core.engine.AdaptiveWorkspace` when one is supplied
-(``uses_workspace=True`` in the registry), so consecutive τ₁ windows
-never re-freeze the graph; per-slot community-weight matrices ``W``/``N``
-are built once per window and kept current with one vectorised flush of
-each sweep's applied moves.  Each sweep runs in three phases:
-
-1. **frozen proposal phase** — every batch scores all of its nodes
-   against the *pre-sweep* caches with vectorised numpy ops over
-   ``W``/``N`` (which release the GIL, so batches genuinely overlap in
-   worker threads); a node proposes iff some move has positive gain;
-2. **sequential apply pass** — proposers are re-evaluated
-   best-frozen-gain-first against the *live* caches with the flat
-   engine's exact scalar arithmetic and applied through
-   :meth:`Allocation.move`, so a stale proposal is re-checked, never
-   trusted;
-3. **sequential conflict pass** — the overlap set (touched nodes
-   adjacent to an applied mover, plus the movers) is swept once more
-   exactly, catching adjacent gains the frozen phase could not see.
-
-Convergence gates on the *frozen-phase* positive-gain sum: at sweep
-start the frozen state equals the live state, so that sum bounds the
-gain any full exact Gauss-Seidel sweep could still collect — including
-sigma-mediated gains at non-adjacent nodes that the conflict pass is
-blind to — and the loop reaches the flat kernel's fixed point.
-
-Because the frozen phase is a *filter* whose candidate set (and each
-candidate's gain key) is a union of elementwise per-batch results, and
-phases 2-3 are sequential in a deterministic order, the result is
-**identical for any ``workers`` value** — parallelism changes
-wall-clock only.  Windows below :data:`MIN_PARALLEL_TOUCHED` delegate
-wholesale to the byte-identical flat kernel (a size-only, therefore
-workers-independent, decision).
+the parity).  The callers decide pool vs. inline: with one effective
+worker, or on a platform without ``fork``, ``sweep``/``figure4`` run
+their own sequential loop and never reach :func:`run_grid`.
 
 BLAS/OpenMP pinning
 -------------------
@@ -77,8 +37,8 @@ from __future__ import annotations
 import dataclasses
 import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from concurrent.futures import ProcessPoolExecutor
+from typing import Dict, List, Optional, Sequence, Tuple
 
 #: Environment knobs that cap BLAS/OpenMP threading.  ``setdefault``
 #: semantics: an explicit user setting wins over the pin.
@@ -89,18 +49,6 @@ BLAS_ENV_VARS = (
     "VECLIB_MAXIMUM_THREADS",
     "NUMEXPR_NUM_THREADS",
 )
-
-#: Below this many touched accounts the shard-parallel A-TxAllo kernel
-#: delegates to the byte-identical flat kernel: the numpy proposal
-#: machinery only pays for itself once per-sweep work amortises its
-#: fixed overheads.  Size-dependent only, so the delegation decision —
-#: hence the result — is independent of ``params.workers``.
-MIN_PARALLEL_TOUCHED = 64
-
-#: Diagnostics of the most recent :func:`a_txallo_parallel` batched run
-#: in this process (batches, proposal/conflict counts per sweep...).
-#: Tests introspect it; nothing downstream reads it.
-LAST_RUN_STATS: Dict[str, object] = {}
 
 
 def pin_blas_threads(count: int = 1) -> Dict[str, str]:
@@ -126,8 +74,8 @@ def fork_available() -> bool:
     """True when the ``fork`` start method exists (POSIX).
 
     Process-parallel grids require it: the warmed workload travels to
-    workers by copy-on-write inheritance, not pickling.  Without it
-    :func:`run_grid` runs the cells inline (``workers=1`` semantics).
+    workers by copy-on-write inheritance, not pickling.  Without it the
+    grid's callers run the cells inline (``workers=1`` semantics).
     """
     return "fork" in multiprocessing.get_all_start_methods()
 
@@ -165,9 +113,9 @@ def warm_grid_state(workload, cells: Sequence[Tuple[str, int, float]], backend: 
       default ``(32, 1.0)`` key — one parent-side run serves the whole
       grid);
     * computes every eta-independent static mapping (hash, prefix,
-      METIS) exactly once per ``(method, k)`` into ``cache`` — the
-      satellite fix for the parallel grid, where per-process
-      memoisation would otherwise recompute them in every worker.
+      METIS) exactly once per ``(method, k)`` into ``cache`` —
+      per-process memoisation would otherwise recompute them in every
+      worker.
     """
     from repro import allocators
     from repro.core.louvain import louvain_partition
@@ -210,32 +158,23 @@ def _grid_cell(task: Tuple[str, int, float]):
 def run_grid(
     workload,
     cells: Sequence[Tuple[str, int, float]],
-    backend: str = "fast",
-    workers: int = 1,
+    backend: str,
+    workers: int,
 ) -> List:
-    """Evaluate ``cells`` (canonical order preserved) with ``workers``.
+    """Evaluate ``cells`` on a ``workers``-process pool, in canonical order.
 
     The shared freeze + Louvain memo + eta-independent mappings are
-    computed once in the parent (:func:`warm_grid_state`); with
-    ``workers > 1`` on a ``fork`` platform the cells fan out to a
-    process pool that inherits that state copy-on-write, otherwise they
-    run inline over the same warmed state.  Either way the returned
-    records are identical up to ``runtime_seconds`` (compare through
+    computed once in the parent (:func:`warm_grid_state`); the forked
+    pool inherits that state copy-on-write.  Callers run the grid inline
+    instead when :func:`effective_workers` leaves one worker or
+    :func:`fork_available` is False.  The returned records are identical
+    to the inline loop's up to ``runtime_seconds`` (compare through
     :func:`canonical_records`).
     """
     from repro.eval.experiments import _MappingCache
 
     cache = _MappingCache()
     warm_grid_state(workload, cells, backend, cache)
-    workers = effective_workers(workers, len(cells))
-    if workers <= 1 or not fork_available():
-        global _GRID_STATE
-        saved = _GRID_STATE
-        _GRID_STATE = (workload, backend, cache)
-        try:
-            return [_grid_cell(task) for task in cells]
-        finally:
-            _GRID_STATE = saved
     ctx = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(
         max_workers=workers,
@@ -244,467 +183,3 @@ def run_grid(
         initargs=(workload, backend, cache.export()),
     ) as pool:
         return list(pool.map(_grid_cell, cells))
-
-
-# ======================================================================
-# Shard-parallel A-TxAllo (the "parallel" backend's adaptive kernel)
-# ======================================================================
-def a_txallo_parallel(
-    alloc,
-    touched: Iterable,
-    epsilon: float,
-    workspace=None,
-) -> Tuple[int, int, int, int, bool]:
-    """Algorithm 2 with shard-parallel batched sweeps (see module doc).
-
-    Registry kernel signature: mutates ``alloc`` in place and returns
-    ``(new_nodes, swept_nodes, sweeps, moves, converged)``.  Reads the
-    thread count from ``alloc.params.workers``; the result is identical
-    for every ``workers`` value (parallelism is wall-clock only), and
-    the TxAllo objective is gated within the registry tolerance of the
-    byte-identical flat kernel by ``tests/test_parallel.py`` and
-    ``benchmarks/bench_parallel.py``.
-    """
-    from repro.core.engine import a_txallo_flat
-
-    hat_v = sorted(set(touched))
-    if len(hat_v) < MIN_PARALLEL_TOUCHED:
-        # Small window: the flat kernel is already optimal there, and a
-        # size-only delegation keeps the workers-independence contract.
-        LAST_RUN_STATS.clear()
-        LAST_RUN_STATS.update({"batched": False, "window": len(hat_v)})
-        return a_txallo_flat(alloc, hat_v, epsilon, workspace=workspace)
-
-    import numpy as np  # the registry gates this tier on numpy_available
-
-    from repro.core.engine import _ADAPTIVE_MAX_SWEEPS
-    from repro.errors import GraphError
-
-    params = alloc.params
-    k = params.k
-    eta = params.eta
-    lam = params.lam
-    workers = max(1, int(getattr(params, "workers", 1)))
-    num_comms = alloc.num_communities
-    shard_of = alloc._shard_of
-    nv = len(hat_v)
-
-    # One-time neighbourhood snapshot, exactly the flat kernel's layout:
-    # ``code >= 0`` is the fixed community of an untouched assigned
-    # neighbour, ``code < 0`` is ``~slot`` of a touched neighbour.  With
-    # a workspace the rows come from its persistent journal-maintained
-    # views (no freeze, the τ₁ loop's batched path); otherwise from the
-    # graph's frozen CSR form.
-    ids: List[int] = []
-    snap: List[List[Tuple[int, float]]] = []
-    self_w = [0.0] * nv
-    ext_w = [0.0] * nv
-    wshard = None  # workspace's dense id->community view (lockstep below)
-    # ``ent_*`` flat edge-entry lists are built alongside the snapshot
-    # (one pass) for the vectorised machinery below.
-    ent_code_l: List[int] = []
-    ent_w_l: List[float] = []
-    row_len: List[int] = []
-    if workspace is not None:
-        workspace.sync(alloc)
-        index_of = workspace._index_of
-        rows = workspace._rows
-        loop_w = workspace._loop
-        wshard = workspace._shard
-        for v in hat_v:
-            try:
-                ids.append(index_of[v])
-            except KeyError:
-                raise GraphError(f"unknown node {v!r}") from None
-        local_slot = {i: s for s, i in enumerate(ids)}
-        local_shard = [wshard[i] for i in ids]
-        for s, i in enumerate(ids):
-            row = rows[i]
-            entries: List[Tuple[int, float]] = []
-            for j, w in row.items():
-                slot = local_slot.get(j)
-                if slot is not None:
-                    code = ~slot
-                else:
-                    code = wshard[j]
-                    if code < 0:
-                        continue
-                entries.append((code, w))
-                ent_code_l.append(code)
-                ent_w_l.append(w)
-            row_len.append(len(entries))
-            self_w[s] = loop_w[i]
-            ext_w[s] = sum(row.values())
-            snap.append(entries)
-    else:
-        csr = alloc.graph.freeze()
-        index_of = csr.index_of
-        csr_nodes = csr.nodes
-        csr_pairs = csr.pairs
-        for v in hat_v:
-            try:
-                ids.append(index_of[v])
-            except KeyError:
-                raise GraphError(f"unknown node {v!r}") from None
-        local_slot = {i: s for s, i in enumerate(ids)}
-        local_shard = [shard_of.get(v, -1) for v in hat_v]
-        for s, i in enumerate(ids):
-            entries = []
-            for j, w in csr_pairs[i]:
-                slot = local_slot.get(j)
-                if slot is not None:
-                    code = ~slot
-                else:
-                    c = shard_of.get(csr_nodes[j])
-                    if c is None:
-                        continue
-                    code = c
-                entries.append((code, w))
-                ent_code_l.append(code)
-                ent_w_l.append(w)
-            row_len.append(len(entries))
-            self_w[s] = csr.loop[i]
-            ext_w[s] = csr.ext[i]
-            snap.append(entries)
-
-    acc = [0.0] * num_comms
-    stamp = [0] * num_comms
-    epoch = 0
-
-    def scan(s: int) -> List[int]:
-        nonlocal epoch
-        epoch += 1
-        touched_comms: List[int] = []
-        for code, w in snap[s]:
-            c = code if code >= 0 else local_shard[~code]
-            if c < 0:
-                continue
-            if stamp[c] == epoch:
-                acc[c] += w
-            else:
-                stamp[c] = epoch
-                acc[c] = w
-                touched_comms.append(c)
-        return touched_comms
-
-    def weights_triple(s: int, touched_comms: List[int]):
-        return {c: acc[c] for c in touched_comms}, self_w[s], ext_w[s]
-
-    # --- Phase 1: brand-new accounts — sequential, the flat arithmetic.
-    new_slots = [s for s in range(nv) if local_shard[s] < 0]
-    for s in new_slots:
-        touched_comms = scan(s)
-        w_self = self_w[s]
-        w_ext = ext_w[s]
-        candidates: Iterable[int] = sorted(
-            c for c in touched_comms if c < k and acc[c] > 0.0
-        )
-        if not candidates:
-            candidates = range(k)
-        best_q = -1
-        best_gain = -float("inf")
-        for q in candidates:
-            w_q = acc[q] if stamp[q] == epoch else 0.0
-            sigma_q = alloc.sigma[q]
-            lam_hat_q = alloc.lam_hat[q]
-            sigma_new = sigma_q + w_self + eta * (w_ext - w_q) + (1.0 - eta) * w_q
-            lam_hat_new = lam_hat_q + w_self + w_ext / 2.0
-            before = lam_hat_q if (sigma_q <= lam or sigma_q == 0.0) else lam / sigma_q * lam_hat_q
-            after = (
-                lam_hat_new
-                if (sigma_new <= lam or sigma_new == 0.0)
-                else lam / sigma_new * lam_hat_new
-            )
-            gain = after - before
-            if gain > best_gain:
-                best_gain = gain
-                best_q = q
-        alloc.assign(hat_v[s], best_q, weights=weights_triple(s, touched_comms))
-        local_shard[s] = best_q
-        if wshard is not None:
-            wshard[ids[s]] = best_q
-
-    # --- Live per-slot community-weight matrix ------------------------
-    # ``W[s, c]`` = total weight from slot ``s``'s snapshot entries into
-    # community ``c``; ``N[s, c]`` the exact integer entry count (the
-    # candidate mask — integer arithmetic, so incremental updates cannot
-    # drift it).  Built once after phase 1 (every touched node is then
-    # assigned, so touched-neighbour codes always resolve), then kept
-    # current with one vectorised flush of the sweep's applied moves —
-    # the proposal phase never rescans the edge entries.  ``W`` itself
-    # can pick up float dust from a -=/+= round trip, but proposals are
-    # only a filter: the exact apply pass rescores every candidate from
-    # the snapshot.
-    ent_slot = np.repeat(
-        np.arange(nv, dtype=np.int64), np.asarray(row_len, dtype=np.int64)
-    )
-    ent_code = np.asarray(ent_code_l, dtype=np.int64)
-    ent_w = np.asarray(ent_w_l, dtype=np.float64)
-    ent_is_touched = ent_code < 0
-    ent_fixed = np.where(ent_is_touched, 0, ent_code)
-    ent_ref = np.where(ent_is_touched, -ent_code - 1, 0)
-    row_start = np.zeros(nv + 1, dtype=np.int64)
-    np.cumsum(row_len, out=row_start[1:])
-    self_arr = np.asarray(self_w, dtype=np.float64)
-    ext_arr = np.asarray(ext_w, dtype=np.float64)
-    C = num_comms
-    comm0 = np.where(ent_is_touched, np.asarray(local_shard)[ent_ref], ent_fixed)
-    flat_idx = ent_slot * C + comm0
-    W = np.bincount(flat_idx, weights=ent_w, minlength=nv * C).reshape(nv, C)
-    N = np.bincount(flat_idx, minlength=nv * C).reshape(nv, C)
-
-    # Mostly-disjoint shard neighbourhoods: group slots by their current
-    # community (post-phase-1), pack the groups into ``workers`` batches
-    # round-robin.  Batching only splits the read-only proposal work —
-    # the candidate set is the union over batches, so the partition (and
-    # therefore ``workers``) never changes the result.
-    groups: Dict[int, List[int]] = {}
-    for s in range(nv):
-        groups.setdefault(local_shard[s], []).append(s)
-    n_batches = max(1, min(workers, len(groups)))
-    batch_lists: List[List[int]] = [[] for _ in range(n_batches)]
-    for g, shard in enumerate(sorted(groups)):
-        batch_lists[g % n_batches].extend(groups[shard])
-    batch_slots = [np.asarray(sorted(b), dtype=np.int64) for b in batch_lists if b]
-
-    sigma = alloc.sigma
-    lam_hat = alloc.lam_hat
-    one_minus_eta = 1.0 - eta
-    eta_minus_one = eta - 1.0
-    neg_inf = -float("inf")
-    thpt = [0.0] * num_comms
-    for c in range(num_comms):
-        sigma_c = sigma[c]
-        thpt[c] = lam_hat[c] if (sigma_c <= lam or sigma_c == 0.0) else lam / sigma_c * lam_hat[c]
-
-    moves = 0
-    # Applied moves accumulate here and are flushed into ``W``/``N`` in
-    # one vectorised pass per sweep (after the conflict pass) — the only
-    # reader of the matrices is the *next* sweep's proposal phase, and
-    # the +/- updates compose additively even when a slot moves twice.
-    pending_moves: List[Tuple[int, int, int]] = []
-
-    def flush_pending() -> None:
-        """Apply the sweep's ``(slot, from, to)`` moves to ``W``/``N``."""
-        if not pending_moves:
-            return
-        m_slots = np.asarray([m[0] for m in pending_moves], dtype=np.int64)
-        m_p = np.asarray([m[1] for m in pending_moves], dtype=np.int64)
-        m_q = np.asarray([m[2] for m in pending_moves], dtype=np.int64)
-        pending_moves.clear()
-        lens = row_start[m_slots + 1] - row_start[m_slots]
-        total = int(lens.sum())
-        if total == 0:
-            return
-        starts = row_start[m_slots]
-        offsets = np.repeat(
-            starts - np.concatenate(([0], np.cumsum(lens)[:-1])), lens
-        )
-        idx = np.arange(total, dtype=np.int64) + offsets
-        tmask = ent_is_touched[idx]
-        if not tmask.any():
-            return
-        t = ent_ref[idx][tmask]
-        w = ent_w[idx][tmask]
-        p_t = np.repeat(m_p, lens)[tmask]
-        q_t = np.repeat(m_q, lens)[tmask]
-        np.subtract.at(W, (t, p_t), w)
-        np.add.at(W, (t, q_t), w)
-        np.subtract.at(N, (t, p_t), 1)
-        np.add.at(N, (t, q_t), 1)
-
-    def exact_sweep(slots: Iterable[int]) -> Tuple[float, List[int]]:
-        """Gauss-Seidel over ``slots`` with the flat kernel's arithmetic."""
-        nonlocal epoch, moves
-        gain_total = 0.0
-        moved: List[int] = []
-        touched_comms: List[int] = []
-        for s in slots:
-            p = local_shard[s]
-            epoch += 1
-            del touched_comms[:]
-            append = touched_comms.append
-            for code, w in snap[s]:
-                c = code if code >= 0 else local_shard[~code]
-                if stamp[c] == epoch:
-                    acc[c] += w
-                else:
-                    stamp[c] = epoch
-                    acc[c] = w
-                    append(c)
-            if not touched_comms or (
-                len(touched_comms) == 1 and touched_comms[0] == p
-            ):
-                continue
-            touched_comms.sort()
-            w_self = self_w[s]
-            w_ext = ext_w[s]
-            half_ext = w_ext / 2.0
-            w_p = acc[p] if stamp[p] == epoch else 0.0
-            sigma_new = sigma[p] - w_self - eta * (w_ext - w_p) + eta_minus_one * w_p
-            lam_hat_new = lam_hat[p] - w_self - half_ext
-            if sigma_new <= lam or sigma_new == 0.0:
-                after = lam_hat_new
-            else:
-                after = lam / sigma_new * lam_hat_new
-            leave = after - thpt[p]
-            best_q = -1
-            best_gain = neg_inf
-            for q in touched_comms:
-                if q == p:
-                    continue
-                w_q = acc[q]
-                sigma_new = sigma[q] + w_self + eta * (w_ext - w_q) + one_minus_eta * w_q
-                lam_hat_new = lam_hat[q] + w_self + half_ext
-                if sigma_new <= lam or sigma_new == 0.0:
-                    join_after = lam_hat_new
-                else:
-                    join_after = lam / sigma_new * lam_hat_new
-                gain = leave + (join_after - thpt[q])
-                if gain > best_gain:
-                    best_gain = gain
-                    best_q = q
-            if best_q >= 0 and best_gain > 0.0:
-                alloc.move(hat_v[s], best_q, weights=weights_triple(s, touched_comms))
-                local_shard[s] = best_q
-                if wshard is not None:
-                    wshard[ids[s]] = best_q
-                pending_moves.append((s, p, best_q))
-                sigma_p = sigma[p]
-                thpt[p] = (
-                    lam_hat[p] if (sigma_p <= lam or sigma_p == 0.0) else lam / sigma_p * lam_hat[p]
-                )
-                sigma_q = sigma[best_q]
-                thpt[best_q] = (
-                    lam_hat[best_q]
-                    if (sigma_q <= lam or sigma_q == 0.0)
-                    else lam / sigma_q * lam_hat[best_q]
-                )
-                gain_total += best_gain
-                moves += 1
-                moved.append(s)
-        return gain_total, moved
-
-    def batch_proposals(b: int, shard0, sigma0, lam0, thpt0):
-        """Batch ``b``'s slots with a positive frozen-state move gain.
-
-        Returns ``(slots, gains)`` — the proposing slots plus each one's
-        best frozen gain.  At sweep start the frozen state *is* the live
-        state, so the summed positive gains bound what a full exact
-        Gauss-Seidel sweep could collect; the main loop uses that bound
-        as its convergence criterion (same fixed point as the flat
-        kernel's full-sweep ``< epsilon`` check).
-        """
-        slots_b = batch_slots[b]
-        nb = len(slots_b)
-        Wb = W[slots_b]
-        live = N[slots_b] > 0
-        rows_b = np.arange(nb)
-        p = shard0[slots_b]
-        sw = self_arr[slots_b]
-        ew = ext_arr[slots_b]
-        half = ew / 2.0
-        w_p = Wb[rows_b, p]
-        # ``np.where`` evaluates both branches; with an unbounded lam the
-        # dead uncapped branch hits inf*0 — silence it, the capped branch
-        # is what gets selected there.
-        with np.errstate(invalid="ignore", divide="ignore"):
-            sigma_new_p = sigma0[p] - sw - eta * (ew - w_p) + eta_minus_one * w_p
-            lam_new_p = lam0[p] - sw - half
-            cap_p = (sigma_new_p <= lam) | (sigma_new_p == 0.0)
-            denom_p = np.where(cap_p, 1.0, sigma_new_p)
-            after_p = np.where(cap_p, lam_new_p, lam / denom_p * lam_new_p)
-            leave = after_p - thpt0[p]
-            sigma_new_q = (
-                sigma0[None, :] + sw[:, None] + eta * (ew[:, None] - Wb) + one_minus_eta * Wb
-            )
-            lam_new_q = lam0[None, :] + sw[:, None] + half[:, None]
-            cap_q = (sigma_new_q <= lam) | (sigma_new_q == 0.0)
-            denom_q = np.where(cap_q, 1.0, sigma_new_q)
-            join_after = np.where(cap_q, lam_new_q, lam / denom_q * lam_new_q)
-            gains = leave[:, None] + (join_after - thpt0[None, :])
-        gains[~live] = neg_inf
-        gains[rows_b, p] = neg_inf
-        best = gains[rows_b, np.argmax(gains, axis=1)]
-        mask = best > 0.0
-        return slots_b[mask], best[mask]
-
-    # --- Phase 2: frozen proposals -> exact apply -> conflict pass ------
-    sweeps = 0
-    converged = False
-    pool = ThreadPoolExecutor(max_workers=workers) if (
-        workers > 1 and len(batch_slots) > 1
-    ) else None
-    stats = {
-        "batched": True,
-        "batches": len(batch_slots),
-        "workers": workers,
-        "proposals": 0,
-        "applied": 0,
-        "conflict_slots": 0,
-        "conflict_moves": 0,
-    }
-    try:
-        while sweeps < _ADAPTIVE_MAX_SWEEPS:
-            sweeps += 1
-            shard0 = np.asarray(local_shard, dtype=np.int64)
-            sigma0 = np.asarray(sigma, dtype=np.float64)
-            lam0 = np.asarray(lam_hat, dtype=np.float64)
-            cap0 = (sigma0 <= lam) | (sigma0 == 0.0)
-            denom0 = np.where(cap0, 1.0, sigma0)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                thpt0 = np.where(cap0, lam0, lam / denom0 * lam0)
-            if pool is not None:
-                parts = list(
-                    pool.map(
-                        lambda b: batch_proposals(b, shard0, sigma0, lam0, thpt0),
-                        range(len(batch_slots)),
-                    )
-                )
-            else:
-                parts = [
-                    batch_proposals(b, shard0, sigma0, lam0, thpt0)
-                    for b in range(len(batch_slots))
-                ]
-            # The frozen state equals the live state here, so the summed
-            # positive frozen gains bound the gain any full exact sweep
-            # could still collect — converging on that bound reaches the
-            # flat kernel's fixed point (a move's sigma shift can open
-            # gains at *non-adjacent* nodes; only this global check, not
-            # the conflict pass, is guaranteed to see those).
-            frozen_gain = float(sum(float(g.sum()) for _, g in parts))
-            if frozen_gain < epsilon:
-                converged = True
-                break
-            # Best-frozen-gain-first apply order: the biggest wins land
-            # before their neighbourhoods shift under them, which tracks
-            # the flat kernel's trajectory much more closely than slot
-            # order.  Per-batch gains are elementwise, so the order (and
-            # hence the result) is independent of the batch partition.
-            scored = sorted(
-                ((float(g), int(s)) for part, gains in parts
-                 for s, g in zip(part, gains)),
-                key=lambda t: (-t[0], t[1]),
-            )
-            candidates = [s for _, s in scored]
-            stats["proposals"] += len(candidates)
-            _, movers = exact_sweep(candidates)
-            stats["applied"] += len(movers)
-            overlap = set(movers)
-            for m in movers:
-                overlap.update(~code for code, _ in snap[m] if code < 0)
-            conflict_slots = sorted(overlap)
-            stats["conflict_slots"] += len(conflict_slots)
-            _, conflict_movers = exact_sweep(conflict_slots)
-            stats["conflict_moves"] += len(conflict_movers)
-            flush_pending()
-    finally:
-        if pool is not None:
-            pool.shutdown()
-    stats["sweeps"] = sweeps
-    LAST_RUN_STATS.clear()
-    LAST_RUN_STATS.update(stats)
-
-    if workspace is not None:
-        workspace._note_run(alloc)
-    return len(new_slots), nv, sweeps, moves, converged

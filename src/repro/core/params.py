@@ -13,15 +13,8 @@ The paper exposes six hyperparameters:
 * ``tau1``   — adaptive (A-TxAllo) update period, in blocks.
 * ``tau2``   — global (G-TxAllo) update period, in blocks (``tau1 < tau2``).
 
-Two implementation knobs ride along:
+One implementation knob rides along:
 
-* ``workers`` — how many cores the workers-aware execution paths may
-  use (the ``"parallel"`` backend's shard-parallel A-TxAllo sweeps; the
-  evaluation grid takes its own ``workers`` argument since it is a
-  harness concern, not an allocation parameter).  Semantically inert:
-  every backend produces the identical allocation for any ``workers``
-  value — the knob trades wall-clock only, and tiers that are not
-  ``workers_aware`` ignore it outright.
 * ``backend`` — any tier registered in the engine-backend registry
   (:mod:`repro.core.backends`).  ``"fast"`` (default) runs the
   allocators on the flat-array sweep engine over the frozen CSR graph
@@ -49,18 +42,6 @@ from repro.errors import ParameterError
 EPSILON_RATIO = 1e-5
 
 
-def __getattr__(name: str):
-    # BACKENDS is derived from the engine-backend registry so a
-    # register_backend() call (a fourth tier, a test dummy) is
-    # immediately a valid ``TxAlloParams.backend`` value.  Computed on
-    # attribute access rather than frozen at import time; note that
-    # ``from repro.core.params import BACKENDS`` still snapshots —
-    # prefer ``repro.core.backends.names()`` in new code.
-    if name == "BACKENDS":
-        return _backends.names()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 @dataclasses.dataclass(frozen=True)
 class TxAlloParams:
     """Immutable bundle of TxAllo hyperparameters.
@@ -79,15 +60,10 @@ class TxAlloParams:
     tau1: int = 300
     tau2: int = 6000
     backend: str = "fast"
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if not isinstance(self.k, int) or self.k < 1:
             raise ParameterError(f"number of shards k must be a positive int, got {self.k!r}")
-        if not isinstance(self.workers, int) or self.workers < 1:
-            raise ParameterError(
-                f"worker count workers must be a positive int, got {self.workers!r}"
-            )
         if not self.eta >= 1.0:
             raise ParameterError(f"cross-shard workload eta must be >= 1, got {self.eta!r}")
         if not self.lam > 0:
@@ -120,7 +96,6 @@ class TxAlloParams:
         tau1: int = 300,
         tau2: int = 6000,
         backend: str = "fast",
-        workers: int = 1,
     ) -> "TxAlloParams":
         """Build parameters using the paper's evaluation conventions.
 
@@ -138,7 +113,6 @@ class TxAlloParams:
             tau1=tau1,
             tau2=tau2,
             backend=backend,
-            workers=workers,
         )
 
     def replace(self, **changes) -> "TxAlloParams":

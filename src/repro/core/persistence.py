@@ -71,7 +71,6 @@ def save_allocation(
             "tau1": params.tau1,
             "tau2": params.tau2,
             "backend": params.backend,
-            "workers": params.workers,
         },
         "mapping": {str(a): int(s) for a, s in sorted(mapping.items())},
     }
@@ -104,9 +103,6 @@ def load_allocation(path) -> Tuple[Dict[str, int], TxAlloParams, int]:
             # Checkpoints written before the engine switch carry no
             # backend; the result is the same either way, so default fast.
             backend=str(raw.get("backend", "fast")),
-            # Likewise pre-parallel checkpoints carry no worker count;
-            # workers is semantically inert, so default serial.
-            workers=int(raw.get("workers", 1)),
         )
         height = int(payload.get("block_height", 0))
         recorded = payload["digest"]

@@ -21,6 +21,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro import allocators
 from repro.chain.faults import FaultPlan
 from repro.chain.live import LiveReport, LiveShardedNetwork
+from repro.core import parallel
 from repro.core.allocator import OnlineAllocator
 from repro.core.resilience import ResilientAllocator
 from repro.core.controller import TxAlloController
@@ -277,10 +278,9 @@ def sweep(
     cells = [
         (method, k, eta) for eta in etas for k in ks for method in methods
     ]
-    if workers > 1:
-        from repro.core.parallel import run_grid
-
-        return run_grid(workload, cells, backend=backend, workers=workers)
+    workers = parallel.effective_workers(workers, len(cells))
+    if workers > 1 and parallel.fork_available():
+        return parallel.run_grid(workload, cells, backend=backend, workers=workers)
     cache = _MappingCache()
     records: List[MethodMetrics] = []
     for method, k, eta in cells:
@@ -472,11 +472,10 @@ def figure4(
 ) -> Figure4Report:
     """Fig. 4 case study; ``workers > 1`` runs the methods through the
     process-parallel grid (identical distributions, wall-clock only)."""
-    if workers > 1:
-        from repro.core.parallel import run_grid
-
+    workers = parallel.effective_workers(workers, len(methods))
+    if workers > 1 and parallel.fork_available():
         cells = [(m, k, eta) for m in methods]
-        records = run_grid(workload, cells, backend=backend, workers=workers)
+        records = parallel.run_grid(workload, cells, backend=backend, workers=workers)
         distributions = {
             method_label(rec.method): rec.normalized_workloads for rec in records
         }
@@ -607,16 +606,12 @@ def figure9(
     split_ratio: float = 0.9,
     max_steps: int = 0,
     backend: str = "fast",
-    workers: int = 1,
 ) -> Figure9Report:
     """Fig. 9: A-TxAllo throughput evolution for several global gaps.
 
     ``window_blocks`` is the adaptive period τ₁ in blocks (0 = auto so the
     evaluation stream yields ~40 windows); ``max_steps`` truncates the
     stream (0 = use all windows).  The paper's τ₁ is 300 blocks (≈1 hour).
-    ``workers`` lands in :attr:`TxAlloParams.workers`: workers-aware
-    backends (``"parallel"``) thread their adaptive window sweeps, all
-    others ignore it.
     """
     train, evaluation = workload.blocks.split(split_ratio)
     if window_blocks <= 0:
@@ -626,7 +621,7 @@ def figure9(
         windows = windows[:max_steps]
 
     params = TxAlloParams.with_capacity_for(
-        train.num_transactions, k=k, eta=eta, backend=backend, workers=workers
+        train.num_transactions, k=k, eta=eta, backend=backend
     )
     train_graph = TransactionGraph()
     for s in train.account_sets():
@@ -685,7 +680,6 @@ def figure10(
     split_ratio: float = 0.9,
     max_steps: int = 0,
     backend: str = "fast",
-    workers: int = 1,
 ) -> Figure10Report:
     """Fig. 10: runtime of pure-global vs. hybrid updating (τ₂ = gap·τ₁)."""
     report = figure9(
@@ -697,7 +691,6 @@ def figure10(
         split_ratio=split_ratio,
         max_steps=max_steps,
         backend=backend,
-        workers=workers,
     )
     return Figure10Report(
         pure=report.runs["Global Method"],

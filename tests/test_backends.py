@@ -4,13 +4,14 @@ Covers the registry's four jobs end to end: the one canonical
 unknown-backend error shared by every dispatch surface, checkpoint
 round-trips carrying backend names (including unregistered ones
 degrading to DataError), the optional-dependency fallback walk when
-numpy is absent, extensibility (a throwaway fourth tier dispatching
+numpy is absent, extensibility (a throwaway extra tier dispatching
 through the same public entry points), and the numpy vector tier's
 objective-gated contract against the fast backend.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 import sys
@@ -34,6 +35,12 @@ def _canonical_unknown(name):
     return re.escape(
         f"unknown backend {name!r}, available: [{', '.join(backends.names())}]"
     )
+
+
+def test_built_in_tiers_in_registration_order():
+    assert backends.names() == ("fast", "reference", "turbo", "vector")
+    fields = {f.name for f in dataclasses.fields(TxAlloParams)}
+    assert "workers" not in fields
 
 
 class TestCanonicalUnknownBackendError:

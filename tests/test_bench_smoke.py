@@ -208,10 +208,9 @@ def test_committed_resilience_run_table_is_current():
 
 def test_bench_parallel_regenerates_and_fans_out(tmp_path):
     """bench_parallel end-to-end at a small scale: the run table must
-    regenerate, the grid records must be byte-identical across worker
-    counts (run_bench asserts it), and the window sweeps must actually
-    take the batched shard-parallel path.  The multi-core *speedup*
-    gates are environment-conditional and do not apply here."""
+    regenerate and the grid records must be byte-identical across worker
+    counts.  The multi-core *speedup* gate is environment-conditional
+    and does not apply here."""
     bench = _load_module(PARALLEL_BENCH_PATH)
     out_path = tmp_path / "BENCH_parallel.json"
     payload = bench.run_bench(scale=0.25, out_path=out_path)
@@ -227,18 +226,12 @@ def test_bench_parallel_regenerates_and_fans_out(tmp_path):
         "grid_seconds",
         "grid_speedup_w4",
         "grid_records_identical",
-        "window_speedup_w4",
-        "window_objective_ratio_min",
-        "window_workers_independent",
-        "window_batched_runs",
     ):
         assert key in payload, key
+    assert not any(key.startswith("window_") for key in payload)
 
     assert payload["blas_pinned"] is True
     assert payload["grid_records_identical"] is True
-    if payload["window_objective_ratio_min"] is not None:
-        assert payload["window_workers_independent"] is True
-        assert payload["window_batched_runs"] > 0
     assert bench.check_gates(payload) == []
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.eval import experiments
 
 
 class TestParser:
@@ -49,6 +50,25 @@ class TestParser:
         assert args.spec is None
         assert args.out is None
 
+    def test_workers_defaults_to_one(self):
+        assert build_parser().parse_args(["fig2"]).workers == 1
+        assert build_parser().parse_args(["fig2", "--workers", "3"]).workers == 3
+
+    @pytest.mark.parametrize("bad", ["0", "-3", "two"])
+    def test_workers_below_one_rejected(self, bad, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["fig2", "--workers", bad])
+        assert excinfo.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
+    def test_workers_help_names_the_grid_only(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "sweep/fig4 grid and the matrix" in help_text
+        assert "TxAlloParams.workers" not in help_text
+        assert "'parallel'" not in help_text
+
 
 class TestMain:
     def test_fig1(self, capsys):
@@ -69,6 +89,23 @@ class TestMain:
     def test_fig10_small(self, capsys):
         assert main(["fig10", "--scale", "0.05", "--k", "4", "--steps", "3"]) == 0
         assert "Figure 10" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("figure", ["fig9", "fig10"])
+    def test_adaptive_figures_do_not_take_workers(self, figure, monkeypatch, capsys):
+        seen = {}
+
+        class _Report:
+            def render(self):
+                return "stub"
+
+        def fake(workload, **kwargs):
+            seen.update(kwargs)
+            return _Report()
+
+        monkeypatch.setattr(experiments, "figure9", fake)
+        monkeypatch.setattr(experiments, "figure10", fake)
+        assert main([figure, "--scale", "0.05", "--workers", "2"]) == 0
+        assert seen and "workers" not in seen
 
     def test_fig2_registry_methods(self, capsys):
         assert main([

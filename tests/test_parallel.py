@@ -8,14 +8,12 @@ What the parallel layer *promises* (and these tests pin):
 * the shared grid state (freeze + Louvain memo + eta-independent static
   mappings) is computed exactly once in the parent, never per worker;
 * platforms without ``fork`` (and ``workers=1``) silently fall back to
-  the same warmed sequential path;
-* the ``parallel`` backend's shard-parallel A-TxAllo is
-  workers-independent, objective-gated against the flat kernel within
-  the registry tolerance, and leaves the allocation's internal caches
-  exact — including on adversarially overlapping windows where every
-  touched node conflicts with every other;
-* ``TxAlloParams.workers`` validates like every other knob and rides
-  persistence.
+  the sequential loop;
+* BLAS/OpenMP thread pinning sets every knob and respects explicit
+  user settings.
+
+The A-TxAllo kernels stay serial on every tier; the cache-exactness
+check below runs an adversarially overlapping window through them.
 """
 
 import random
@@ -26,17 +24,12 @@ from repro import allocators
 from repro.core import backends, parallel
 from repro.core.allocation import Allocation
 from repro.core.atxallo import a_txallo
-from repro.core.controller import TxAlloController
-from repro.core.graph import TransactionGraph
 from repro.core.gtxallo import g_txallo
 from repro.core.params import TxAlloParams
-from repro.core.persistence import load_allocation, save_allocation
-from repro.errors import ParameterError
 from repro.eval import experiments
 from tests.conftest import make_random_graph
 
-NUMPY = backends.get_backend("parallel").available()
-needs_numpy = pytest.mark.skipif(not NUMPY, reason="parallel tier needs numpy")
+NUMPY = backends.numpy_available()
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +46,7 @@ class TestGridParity:
     @pytest.mark.parametrize(
         "backend",
         ["fast", "reference"]
-        + (["vector", "parallel"] if NUMPY else []),
+        + (["vector"] if NUMPY else []),
     )
     def test_grid_records_identical_across_worker_counts(
         self, small_workload, backend
@@ -165,166 +158,41 @@ class TestSharedStateComputedOnce:
 
 
 # ----------------------------------------------------------------------
-# Shard-parallel A-TxAllo (the "parallel" backend tier)
+# Serial A-TxAllo on an adversarially overlapping window
 # ----------------------------------------------------------------------
-def _controller_objectives(blocks, k, tau1, backend, workers):
-    # Finite lam = |T|/k so the adaptive sweeps chase real gains — with
-    # the uncapped default every join/leave pair cancels exactly.
-    params = TxAlloParams.with_capacity_for(
-        sum(len(b) for b in blocks),
-        k=k,
-        eta=2.0,
-        tau1=tau1,
-        tau2=10**6,
-        backend=backend,
-        workers=workers,
+@pytest.mark.parametrize("backend", ["fast"] + (["vector"] if NUMPY else []))
+def test_adversarially_overlapping_window_keeps_caches_exact(backend):
+    """Every touched node neighbours every other (one dense clique
+    spanning the shards): the sweep must still leave an exact,
+    internally consistent allocation."""
+    graph = make_random_graph(num_accounts=120, num_transactions=600, seed=7)
+    params = TxAlloParams.with_capacity_for(600, k=4, eta=2.0, backend=backend)
+    good = g_txallo(graph, params).allocation
+    rng = random.Random(13)
+    clique = sorted(rng.sample(sorted(graph.nodes()), 80))
+    for i in range(len(clique) - 1):
+        tx = (clique[i], clique[i + 1], clique[(i + 40) % len(clique)])
+        graph.add_transaction(tx)
+    # Scramble the clique across the shards so the window starts far
+    # from the fixed point — every touched node then has gains.
+    mapping = good.mapping()
+    for i, v in enumerate(clique):
+        mapping[v] = i % params.k
+    alloc = Allocation.from_partition(
+        graph, params, mapping, num_communities=good.num_communities
     )
-    controller = TxAlloController(params)
-    batched = 0
-    for block in blocks:
-        event = controller.observe_block(block)
-        if event is not None and parallel.LAST_RUN_STATS.get("batched"):
-            batched += 1
-    return controller.allocation.total_throughput(), controller.mapping(), batched
-
-
-def _random_blocks(seed, accounts=260, blocks=12, txs=60):
-    rng = random.Random(seed)
-    pool = [f"acc{i:03d}" for i in range(accounts)]
-    out = []
-    for _ in range(blocks):
-        out.append(
-            [tuple(rng.sample(pool, rng.choice([2, 2, 3]))) for _ in range(txs)]
-        )
-    return out
-
-
-@needs_numpy
-class TestShardParallelATxAllo:
-    @pytest.mark.parametrize("seed", (1, 2, 3))
-    def test_interleaving_objective_and_workers_parity(self, seed):
-        """Random ingest/adaptive interleavings: the parallel tier stays
-        within the registry objective tolerance of the flat kernel and
-        is workers-independent, with the batched path actually taken."""
-        blocks = _random_blocks(seed)
-        base_obj, _, _ = _controller_objectives(blocks, 8, 2, "vector", 1)
-        par1_obj, par1_map, batched1 = _controller_objectives(
-            blocks, 8, 2, "parallel", 1
-        )
-        par4_obj, par4_map, batched4 = _controller_objectives(
-            blocks, 8, 2, "parallel", 4
-        )
-        tolerance = backends.get_backend("parallel").tolerance
-        assert par1_obj >= (1.0 - tolerance) * base_obj
-        assert par4_obj >= (1.0 - tolerance) * base_obj
-        assert par1_map == par4_map
-        assert batched1 > 0 and batched4 > 0
-
-    def test_adversarially_overlapping_window(self):
-        """Every touched node neighbours every other (one dense clique
-        spanning the shards): the conflict pass must still converge to
-        an exact, internally consistent allocation."""
-        graph = make_random_graph(num_accounts=120, num_transactions=600, seed=7)
-        params = TxAlloParams.with_capacity_for(
-            600, k=4, eta=2.0, backend="parallel", workers=4
-        )
-        good = g_txallo(graph, params).allocation
-        rng = random.Random(13)
-        clique = sorted(rng.sample(sorted(graph.nodes()), 80))
-        for i in range(len(clique) - 1):
-            tx = (clique[i], clique[i + 1], clique[(i + 40) % len(clique)])
-            graph.add_transaction(tx)
-        # Scramble the clique across the shards so the window starts far
-        # from the fixed point — every touched node then has gains, and
-        # every applied move conflicts with the whole window.
-        mapping = good.mapping()
-        for i, v in enumerate(clique):
-            mapping[v] = i % params.k
-        alloc = Allocation.from_partition(
-            graph, params, mapping, num_communities=good.num_communities
-        )
-        result = a_txallo(alloc, clique)
-        assert result.swept_nodes == len(clique)
-        assert parallel.LAST_RUN_STATS.get("batched") is True
-        # The conflict machinery really fired on this window.
-        assert parallel.LAST_RUN_STATS["conflict_slots"] > 0
-        # Internal caches stay exact: rebuilding from the final mapping
-        # reproduces sigma/lam_hat to float tolerance.
-        rebuilt = Allocation.from_partition(
-            graph, params, alloc.mapping(), num_communities=alloc.num_communities
-        )
-        for got, want in zip(alloc.sigma, rebuilt.sigma):
-            assert got == pytest.approx(want, abs=1e-6)
-        for got, want in zip(alloc.lam_hat, rebuilt.lam_hat):
-            assert got == pytest.approx(want, abs=1e-6)
-
-    def test_small_windows_delegate_to_flat_byte_identically(self):
-        graph = make_random_graph(seed=21)
-        touched = sorted(graph.nodes())[: parallel.MIN_PARALLEL_TOUCHED - 4]
-        params_par = TxAlloParams.with_capacity_for(
-            400, k=4, eta=2.0, backend="parallel", workers=4
-        )
-        params_fast = params_par.replace(backend="fast")
-        alloc_par = g_txallo(graph, params_fast).allocation
-        alloc_fast = g_txallo(graph, params_fast).allocation
-        alloc_par.params = params_par
-        a_txallo(alloc_par, touched)
-        assert parallel.LAST_RUN_STATS == {
-            "batched": False,
-            "window": len(touched),
-        }
-        a_txallo(alloc_fast, touched)
-        assert alloc_par.mapping() == alloc_fast.mapping()
-
-    def test_workspace_rides_the_parallel_tier(self):
-        """uses_workspace=True: the controller's workspace serves the
-        batched kernel (no per-window freeze) and survives it."""
-        blocks = _random_blocks(5, blocks=8)
-        params = TxAlloParams(
-            k=6, eta=2.0, tau1=2, tau2=10**6, backend="parallel", workers=2
-        )
-        controller = TxAlloController(params)
-        for block in blocks:
-            controller.observe_block(block)
-        stats = controller.workspace_stats
-        assert stats["runs"] >= 3
-        assert stats["extends"] >= 1
-
-
-# ----------------------------------------------------------------------
-# Params / persistence / registry plumbing
-# ----------------------------------------------------------------------
-class TestWorkersKnob:
-    def test_default_is_one(self):
-        assert TxAlloParams(k=4).workers == 1
-
-    @pytest.mark.parametrize("bad", (0, -1, 1.5, "2"))
-    def test_invalid_workers_rejected(self, bad):
-        with pytest.raises(ParameterError):
-            TxAlloParams(k=4, workers=bad)
-
-    def test_with_capacity_for_plumbs_workers(self):
-        params = TxAlloParams.with_capacity_for(1000, k=4, workers=3)
-        assert params.workers == 3
-
-    def test_persistence_roundtrip_keeps_workers(self, tmp_path):
-        graph = make_random_graph(seed=9)
-        params = TxAlloParams(k=4, workers=2)
-        alloc = g_txallo(graph, params).allocation
-        path = tmp_path / "alloc.json"
-        save_allocation(path, alloc.mapping(), params)
-        _, loaded, _ = load_allocation(path)
-        assert loaded.workers == 2
-
-    def test_parallel_spec_is_workers_aware(self):
-        spec = backends.get_backend("parallel")
-        assert spec.workers_aware
-        assert spec.uses_workspace
-        assert spec.fallback == "vector"
-
-    def test_other_specs_are_not(self):
-        for name in ("reference", "fast", "turbo", "vector"):
-            assert not backends.get_backend(name).workers_aware
+    result = a_txallo(alloc, clique)
+    assert result.swept_nodes == len(clique)
+    assert result.moves > 0
+    # Internal caches stay exact: rebuilding from the final mapping
+    # reproduces sigma/lam_hat to float tolerance.
+    rebuilt = Allocation.from_partition(
+        graph, params, alloc.mapping(), num_communities=alloc.num_communities
+    )
+    for got, want in zip(alloc.sigma, rebuilt.sigma):
+        assert got == pytest.approx(want, abs=1e-6)
+    for got, want in zip(alloc.lam_hat, rebuilt.lam_hat):
+        assert got == pytest.approx(want, abs=1e-6)
 
 
 class TestBlasPinning:

@@ -68,6 +68,40 @@ class TestRoundTrip:
         assert loaded.digest == cp.digest
         assert loaded.block_height == 7
 
+    def test_legacy_workers_key_is_ignored(self, tmp_path):
+        """Older checkpoints recorded a ``workers`` thread count; they
+        still load, the digest is still verified, and new checkpoints no
+        longer write the key."""
+        payload = {
+            "format": "txallo-allocation-v1",
+            "digest": allocation_digest(MAPPING),
+            "block_height": 5,
+            "params": {
+                "k": 2,
+                "eta": 2.0,
+                "lam": 100.0,
+                "epsilon": 0.001,
+                "tau1": 3,
+                "tau2": 9,
+                "backend": "fast",
+                "workers": 4,
+            },
+            "mapping": dict(MAPPING),
+        }
+        legacy = tmp_path / "legacy.json"
+        legacy.write_text(json.dumps(payload))
+        mapping, params, height = load_allocation(legacy)
+        assert (mapping, params, height) == (MAPPING, PARAMS, 5)
+
+        payload["mapping"]["0xaa"] = 1  # tamper without re-digesting
+        legacy.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match="digest mismatch"):
+            load_allocation(legacy)
+
+        fresh = tmp_path / "fresh.json"
+        save_allocation(fresh, MAPPING, PARAMS)
+        assert "workers" not in json.loads(fresh.read_text())["params"]
+
 
 class TestCorruption:
     def test_missing_file(self, tmp_path):
