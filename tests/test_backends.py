@@ -72,6 +72,12 @@ class TestCanonicalUnknownBackendError:
         with pytest.raises(ParameterError, match=_canonical_unknown("warp")):
             backends.get_backend("warp")
 
+    def test_retired_parallel_tier_is_unknown(self):
+        with pytest.raises(ParameterError, match=_canonical_unknown("parallel")):
+            backends.get_backend("parallel")
+        with pytest.raises(ParameterError, match=_canonical_unknown("parallel")):
+            TxAlloParams(k=2, backend="parallel")
+
 
 class TestPersistenceRoundTrip:
     """Satellite 2: backend names survive checkpoints; junk degrades."""
@@ -97,6 +103,21 @@ class TestPersistenceRoundTrip:
         save_allocation(path, mapping, params)
         payload = json.loads(path.read_text())
         payload["params"]["backend"] = "from-the-future"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match="malformed checkpoint"):
+            load_allocation(path)
+
+    def test_retired_parallel_backend_raises_dataerror(self, tmp_path):
+        """Checkpoints written by the retired shard-parallel tier name a
+        backend this build no longer registers: malformed data."""
+        g = make_random_graph(seed=11)
+        params = TxAlloParams.with_capacity_for(400, k=4)
+        mapping = g_txallo(g, params).allocation.mapping()
+        path = tmp_path / "ckpt.json"
+        save_allocation(path, mapping, params)
+        payload = json.loads(path.read_text())
+        payload["params"]["backend"] = "parallel"
+        payload["params"]["workers"] = 4
         path.write_text(json.dumps(payload))
         with pytest.raises(DataError, match="malformed checkpoint"):
             load_allocation(path)

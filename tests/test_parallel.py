@@ -45,7 +45,7 @@ class TestGridParity:
 
     @pytest.mark.parametrize(
         "backend",
-        ["fast", "reference"]
+        ["fast", "reference", "turbo"]
         + (["vector"] if NUMPY else []),
     )
     def test_grid_records_identical_across_worker_counts(
@@ -98,6 +98,33 @@ class TestGridFallbacks:
         monkeypatch.setattr(parallel, "ProcessPoolExecutor", boom)
         par = experiments.sweep(small_workload, workers=4, **grid)
         assert parallel.canonical_records(par) == parallel.canonical_records(seq)
+
+    @pytest.mark.parametrize("entry", ["sweep", "figure4"])
+    def test_one_effective_worker_never_builds_a_pool(
+        self, small_workload, monkeypatch, entry
+    ):
+        """A single cell leaves one effective worker whatever was asked
+        for, so the caller runs it inline without reaching run_grid."""
+
+        def run(workers):
+            if entry == "sweep":
+                return parallel.canonical_records(experiments.sweep(
+                    small_workload, ks=(2,), etas=(2.0,), methods=("txallo",),
+                    workers=workers,
+                ))
+            return experiments.figure4(
+                small_workload, k=4, eta=2.0, methods=("txallo",),
+                workers=workers,
+            ).distributions
+
+        seq = run(1)
+
+        def boom(*args, **kwargs):
+            raise AssertionError("process pool built for a single cell")
+
+        monkeypatch.setattr(parallel, "run_grid", boom)
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", boom)
+        assert run(4) == seq
 
     def test_effective_workers_clamps(self):
         assert parallel.effective_workers(8, 3) == 3
@@ -160,7 +187,9 @@ class TestSharedStateComputedOnce:
 # ----------------------------------------------------------------------
 # Serial A-TxAllo on an adversarially overlapping window
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", ["fast"] + (["vector"] if NUMPY else []))
+@pytest.mark.parametrize(
+    "backend", ["fast", "reference", "turbo"] + (["vector"] if NUMPY else [])
+)
 def test_adversarially_overlapping_window_keeps_caches_exact(backend):
     """Every touched node neighbours every other (one dense clique
     spanning the shards): the sweep must still leave an exact,

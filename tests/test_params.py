@@ -75,3 +75,17 @@ class TestConveniences:
 
     def test_default_capacity_is_infinite(self):
         assert TxAlloParams(k=2).lam == math.inf
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: TxAlloParams(k=4, workers=2),
+            lambda: TxAlloParams.with_capacity_for(1000, k=4, workers=2),
+        ],
+        ids=["constructor", "with_capacity_for"],
+    )
+    def test_no_workers_knob(self, build):
+        """Worker counts belong to the evaluation grid, not to the
+        allocation parameters."""
+        with pytest.raises(TypeError, match="workers"):
+            build()
