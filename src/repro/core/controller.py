@@ -22,10 +22,13 @@ Since the adaptive workspace
 (:class:`repro.core.engine.AdaptiveWorkspace`, owned by the controller
 and on by default for the flat backends) consecutive A-TxAllo runs go
 further: they share one persistent flat neighbourhood view kept current
-from the graph's mutation journal, so between global refreshes the τ₁
-loop does not freeze the graph at all.  Results are byte-identical with
-the workspace on or off; :attr:`TxAlloController.workspace_stats`
-exposes its rebuild/extend counters.
+from the graph's mutation journal, so the τ₁ loop does not freeze the
+graph at all.  The workspace also survives G-TxAllo refreshes: its graph
+views do not depend on the allocation, so after a refresh it only
+re-reads the id→shard array from the new allocation (a *reseat*); a full
+rebuild happens only on the first run and after decay or pruning.
+Results are byte-identical with the workspace on or off;
+:attr:`TxAlloController.workspace_stats` exposes its counters.
 
 A scheduled G-TxAllo refresh whose inputs have not changed since the
 last installed G-TxAllo result is not re-run: when the graph's
@@ -38,7 +41,7 @@ every backend tier (the turbo tier's warm Louvain is memoised on the
 cached snapshot), so a re-run would rebuild the very allocation already
 installed.  Long runs of empty blocks (a live network draining its
 backlog) thus cost nothing at the τ₂ ticks, and the adaptive workspace
-survives them instead of being rebuilt.
+does not even reseat.
 """
 
 from __future__ import annotations
@@ -238,7 +241,11 @@ class TxAlloController(OnlineAllocator):
         result.  G-TxAllo is deterministic in the graph, so the skipped
         run would have produced exactly the installed allocation; the
         event it records carries that run's ``moves`` and ``touched``,
-        and only ``seconds`` differs.  The workspace stays valid too.
+        and only ``seconds`` differs.
+
+        A refresh that does run replaces the allocation object; the
+        adaptive workspace notices on its next run and reseats (rebuilds
+        only its id→shard array), keeping its graph views.
         """
         t0 = time.perf_counter()
         mark = self._global_mark
@@ -247,10 +254,6 @@ class TxAlloController(OnlineAllocator):
             result = g_txallo(self.graph, self.params)
             self.allocation = result.allocation
             self._count_warm()
-            if self._workspace is not None:
-                # The refresh replaced the allocation wholesale; the cached
-                # id→shard view has nothing left to say.
-                self._workspace.invalidate()
             self._global_mark = (self.graph.version, self.allocation.mutation_count)
             self._global_moves = result.moves
         self._touched.clear()
@@ -305,17 +308,19 @@ class TxAlloController(OnlineAllocator):
 
     @property
     def workspace_stats(self) -> dict:
-        """Adaptive-workspace counters: ``{"rebuilds", "extends", "runs"}``.
+        """Adaptive-workspace counters: ``{"rebuilds", "reseats", "extends", "runs"}``.
 
-        ``rebuilds`` counts full re-lowerings (controller start, global
-        refreshes that re-ran G-TxAllo, decay; a reused idle refresh
-        keeps the workspace), ``extends`` journal replays that carried the
-        cached views across a τ₁ window, ``runs`` adaptive runs served
-        through the workspace.  All zero when the workspace is disabled
+        ``rebuilds`` counts full re-lowerings from a freeze (the first
+        adaptive run, and the first after decay or pruning), ``reseats``
+        id→shard re-reads after a G-TxAllo refresh that re-ran (a reused
+        idle refresh keeps the allocation, so none) or a foreign move,
+        ``extends`` journal replays that carried the cached views across a
+        τ₁ window, ``runs`` adaptive runs served through the workspace.
+        All zero when the workspace is disabled
         (``adaptive_workspace=False`` or the reference backend).
         """
         if self._workspace is None:
-            return {"rebuilds": 0, "extends": 0, "runs": 0}
+            return {"rebuilds": 0, "reseats": 0, "extends": 0, "runs": 0}
         return self._workspace.stats
 
     @property

@@ -111,7 +111,6 @@ class CSRGraph:
         "louvain_warm_hit",
         "_sorted_order",
         "_sorted_rank",
-        "_sorted_identity",
     )
 
     def __init__(
@@ -181,7 +180,6 @@ class CSRGraph:
         # need it, so the adaptive path never pays the O(N log N) sort.
         self._sorted_order: Optional[array] = None
         self._sorted_rank: Optional[array] = None
-        self._sorted_identity: Optional[bool] = None
 
     # ------------------------------------------------------------------
     @classmethod
@@ -379,16 +377,7 @@ class CSRGraph:
         if order is None:
             order = array("l", sorted(range(len(self.nodes)), key=self.nodes.__getitem__))
             self._sorted_order = order
-            self._sorted_identity = all(o == i for i, o in enumerate(order))
         return order
-
-    @property
-    def sorted_order_is_identity(self) -> bool:
-        """True when insertion order already is ascending-identifier
-        order, letting sorted-space consumers skip their remaps."""
-        if self._sorted_identity is None:
-            self.sorted_order  # builds and classifies the permutation
-        return self._sorted_identity
 
     @property
     def sorted_rank(self) -> array:

@@ -55,8 +55,11 @@ same order:
   ``TransactionGraph.edges()`` insertion-order edge walk used by
   ``Allocation`` cache rebuilds is an ascending-id walk, and the
   reference's ascending-*identifier* sweep and Louvain orders are
-  replayed through the frozen ``sorted_order`` / ``sorted_rank``
-  permutation;
+  replayed through the frozen ``sorted_order`` permutation.  Louvain's
+  level 0 runs on the CSR rows in id space, visiting nodes in
+  ``sorted_order``; every comparison the reference makes between
+  sorted indices (edge orientation, the smallest-label tie-break, the
+  once-per-pair aggregation skip) compares ``sorted_rank`` values;
 * every gain / delta expression is written with the same operand order
   and parenthesisation as :mod:`repro.core.objective` and
   :meth:`repro.core.allocation.Allocation.move`;
@@ -79,8 +82,8 @@ re-partition N nodes from scratch.  Two documented divergences:
    their prior labels, delta-frontier nodes join their neighbour-majority
    community (or start as singletons), and after one full confirmation
    pass only the neighbourhoods of actual movers are re-examined.  It
-   runs in insertion-id space (the seed indexes by CSR id, so the
-   reference's sorted-space remap is unnecessary).
+   runs in insertion-id order with ids as ranks (the seed indexes by CSR
+   id; the reference's sorted order is not replayed).
 2. **Work-skipping optimisation** (:func:`_optimise_flat_turbo`): the
    first sweep visits every node in the reference's ascending-identifier
    order, later sweeps revisit only nodes with a moved neighbour.
@@ -121,12 +124,14 @@ the snapshot-per-run fast path (the row maps replay the same float
 accumulations in the same order the CSR rows would, and per-run ``w_ext``
 is re-summed in row order exactly as a lowering would), which
 ``tests/test_engine_parity.py`` and ``tests/test_delta_freeze.py`` pin
-property-style.  It invalidates and rebuilds from a fresh frozen
-snapshot whenever the allocation object is replaced (global refresh),
-the journal is poisoned (window decay, pruning, a competing journal), or
-the allocation's mutation watermark (``Allocation.mutation_count``)
-drifts from what the workspace last saw — i.e. any assign/move applied
-behind the workspace's back.
+property-style.  The workspace survives global refreshes: its row maps,
+loop vector, id index and journal describe the graph alone, so when the
+allocation object is replaced (a G-TxAllo refresh) or the allocation's
+mutation watermark (``Allocation.mutation_count``) drifts from what the
+workspace last saw (an assign/move applied behind its back), it only
+rebuilds the id→shard array from the allocation — a *reseat*.  A full
+rebuild from a fresh frozen snapshot happens only for a different graph
+or a poisoned journal (window decay, pruning, a competing journal).
 ``benchmarks/bench_adaptive.py`` gates the resulting Fig. 9 block-loop
 speedup (≥ 1.3x end-to-end at τ₁=1).
 """
@@ -203,11 +208,16 @@ def louvain_flat(
     Labels are dense ints in order of first appearance over the sorted
     node sequence — identical to the reference implementation.
 
-    Level 0 is built in *sorted-identifier index space* — the space the
-    reference implementation works in — so every accumulation, move,
-    tie-break and relabel below replays it exactly even though CSR ids
-    are insertion-ordered.  One O(E) remap per frozen graph, amortised
-    by the memo.
+    Level 0 runs directly on the CSR rows, in id space: nodes are visited
+    in ``csr.sorted_order`` and a community keeps the id of the node it
+    started from, so node ``sorted_order[r]`` and label
+    ``sorted_order[r]`` stand for the reference's sorted index ``r``.
+    Every index comparison the reference makes in sorted space goes
+    through ``csr.sorted_rank`` instead (edge orientation in the weight
+    total, the smallest-label tie-break, the once-per-pair aggregation
+    skip), so accumulations, moves, tie-breaks and relabels replay it
+    exactly without copying the adjacency.  Aggregated levels number
+    their super-nodes densely and use the identity order.
 
     Results are memoised on the (immutable) ``csr`` — the paper's
     evaluation sweeps run G-TxAllo for many ``(k, eta)`` cells over one
@@ -222,28 +232,16 @@ def louvain_flat(
     if cached is not None:
         return list(cached)
 
-    identity = csr.sorted_order_is_identity
-    if identity:
-        # Insertion order already is sorted order: id space == sorted
-        # space, no remap needed.
-        rows: List[Sequence[Tuple[int, float]]] = csr.pairs
-        loops: List[float] = list(csr.loop)
-    else:
-        sorder = csr.sorted_order
-        srank = csr.sorted_rank
-        pairs = csr.pairs
-        loop = csr.loop
-        rows = []
-        loops = []
-        for i in sorder:
-            rows.append([(srank[j], w) for j, w in pairs[i]])
-            loops.append(loop[i])
+    rows: List[Sequence[Tuple[int, float]]] = csr.pairs
+    loops: Sequence[float] = csr.loop
+    order: Sequence[int] = csr.sorted_order
+    rank: Sequence[int] = csr.sorted_rank
     membership = list(range(n))
 
     for _level in range(max_levels):
-        community, improved = _one_level_flat(rows, loops, resolution)
+        community, improved = _one_level_flat(rows, loops, resolution, order, rank)
         relabel: Dict[int, int] = {}
-        for i in range(len(loops)):
+        for i in order:
             c = community[i]
             if c not in relabel:
                 relabel[c] = len(relabel)
@@ -251,23 +249,19 @@ def louvain_flat(
         membership = [community[m] for m in membership]
         if not improved or len(relabel) == len(loops):
             break
-        rows, loops = _aggregate_flat(rows, loops, community, len(relabel))
+        rows, loops = _aggregate_flat(rows, loops, community, len(relabel), order, rank)
+        order = rank = range(len(loops))
 
-    # Back to id space: membership[r] labels the r-th *sorted* node.
-    if identity:
-        result = membership
-    else:
-        result = [0] * n
-        for r in range(n):
-            result[sorder[r]] = membership[r]
-    csr.louvain_memo[memo_key] = result
-    return list(result)
+    csr.louvain_memo[memo_key] = membership
+    return list(membership)
 
 
 def _one_level_flat(
     rows: List[Sequence[Tuple[int, float]]],
-    loops: List[float],
+    loops: Sequence[float],
     resolution: float,
+    order: Sequence[int],
+    rank: Sequence[int],
 ) -> Tuple[List[int], bool]:
     """One local-moving phase on flat rows.  Returns (community, any_move).
 
@@ -276,19 +270,23 @@ def _one_level_flat(
     (``acc``/``stamp``) instead of a fresh dict, and finds the best
     destination with an exact ``(gain, -index)`` argmax instead of a
     sorted scan.
+
+    Nodes are visited in ``order``; ``rank`` is its inverse and stands in
+    for the reference's index wherever one is compared (see
+    :func:`louvain_flat`).  Community labels start as node ids.
     """
     n = len(loops)
     k = [0.0] * n
     m = 0.0
-    for i in range(n):
-        row = rows[i]
+    for i in order:
+        ri = rank[i]
         s = 0.0
         m += loops[i]
         # One combined row pass; each running total (s, m) still adds the
         # same floats in the same order as the reference's separate passes.
-        for j, w in row:
+        for j, w in rows[i]:
             s += w
-            if j > i:
+            if rank[j] > ri:
                 m += w
         k[i] = s + 2.0 * loops[i]
     if m <= 0.0:
@@ -307,7 +305,7 @@ def _one_level_flat(
     moved = True
     while moved:
         moved = False
-        for i in range(n):
+        for i in order:
             c_old = community[i]
             epoch += 1
             del touched[:]
@@ -332,7 +330,7 @@ def _one_level_flat(
                 if c == c_old:
                     continue
                 gain = acc[c] - comm_tot[c] * norm
-                if cand_c < 0 or gain > cand_gain or (gain == cand_gain and c < cand_c):
+                if cand_c < 0 or gain > cand_gain or (gain == cand_gain and rank[c] < rank[cand_c]):
                     cand_gain = gain
                     cand_c = c
             if cand_c >= 0 and cand_gain > base + _MIN_GAIN:
@@ -347,18 +345,25 @@ def _one_level_flat(
 
 def _aggregate_flat(
     rows: List[Sequence[Tuple[int, float]]],
-    loops: List[float],
+    loops: Sequence[float],
     community: List[int],
     num_comms: int,
+    order: Sequence[int],
+    rank: Sequence[int],
 ) -> Tuple[List[Sequence[Tuple[int, float]]], List[float]]:
-    """Collapse communities into super-nodes (mirrors ``louvain._aggregate``)."""
+    """Collapse communities into super-nodes (mirrors ``louvain._aggregate``).
+
+    Walks nodes in ``order`` and keeps each pair at its lower-``rank``
+    endpoint, as the reference walks its sorted indices.
+    """
     new_adj: List[Dict[int, float]] = [{} for _ in range(num_comms)]
     new_loops = [0.0] * num_comms
-    for i in range(len(loops)):
+    for i in order:
         ci = community[i]
+        ri = rank[i]
         new_loops[ci] += loops[i]
         for j, w in rows[i]:
-            if j < i:
+            if rank[j] < ri:
                 continue  # handle each undirected pair once
             cj = community[j]
             if ci == cj:
@@ -474,11 +479,13 @@ def louvain_flat_warm(
     membership = community
 
     if improved and len(relabel) < n:
-        rows, loops = _aggregate_flat(rows, loops, community, len(relabel))
+        ids = range(n)
+        rows, loops = _aggregate_flat(rows, loops, community, len(relabel), ids, ids)
         for _level in range(1, max_levels):
-            community, improved = _one_level_flat(rows, loops, resolution)
+            ids = range(len(loops))
+            community, improved = _one_level_flat(rows, loops, resolution, ids, ids)
             relabel = {}
-            for i in range(len(loops)):
+            for i in ids:
                 c = community[i]
                 if c not in relabel:
                     relabel[c] = len(relabel)
@@ -486,7 +493,7 @@ def louvain_flat_warm(
             membership = [community[m] for m in membership]
             if not improved or len(relabel) == len(loops):
                 break
-            rows, loops = _aggregate_flat(rows, loops, community, len(relabel))
+            rows, loops = _aggregate_flat(rows, loops, community, len(relabel), ids, ids)
 
     csr.louvain_warm_memo[memo_key] = membership
     return list(membership)
@@ -1472,13 +1479,16 @@ class AdaptiveWorkspace:
     Between runs the views are kept current by replaying the graph's
     :class:`~repro.core.graph.MutationJournal` — O(delta) integer-dict
     work, no freeze, no string hashing beyond interning brand-new
-    accounts.  :meth:`sync` falls back to a full rebuild from a fresh
-    frozen snapshot when the cache cannot be trusted: different
-    allocation object (global refresh replaced it), poisoned journal
-    (window decay / pruning / a competing journal), or an allocation
-    mutation watermark differing from what the last run left behind
+    accounts.  The row maps, loop vector and id index depend on the
+    graph alone, so when only the allocation changed — a different
+    allocation object (a global refresh replaced it) or a mutation
+    watermark differing from what the last run left behind
     (:attr:`repro.core.allocation.Allocation.mutation_count` — some
-    other code path assigned or moved accounts without the workspace).
+    other code path assigned or moved accounts without the workspace) —
+    :meth:`sync` *reseats*: it rebuilds only the id→shard array.  A full
+    rebuild from a fresh frozen snapshot happens only for a different
+    graph or a poisoned journal (window decay / pruning / a competing
+    journal).
 
     The workspace is a cache, not a backend level — runs through it are
     byte-identical to the snapshot-per-run fast path (module docstring
@@ -1508,17 +1518,19 @@ class AdaptiveWorkspace:
         self._loop: List[float] = []
         self._shard: List[int] = []
         self._mutation_mark = -1
-        self._counts = {"rebuilds": 0, "extends": 0, "runs": 0}
+        self._counts = {"rebuilds": 0, "reseats": 0, "extends": 0, "runs": 0}
 
     # ------------------------------------------------------------------
     @property
     def stats(self) -> Dict[str, int]:
-        """Lifecycle counters: ``{"rebuilds", "extends", "runs"}``.
+        """Lifecycle counters: ``{"rebuilds", "reseats", "extends", "runs"}``.
 
         ``rebuilds`` counts full re-lowerings from a frozen snapshot,
-        ``extends`` journal replays that refreshed the cached views, and
-        ``runs`` A-TxAllo runs served.  Benchmarks and tests use this to
-        prove the batched path actually carried across windows.
+        ``reseats`` id→shard rebuilds for a replaced or foreign-mutated
+        allocation, ``extends`` journal replays that refreshed the cached
+        views, and ``runs`` A-TxAllo runs served.  Benchmarks and tests
+        use this to prove the batched path actually carried across
+        windows and refreshes.
         """
         return dict(self._counts)
 
@@ -1533,41 +1545,19 @@ class AdaptiveWorkspace:
         except Exception:
             pass
 
-    def invalidate(self) -> None:
-        """Drop all cached state; the next run rebuilds from a freeze.
-
-        The controller calls this on every global refresh — the refresh
-        replaces the allocation wholesale, so the id→shard view (and the
-        memory behind the row maps) has nothing left to cache.
-        """
-        if self._graph is not None and self._journal is not None:
-            self._graph.stop_mutation_journal(self._journal)
-        self._alloc = None
-        self._graph = None
-        self._journal = None
-        self._index_of = {}
-        self._nodes = []
-        self._rows = []
-        self._loop = []
-        self._shard = []
-        self._mutation_mark = -1
-
     # ------------------------------------------------------------------
     def sync(self, alloc: Allocation) -> None:
         """Bring the views up to date for a run against ``alloc``."""
         journal = self._journal
-        if (
-            self._alloc is not alloc
-            or self._graph is not alloc.graph
-            or journal is None
-            or journal.poisoned
-            or self._mutation_mark != alloc.mutation_count
-        ):
+        if self._graph is not alloc.graph or journal is None or journal.poisoned:
             self._rebuild(alloc)
             return
         if journal.nodes or journal.edges:
             self._apply_journal(alloc, journal)
             self._counts["extends"] += 1
+        if self._alloc is not alloc or self._mutation_mark != alloc.mutation_count:
+            self._seat(alloc)
+            self._counts["reseats"] += 1
 
     def _rebuild(self, alloc: Allocation) -> None:
         graph = alloc.graph
@@ -1580,6 +1570,12 @@ class AdaptiveWorkspace:
         self._rows, self._loop = csr.adjacency_dicts()
         self._nodes = list(csr.nodes)
         self._index_of = dict(csr.index_of)
+        self._graph = graph
+        self._seat(alloc)
+        self._counts["rebuilds"] += 1
+
+    def _seat(self, alloc: Allocation) -> None:
+        """Rebuild the id→shard array from ``alloc`` and adopt it."""
         shard = [-1] * len(self._nodes)
         index_of = self._index_of
         for v, c in alloc._shard_of.items():
@@ -1588,9 +1584,7 @@ class AdaptiveWorkspace:
                 shard[i] = c
         self._shard = shard
         self._alloc = alloc
-        self._graph = graph
         self._mutation_mark = alloc.mutation_count
-        self._counts["rebuilds"] += 1
 
     def _apply_journal(self, alloc: Allocation, journal) -> None:
         """Replay the journal onto the cached views (bit-exact).
@@ -1669,18 +1663,13 @@ def _a_txallo_workspace(
         except KeyError:
             raise GraphError(f"unknown node {v!r}") from None
 
-    # Materialise each touched row once (the graph cannot mutate during a
-    # run) and re-derive w_self / w_ext: loop is maintained bit-exactly,
-    # and sum() over the row map adds the same floats left-to-right in
-    # iteration order — exactly the lowering's accumulation of csr.ext.
-    row_items: List[List[Tuple[int, float]]] = []
-    self_w = [0.0] * nv
-    ext_w = [0.0] * nv
-    for s, i in enumerate(ids):
-        row = rows[i]
-        row_items.append(list(row.items()))
-        self_w[s] = loop[i]
-        ext_w[s] = sum(row.values())
+    # The row maps are read in place (the graph cannot mutate during a
+    # run).  w_self / w_ext are re-derived per run: loop is maintained
+    # bit-exactly, and sum() over the row map adds the same floats
+    # left-to-right in iteration order — exactly the lowering's
+    # accumulation of csr.ext.
+    self_w = [loop[i] for i in ids]
+    ext_w = [sum(rows[i].values()) for i in ids]
 
     acc = [0.0] * num_comms
     stamp = [0] * num_comms
@@ -1690,7 +1679,7 @@ def _a_txallo_workspace(
         nonlocal epoch
         epoch += 1
         touched_comms: List[int] = []
-        for j, w in row_items[s]:
+        for j, w in rows[ids[s]].items():
             c = shard[j]
             if c < 0:
                 continue  # unassigned neighbour carries no shard weight
@@ -1772,7 +1761,7 @@ def _a_txallo_workspace(
             epoch += 1
             del touched_comms[:]
             append = touched_comms.append
-            for j, w in row_items[s]:
+            for j, w in rows[i].items():
                 c = shard[j]
                 if c < 0:
                     continue  # unassigned neighbour carries no shard weight

@@ -84,7 +84,7 @@ REBUILD_SEED_CARRY_FRACTION = 0.5
 
 #: Safety valve on mutation-journal growth: past this many edge entries
 #: the journal is poisoned and detached, so an abandoned consumer (e.g. a
-#: discarded controller whose workspace was never invalidated) cannot
+#: discarded controller whose workspace was never collected) cannot
 #: grow the log without bound.  Generous on purpose — a τ₂ window at
 #: bench scale logs a few thousand entries; a live consumer drains the
 #: journal every adaptive run and never gets anywhere near it.

@@ -257,6 +257,21 @@ class TestAdaptiveExceptionSafety:
         assert len(controller.events) == num_events
 
 
+#: ``workspace_stats`` of a controller without a workspace.
+WORKSPACE_OFF = {"rebuilds": 0, "reseats": 0, "extends": 0, "runs": 0}
+
+WORKSPACE_BACKENDS = [
+    "fast",
+    "turbo",
+    pytest.param(
+        "vector",
+        marks=pytest.mark.skipif(
+            not backends.numpy_available(), reason="vector tier needs numpy"
+        ),
+    ),
+]
+
+
 class TestAdaptiveWorkspace:
     def test_block_loop_stops_freezing_between_globals(self):
         """With the workspace (the default) the τ₁ loop must not freeze
@@ -277,16 +292,21 @@ class TestAdaptiveWorkspace:
         assert sum(controller.freeze_stats.values()) == freezes_after_seed + 1
 
     def test_workspace_invalidated_by_global_refresh(self):
+        """A refresh replaces the allocation; the workspace keeps its graph
+        views and only reseats its id→shard array on the next run."""
         params = TxAlloParams(k=4, eta=2.0, lam=1000.0, tau1=1, tau2=4)
         controller = TxAlloController(params, seed_transactions=[("a", "b")])
         for block in block_stream(8):
             controller.observe_block(block)
         stats = controller.workspace_stats
-        # Two scheduled globals (blocks 4, 8) -> the next adaptive after
-        # each rebuilds; runs in between extend.
-        assert stats["rebuilds"] >= 2
-        assert stats["extends"] >= 1
+        # Scheduled globals at blocks 4 and 8: the adaptive run at 5
+        # reseats, every adaptive run after the first extends.
+        assert stats["rebuilds"] == 1  # the first adaptive run only
+        assert stats["reseats"] == 1
+        assert stats["extends"] == 5  # runs at 2, 3, 5, 6, 7
         controller.force_adaptive()
+        assert controller.workspace_stats["reseats"] == 2  # after block 8
+        assert controller.workspace_stats["rebuilds"] == 1
         controller.allocation.validate()
 
     def test_workspace_disabled_for_reference_backend(self):
@@ -296,19 +316,25 @@ class TestAdaptiveWorkspace:
         controller = TxAlloController(params, seed_transactions=[("a", "b")])
         for block in block_stream(4):
             controller.observe_block(block)
-        assert controller.workspace_stats == {"rebuilds": 0, "extends": 0, "runs": 0}
+        assert controller.workspace_stats == WORKSPACE_OFF
         controller.allocation.validate()
 
-    def test_workspace_off_matches_workspace_on_exactly(self):
-        params = TxAlloParams(k=4, eta=2.0, lam=1000.0, tau1=1, tau2=5)
+    @pytest.mark.parametrize("backend", WORKSPACE_BACKENDS)
+    def test_workspace_off_matches_workspace_on_exactly(self, backend, monkeypatch):
+        params = TxAlloParams.with_capacity_for(520, k=4, tau1=1, tau2=5, backend=backend)
+        # Each refresh window touches well under half of the accounts.
+        # The workspace freezes only at refreshes while the snapshot path
+        # freezes every window; turbo's warm seeds survive both cadences
+        # only below graph.REBUILD_SEED_CARRY_FRACTION of the nodes.
+        seed = [tx for block in block_stream(12, seed=3) for tx in block]
+        calls = count_g_txallo(monkeypatch)
         controllers = []
         for workspace in (False, True):
+            calls[0] = 0
             controller = TxAlloController(
-                params,
-                seed_transactions=[("a", "b")],
-                adaptive_workspace=workspace,
+                params, seed_transactions=seed, adaptive_workspace=workspace
             )
-            for block in block_stream(10):
+            for block in block_stream(16, block_size=10, seed=53):
                 controller.observe_block(block)
             controller.force_adaptive()
             controllers.append(controller)
@@ -323,25 +349,25 @@ class TestAdaptiveWorkspace:
             (e.kind, e.block_height, e.moves, e.touched, e.converged)
             for e in on.events
         ]
-        assert on.workspace_stats["extends"] > 0
-        assert off.workspace_stats == {"rebuilds": 0, "extends": 0, "runs": 0}
+        # Every block carries transactions, so the refreshes at 5, 10 and
+        # 15 all re-ran G-TxAllo; each was followed by an adaptive run.
+        refreshes = calls[0] - 1  # minus the seed run
+        assert refreshes == 3
+        stats = on.workspace_stats
+        assert stats["rebuilds"] == 1
+        assert stats["reseats"] == refreshes
+        assert stats["extends"] > 0
+        assert off.workspace_stats == WORKSPACE_OFF
+        assert on.warm_stats == off.warm_stats
+        if backend == "turbo":
+            assert on.warm_stats["warm"] == 3  # every refresh warm-started
 
 
 # ----------------------------------------------------------------------
 # Idle-refresh reuse: a scheduled global whose graph and allocation are
 # unchanged since the last installed G-TxAllo result keeps that result.
 # ----------------------------------------------------------------------
-REUSE_BACKENDS = [
-    "fast",
-    "reference",
-    "turbo",
-    pytest.param(
-        "vector",
-        marks=pytest.mark.skipif(
-            not backends.numpy_available(), reason="vector tier needs numpy"
-        ),
-    ),
-]
+REUSE_BACKENDS = ["reference", *WORKSPACE_BACKENDS]
 
 #: Block heights (1-based) that carry transactions; every other block of
 #: REUSE_HEIGHT is empty.  With tau1=2, tau2=4 the globals at 4 and 16
@@ -449,13 +475,15 @@ class TestIdleRefreshReuse:
         for block in block_stream(4, block_size=20, seed=11):
             controller.observe_block(block)
         controller.observe_block([])
-        controller.observe_block([])  # adaptive at 6 rebuilds after global at 4
+        controller.observe_block([])  # adaptive at 6 reseats after global at 4
         before = controller.workspace_stats
-        assert before["rebuilds"] == 2  # adaptive runs at 2 and 6
+        assert before["rebuilds"] == 1  # the adaptive run at 2
+        assert before["reseats"] == 1  # the adaptive run at 6
         for _ in range(12):  # globals at 8, 12, 16 are all idle
             controller.observe_block([])
         after = controller.workspace_stats
         assert after["rebuilds"] == before["rebuilds"]
+        assert after["reseats"] == before["reseats"]
         assert after["runs"] == before["runs"] + 3
 
     def test_reused_refresh_not_counted_as_warm_or_cold(self):
