@@ -1,14 +1,6 @@
-"""Sharded-blockchain substrate: chain primitives, shards and the simulator."""
+"""Sharded-blockchain substrate: chain primitives, shard queues, the live
+network, its fault plans and the event-level simulator."""
 
-from repro.chain.consensus import (
-    ConsensusCost,
-    consensus_cost,
-    hotstuff_cost,
-    max_faulty,
-    pbft_cost,
-    quorum_size,
-)
-from repro.chain.crossshard import CommitOutcome, CrossShardCoordinator, estimate_eta
 from repro.chain.faults import (
     AllocatorFault,
     DeliveryFault,
@@ -18,17 +10,7 @@ from repro.chain.faults import (
     ShardStall,
     with_faults,
 )
-from repro.chain.ledger import Ledger
 from repro.chain.live import LiveReport, LiveShardedNetwork, TickStats
-from repro.chain.mempool import Mempool
-from repro.chain.migration import (
-    DEFAULT_ACCOUNT_STATE_BYTES,
-    AccountMove,
-    MigrationPlan,
-    migration_plan,
-)
-from repro.chain.network import NetworkModel
-from repro.chain.reshuffle import MinerPool
 from repro.chain.shard import ProcessedItem, ShardState, WorkItem
 from repro.chain.simulator import (
     ShardedChainSimulator,
@@ -38,29 +20,18 @@ from repro.chain.simulator import (
 from repro.chain.types import Address, Block, Transaction, address_from_int, is_address
 
 __all__ = [
-    "AccountMove",
     "Address",
     "AllocatorFault",
-    "DEFAULT_ACCOUNT_STATE_BYTES",
     "DeliveryFault",
     "FaultPlan",
     "FaultyAllocator",
     "MalformedDelivery",
-    "MigrationPlan",
     "ShardStall",
-    "migration_plan",
     "with_faults",
     "Block",
-    "CommitOutcome",
-    "ConsensusCost",
-    "CrossShardCoordinator",
-    "Ledger",
     "LiveReport",
     "LiveShardedNetwork",
-    "Mempool",
     "TickStats",
-    "MinerPool",
-    "NetworkModel",
     "ProcessedItem",
     "ShardState",
     "ShardedChainSimulator",
@@ -68,12 +39,6 @@ __all__ = [
     "Transaction",
     "WorkItem",
     "address_from_int",
-    "consensus_cost",
-    "estimate_eta",
-    "hotstuff_cost",
     "is_address",
-    "max_faulty",
-    "pbft_cost",
-    "quorum_size",
     "simulate_allocation",
 ]

@@ -1,10 +1,10 @@
 """Per-shard state for the discrete-time simulator.
 
-A shard maintains the accounts allocated to it, a chronological queue of
-transaction work items and its capacity ``λ`` per time unit (block
-interval).  Cross-shard transactions appear as work items in *every*
-involved shard, each costing ``η`` workload but contributing only
-``1/μ(Tx)`` throughput — the paper's no-double-counting rule.
+A shard maintains a chronological queue of transaction work items and
+its capacity ``λ`` per time unit (block interval).  Cross-shard
+transactions appear as work items in *every* involved shard, each
+costing ``η`` workload but contributing only ``1/μ(Tx)`` throughput —
+the paper's no-double-counting rule.
 
 Every per-tick read is O(1): :attr:`ShardState.backlog_workload` comes
 from a running sum of queued cost kept by ``enqueue`` and ``step`` (reset
@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import collections
 import dataclasses
-from typing import Deque, List, Set
+from typing import Deque, List
 
-from repro.chain.types import Address, Transaction
+from repro.chain.types import Transaction
 from repro.errors import SimulationError
 
 
@@ -48,7 +48,7 @@ class ProcessedItem:
 
 
 class ShardState:
-    """One shard's accounts, queue and processing loop.
+    """One shard's queue and processing loop.
 
     ``backlog_workload`` is the queued cost minus the partial progress on
     the head, read in O(1) from a running total.  Completed items are
@@ -61,7 +61,6 @@ class ShardState:
             raise SimulationError(f"shard capacity must be positive, got {capacity!r}")
         self.shard_id = shard_id
         self.capacity = capacity
-        self.accounts: Set[Address] = set()
         self._queue: Deque[WorkItem] = collections.deque()
         self._carry = 0.0  # partial progress on the queue head
         self._queued_cost = 0.0  # sum of item.cost over the queue
@@ -72,12 +71,6 @@ class ShardState:
         self.throughput_credit = 0.0
 
     # ------------------------------------------------------------------
-    def assign_account(self, account: Address) -> None:
-        self.accounts.add(account)
-
-    def remove_account(self, account: Address) -> None:
-        self.accounts.discard(account)
-
     def enqueue(self, tx: Transaction, cost: float, share: float, now: int) -> None:
         """Queue one work item, chronologically."""
         if cost <= 0 or share <= 0:

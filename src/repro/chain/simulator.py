@@ -16,7 +16,7 @@ Its report cross-validates the closed forms:
 * the slowest shard drains in exactly ``⌈σ_max / λ⌉`` units — the
   worst-case latency of Fig. 7.
 
-``tests/test_simulator_crossvalidation.py`` asserts all three.
+``tests/test_shard_simulator.py`` asserts all three.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ class ShardedChainSimulator:
                 raise AllocationError(
                     f"account {account!r} mapped to invalid shard {shard!r}"
                 )
-            self.shards[shard].assign_account(account)
         self._num_transactions = 0
         self._num_cross = 0
 

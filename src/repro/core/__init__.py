@@ -30,11 +30,6 @@ from repro.core.allocator import (
     ensure_online,
     hash_fallback_shard,
 )
-from repro.core.forecast import (
-    DecayingTransactionGraph,
-    forecast_error,
-    forecast_graph,
-)
 from repro.core.atxallo import ATxAlloResult, a_txallo
 from repro.core.controller import TxAlloController, UpdateEvent
 from repro.core.csr import CSRGraph
@@ -63,15 +58,6 @@ from repro.core.persistence import (
     save_allocation,
 )
 from repro.core.resilience import ResilientAllocator
-from repro.core.workload_model import (
-    RoleAwareModel,
-    ShardRole,
-    UniformEta,
-    WorkloadModel,
-    effective_eta,
-    evaluate_with_model,
-    shard_roles,
-)
 from repro.core.params import TxAlloParams
 
 __all__ = [
@@ -90,19 +76,9 @@ __all__ = [
     "StaticAllocator",
     "ensure_online",
     "hash_fallback_shard",
-    "DecayingTransactionGraph",
-    "RoleAwareModel",
-    "ShardRole",
-    "UniformEta",
-    "WorkloadModel",
     "allocation_digest",
-    "effective_eta",
-    "evaluate_with_model",
-    "forecast_error",
-    "forecast_graph",
     "load_allocation",
     "save_allocation",
-    "shard_roles",
     "ATxAlloResult",
     "GTxAlloResult",
     "GainComputer",

@@ -26,7 +26,9 @@ from the graph's mutation journal, so the τ₁ loop does not freeze the
 graph at all.  The workspace also survives G-TxAllo refreshes: its graph
 views do not depend on the allocation, so after a refresh it only
 re-reads the id→shard array from the new allocation (a *reseat*); a full
-rebuild happens only on the first run and after decay or pruning.
+rebuild happens only on the first run and after the graph poisons its
+journal (a competing journal on the same graph, a ``JOURNAL_EDGE_CAP``
+overflow).
 Results are byte-identical with the workspace on or off;
 :attr:`TxAlloController.workspace_stats` exposes its counters.
 
@@ -311,7 +313,7 @@ class TxAlloController(OnlineAllocator):
         """Adaptive-workspace counters: ``{"rebuilds", "reseats", "extends", "runs"}``.
 
         ``rebuilds`` counts full re-lowerings from a freeze (the first
-        adaptive run, and the first after decay or pruning), ``reseats``
+        adaptive run, and the first after a poisoned journal), ``reseats``
         id→shard re-reads after a G-TxAllo refresh that re-ran (a reused
         idle refresh keeps the allocation, so none) or a foreign move,
         ``extends`` journal replays that carried the cached views across a

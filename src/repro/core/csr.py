@@ -64,10 +64,11 @@ base snapshot's Louvain results (cold ``louvain_memo`` or warm
 accumulated *frontier* — the ids whose adjacency rows changed since that
 partition was computed.  Ids are insertion-stable under :meth:`extend`,
 so a base label list indexes directly into the extended snapshot.  A
-full :meth:`from_graph` rebuild (decay, pruning, oversized delta) starts
-with no warm seeds — ids may have been renumbered, so the prior
-membership is unusable and the next warm request falls back to a cold
-run.
+full :meth:`from_graph` rebuild carries the seeds only while the delta
+log stayed intact and the frontier is under
+``graph.REBUILD_SEED_CARRY_FRACTION`` (:func:`carry_warm_seeds`); any
+other rebuild starts with no warm seeds, and the next warm request falls
+back to a cold run.
 """
 
 from __future__ import annotations
@@ -250,9 +251,9 @@ class CSRGraph:
         ``new_nodes`` are the accounts added since, in insertion order,
         and ``touched`` the accounts whose adjacency rows changed (both
         endpoints of every added/updated edge).  The log must describe
-        *monotone* growth only — decay or pruning rewrites rows out of
-        band and requires a full :meth:`from_graph` rebuild (the graph's
-        delta tracking enforces this).
+        every change since ``base``; when it does not (delta-freeze was
+        toggled in between) the graph's delta tracking requires a full
+        :meth:`from_graph` rebuild instead.
 
         Ids are insertion-stable, so new nodes append at the tail and the
         untouched rows between consecutive frontier rows are copied from
@@ -414,9 +415,8 @@ def carry_warm_seeds(
     ``delta_ids`` are the (``csr``-numbered) ids whose rows changed since
     ``base``; ids must be insertion-stable between the two snapshots, so
     this is valid for incremental extends *and* for full rebuilds whose
-    delta log stayed intact (monotone growth only — a poisoned log means
-    rows were renumbered or rewritten and the prior membership is
-    unusable).
+    delta log stayed intact (a log invalidated by a delta-freeze toggle
+    does not say which rows changed, so no frontier can be charged).
 
     Preference order per key: the base's own warm result (the partition
     actually in use on a turbo chain), then its cold result, then an

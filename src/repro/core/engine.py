@@ -103,9 +103,9 @@ speedup.  Turbo stays fully deterministic (same history, same
 allocation, on every miner), and it never contaminates the other
 backends: warm results live in separate memos (``louvain_warm_memo`` /
 ``intra_cut_warm_memo``) on the snapshot.  When no warm seed is
-available (first freeze, decay/pruning rebuild, oversized accumulated
-frontier) the turbo path falls back to the cold partition and only the
-sweep schedule differs.
+available (first freeze, a full rebuild that dropped the seeds,
+oversized accumulated frontier) the turbo path falls back to the cold
+partition and only the sweep schedule differs.
 
 Adaptive workspace
 ------------------
@@ -131,7 +131,8 @@ mutation watermark (``Allocation.mutation_count``) drifts from what the
 workspace last saw (an assign/move applied behind its back), it only
 rebuilds the id→shard array from the allocation — a *reseat*.  A full
 rebuild from a fresh frozen snapshot happens only for a different graph
-or a poisoned journal (window decay, pruning, a competing journal).
+or a poisoned journal (a competing journal, a stopped journal, a
+``JOURNAL_EDGE_CAP`` overflow).
 ``benchmarks/bench_adaptive.py`` gates the resulting Fig. 9 block-loop
 speedup (≥ 1.3x end-to-end at τ₁=1).
 """
@@ -404,11 +405,11 @@ def louvain_flat_warm(
 
     Falls back to a cold :func:`louvain_flat` run (and records the
     fallback in ``csr.louvain_warm_hit``) when no seed is available — a
-    from-scratch snapshot, a decay/pruning rebuild — or when the
-    accumulated frontier exceeds :data:`WARM_FALLBACK_FRACTION` of the
-    graph.  Results are memoised per snapshot in ``louvain_warm_memo``,
-    never in the cold memo, so turbo runs cannot leak into the fast
-    backend's parity contract.
+    from-scratch snapshot, a full rebuild that dropped the seeds — or
+    when the accumulated frontier exceeds :data:`WARM_FALLBACK_FRACTION`
+    of the graph.  Results are memoised per snapshot in
+    ``louvain_warm_memo``, never in the cold memo, so turbo runs cannot
+    leak into the fast backend's parity contract.
     """
     n = csr.num_nodes
     if n == 0:
@@ -1487,8 +1488,8 @@ class AdaptiveWorkspace:
     other code path assigned or moved accounts without the workspace) —
     :meth:`sync` *reseats*: it rebuilds only the id→shard array.  A full
     rebuild from a fresh frozen snapshot happens only for a different
-    graph or a poisoned journal (window decay / pruning / a competing
-    journal).
+    graph or a poisoned journal (a competing journal, a stopped journal,
+    a ``JOURNAL_EDGE_CAP`` overflow).
 
     The workspace is a cache, not a backend level — runs through it are
     byte-identical to the snapshot-per-run fast path (module docstring

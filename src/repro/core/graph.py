@@ -32,10 +32,10 @@ whose adjacency rows changed.  When the next ``freeze()`` finds the delta
 small and monotone, it extends the cached snapshot incrementally
 (:meth:`repro.core.csr.CSRGraph.extend`) instead of re-lowering the whole
 graph, so the dynamic controller's periodic refreshes cost work
-proportional to the block frontier rather than to N + E.  Bulk rewrites
-(window decay, pruning) and oversized deltas fall back to a full rebuild;
-either way the resulting snapshot is element-identical to a cold
-``CSRGraph.from_graph``.
+proportional to the block frontier rather than to N + E.  Oversized
+deltas, and a log invalidated by toggling ``delta_freeze_enabled``, fall
+back to a full rebuild; either way the resulting snapshot is
+element-identical to a cold ``CSRGraph.from_graph``.
 
 Independently of the freeze-relative delta log, a consumer may subscribe
 to a :class:`MutationJournal` (``start_mutation_journal``): an
@@ -101,10 +101,10 @@ class MutationJournal:
     ``edges`` lists every ``add_edge`` weight increment ``(u, v, w)`` in
     call order (self-loops as ``u == v``) — applying the increments in
     order reproduces the adjacency dicts' float accumulations bit for
-    bit.  ``poisoned`` flags an out-of-band rewrite (window decay,
-    pruning, a newer journal replacing this one) that the append-only log
-    cannot describe; consumers must discard their derived state and
-    rebuild from a fresh :meth:`TransactionGraph.freeze`.
+    bit.  ``poisoned`` flags a log that no longer describes the graph (a
+    newer journal replaced it, it was stopped, or it overflowed
+    :data:`JOURNAL_EDGE_CAP`); consumers must discard their derived state
+    and rebuild from a fresh :meth:`TransactionGraph.freeze`.
 
     A graph feeds at most one journal at a time
     (:meth:`TransactionGraph.start_mutation_journal` poisons any previous
@@ -175,7 +175,7 @@ class TransactionGraph:
         self._frozen: Optional[Tuple[int, "CSRGraph"]] = None
         # Delta log since the cached snapshot: nodes added (insertion
         # order), nodes whose rows changed, and whether the log no longer
-        # describes the change (bulk rewrite -> full rebuild).
+        # describes the change (delta-freeze toggled -> full rebuild).
         self._delta_nodes: List[Node] = []
         self._delta_touched: set = set()
         self._delta_full: bool = False
@@ -295,10 +295,9 @@ class TransactionGraph:
 
     @property
     def version(self) -> int:
-        """Mutation counter: bumped by every node/edge insertion and by
-        bulk rewrites (decay, pruning).  Equal versions of one graph mean
-        equal content; the freeze cache and the controller's idle-refresh
-        reuse both key on it."""
+        """Mutation counter: bumped by every node/edge insertion.  Equal
+        versions of one graph mean equal content; the freeze cache and
+        the controller's idle-refresh reuse both key on it."""
         return self._version
 
     def nodes(self) -> Iterator[Node]:
@@ -390,9 +389,9 @@ class TransactionGraph:
         monotone, the previous snapshot is extended incrementally
         (:meth:`repro.core.csr.CSRGraph.extend`): untouched rows are
         reused wholesale and only the mutated frontier is re-lowered.
-        Bulk rewrites (window decay/pruning, see
-        :meth:`_mark_bulk_mutation`) and deltas touching more than
-        ``DELTA_REBUILD_FRACTION`` of the nodes rebuild from scratch.
+        Deltas touching more than ``DELTA_REBUILD_FRACTION`` of the nodes,
+        and the first freeze after ``delta_freeze_enabled`` is toggled,
+        rebuild from scratch.
         Either path yields an element-identical snapshot;
         :attr:`freeze_stats` counts which one ran.
 
@@ -471,25 +470,6 @@ class TransactionGraph:
         """
         return dict(self._freeze_counts)
 
-    def _mark_bulk_mutation(self) -> None:
-        """Record an out-of-band adjacency rewrite (decay, pruning).
-
-        Bumps the version and poisons the delta log: such rewrites touch
-        every row (and may *remove* rows), which the append-only delta
-        cannot describe, so the next :meth:`freeze` re-lowers from
-        scratch.
-        """
-        self._version += 1
-        self._delta_full = True
-        self._delta_nodes = []
-        self._delta_touched.clear()
-        journal = self._journal
-        if journal is not None:
-            # Poison *and* detach: the consumer must rebuild anyway, so
-            # appending further entries would be pure waste.
-            journal.poisoned = True
-            self._journal = None
-
     # ------------------------------------------------------------------
     # Mutation journal (adaptive-workspace plumbing)
     # ------------------------------------------------------------------
@@ -500,8 +480,7 @@ class TransactionGraph:
         increment is appended to the returned :class:`MutationJournal`
         until it is replaced by another ``start_mutation_journal`` call
         (which poisons it) or detached via :meth:`stop_mutation_journal`.
-        Bulk rewrites (:meth:`_mark_bulk_mutation`) and overflowing
-        :data:`JOURNAL_EDGE_CAP` poison *and* detach it.  The caller
+        Overflowing :data:`JOURNAL_EDGE_CAP` poisons *and* detaches it.  The caller
         owns draining and clearing it; the graph only appends.
         """
         old = self._journal
@@ -537,23 +516,14 @@ class TransactionGraph:
     def copy(self) -> "TransactionGraph":
         """Deep copy preserving insertion order and all counters.
 
-        The clone is of ``type(self)`` — subclasses hold extra state in
-        their own slots and extend this via :meth:`_copy_extra_into`, so
-        a :class:`~repro.core.forecast.DecayingTransactionGraph` copy
-        keeps its decay configuration.  The clone starts with a cold
-        freeze cache and an empty delta log.
+        The clone starts with a cold freeze cache and an empty delta log.
         """
-        clone = type(self).__new__(type(self))
-        TransactionGraph.__init__(clone)
+        clone = TransactionGraph()
         clone._adj = {v: dict(row) for v, row in self._adj.items()}
         clone._total_weight = self._total_weight
         clone._num_edges = self._num_edges
         clone._num_transactions = self._num_transactions
-        self._copy_extra_into(clone)
         return clone
-
-    def _copy_extra_into(self, clone: "TransactionGraph") -> None:
-        """Hook for subclasses to copy their own slots into ``clone``."""
 
     def degree_histogram(self, bins: int = 10) -> List[Tuple[int, int]]:
         """Coarse log-ish histogram of node degrees, for dataset cards.

@@ -13,7 +13,6 @@ Hierarchy::
     ├── TransactionError    (ValueError)   malformed transaction
     ├── AllocationError     (ValueError)   mapping violates Definition 1
     ├── GraphError          (ValueError)   inconsistent graph operation
-    ├── LedgerError         (ValueError)   invalid ledger operation
     ├── DataError           (ValueError)   malformed external dataset
     ├── SimulationError     (RuntimeError) simulator state inconsistency
     └── AllocatorError      (RuntimeError) allocator-side runtime failure
@@ -58,10 +57,6 @@ class GraphError(ReproError, ValueError):
 
     For example requesting the neighbourhood of an unknown node.
     """
-
-
-class LedgerError(ReproError, ValueError):
-    """A ledger operation is invalid, e.g. appending a non-contiguous block."""
 
 
 class SimulationError(ReproError, RuntimeError):

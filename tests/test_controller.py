@@ -6,7 +6,6 @@ import pytest
 from repro.core import backends
 from repro.core import controller as controller_module
 from repro.core.controller import TxAlloController
-from repro.core.forecast import DecayingTransactionGraph
 from repro.core.graph import TransactionGraph
 from repro.core.gtxallo import g_txallo
 from repro.core.params import TxAlloParams
@@ -518,18 +517,6 @@ class TestIdleRefreshReuse:
             controller.observe_block([])
         assert calls[0] == 1
         assert "fresh-1" in controller.mapping()
-        assert_matches_fresh_global(controller)
-
-    def test_decay_step_forces_a_rerun(self, monkeypatch):
-        params = reuse_params()
-        graph = DecayingTransactionGraph(decay=0.5, prune_threshold=0.0)
-        graph.add_transactions(reuse_seed())
-        controller = TxAlloController(params, graph=graph)
-        calls = count_g_txallo(monkeypatch)
-        graph.advance_window()
-        for _ in range(4):
-            controller.observe_block([])
-        assert calls[0] == 1
         assert_matches_fresh_global(controller)
 
     def test_initial_mapping_start_still_refreshes(self, monkeypatch):

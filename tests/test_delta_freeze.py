@@ -6,7 +6,7 @@ only allowed to exist because its output is **element-identical** to a
 cold ``CSRGraph.from_graph`` of the same graph — same node interning,
 same row contents in the same order, bit-identical ``weights`` / ``loop``
 / ``ext`` (compared via ``tobytes``), same insertion permutation.  These
-tests pin that contract across randomized ingest / decay / allocate
+tests pin that contract across randomized ingest / allocate
 interleavings, plus the cache/delta bookkeeping around it.
 """
 
@@ -16,7 +16,6 @@ import pytest
 
 from repro.core.atxallo import a_txallo
 from repro.core.csr import CSRGraph
-from repro.core.forecast import DecayingTransactionGraph
 from repro.core.graph import DELTA_REBUILD_FRACTION, TransactionGraph
 from repro.core.gtxallo import g_txallo
 from repro.core.params import TxAlloParams
@@ -71,37 +70,6 @@ class TestExtendElementIdentity:
                     g.add_node(f"iso{seed}_{step}")
             assert_csr_identical(g.freeze(), CSRGraph.from_graph(g))
         assert g.freeze_stats["delta"] > 0, "delta path never exercised"
-
-    @pytest.mark.parametrize("seed", SEEDS[:3])
-    def test_ingest_decay_allocate_interleavings(self, seed):
-        """The controller-shaped lifecycle: ingest blocks, run the
-        allocators (which freeze), decay windows in between."""
-        rng = random.Random(seed)
-        accounts = [f"acc{i:03d}" for i in range(200)]
-        g = DecayingTransactionGraph(decay=0.8, prune_threshold=1e-3)
-        seed_graph(rng, g, accounts, 1200)
-        params = TxAlloParams.with_capacity_for(1200, k=4, eta=2.0)
-        alloc = g_txallo(g, params).allocation
-        for step in range(8):
-            if rng.random() < 0.4:
-                g.advance_window()
-                # Decay rewrites rows out of band: the next freeze must
-                # fall back to a full rebuild, not extend a stale base.
-                full_before = g.freeze_stats["full"]
-                assert_csr_identical(g.freeze(), CSRGraph.from_graph(g))
-                assert g.freeze_stats["full"] == full_before + 1
-                alloc = g_txallo(g, params).allocation
-            touched = set()
-            for _ in range(rng.randrange(3, 12)):
-                accs = rng.sample(accounts, 2)
-                if rng.random() < 0.2:
-                    accs.append(f"fresh{seed}_{step}")
-                g.add_transaction(accs)
-                alloc.ingest_transaction(accs)
-                touched.update(accs)
-            a_txallo(alloc, touched)
-            assert_csr_identical(g.freeze(), CSRGraph.from_graph(g))
-        assert g.freeze_stats["delta"] > 0
 
     def test_extend_from_empty_base(self):
         g = TransactionGraph()
@@ -200,79 +168,19 @@ class TestDeltaBookkeeping:
             a_txallo(alloc, ["never-ingested"])
 
 
-class TestDecayFreezeInterplay:
-    def test_decay_invalidates_snapshot_and_rebuilds_fully(self):
-        g = DecayingTransactionGraph(decay=0.5)
-        g.add_transactions([("a", "b"), ("b", "c")])
-        stale = g.freeze()
-        g.advance_window()
-        fresh = g.freeze()
-        assert fresh is not stale
-        assert g.freeze_stats["full"] == 2 and g.freeze_stats["delta"] == 0
-        assert fresh.total_weight == pytest.approx(1.0)
-
-    def test_pruned_isolated_nodes_round_trip_through_freeze(self):
-        g = DecayingTransactionGraph(decay=0.1, prune_threshold=0.05)
-        g.add_transaction(("a", "b"))
-        g.add_transaction(("keep1", "keep2"))
-        g.freeze()
-        g.advance_window()           # everything survives at 0.1
-        g.add_transaction(("keep1", "keep2"))  # refresh one edge
-        g.advance_window()           # a-b fades below threshold, pruned
-        assert "a" not in g and "b" not in g
-        csr = g.freeze()
-        assert_csr_identical(csr, CSRGraph.from_graph(g))
-        assert sorted(csr.nodes) == ["keep1", "keep2"]
-        # ...and the delta machinery recovers once growth is monotone again.
-        g.add_transaction(("keep1", "keep3"))
-        assert_csr_identical(g.freeze(), CSRGraph.from_graph(g))
-
-    @pytest.mark.parametrize("seed", SEEDS[:3])
-    def test_a_txallo_on_decayed_graph_matches_reference(self, seed):
-        """A-TxAllo sweeps after window decay: fast == reference, exactly."""
-        results = {}
-        for backend in ("reference", "fast"):
-            rng = random.Random(seed)
-            accounts = [f"acc{i:03d}" for i in range(120)]
-            g = DecayingTransactionGraph(decay=0.6, prune_threshold=1e-3)
-            seed_graph(rng, g, accounts, 700)
-            params = TxAlloParams.with_capacity_for(700, k=4, eta=2.0, backend=backend)
-            alloc = g_txallo(g, params).allocation
-            stats = []
-            for step in range(3):
-                g.advance_window()
-                alloc = g_txallo(g, params).allocation
-                touched = set()
-                for _ in range(25):
-                    accs = rng.sample(accounts, 2)
-                    g.add_transaction(accs)
-                    alloc.ingest_transaction(accs)
-                    touched.update(accs)
-                res = a_txallo(alloc, touched)
-                stats.append((res.new_nodes, res.swept_nodes, res.sweeps, res.moves))
-            results[backend] = (alloc.mapping(), alloc.sigma, alloc.lam_hat, stats)
-        ref, fast = results["reference"], results["fast"]
-        assert ref[0] == fast[0]
-        assert ref[1] == fast[1]   # exact floats
-        assert ref[2] == fast[2]   # exact floats
-        assert ref[3] == fast[3]
-
-
 class TestAdaptiveWorkspaceInterleavings:
     """Workspace-vs-snapshot byte-parity across the full controller
     lifecycle: block ingest, scheduled adaptive runs, scheduled and
-    forced global refreshes, forced adaptives and window decay (which
-    poisons the workspace's journal and must force a rebuild)."""
+    forced global refreshes, forced adaptives and a competing journal on
+    the same graph (which poisons the workspace's journal and must force
+    a rebuild)."""
 
-    def _drive(self, seed, workspace_enabled, decaying):
+    def _drive(self, seed, workspace_enabled, poison_journal):
         from repro.core.controller import TxAlloController
 
         rng = random.Random(seed)
         accounts = [f"acc{i:03d}" for i in range(180)]
-        if decaying:
-            graph = DecayingTransactionGraph(decay=0.8, prune_threshold=1e-4)
-        else:
-            graph = TransactionGraph()
+        graph = TransactionGraph()
         seed_graph(rng, graph, accounts, 900)
         params = TxAlloParams.with_capacity_for(
             900, k=4, eta=2.0, tau1=1, tau2=7
@@ -289,8 +197,8 @@ class TestAdaptiveWorkspaceInterleavings:
                 block.append(tuple(accs))
             controller.observe_block(block)
             roll = rng.random()
-            if decaying and roll < 0.15:
-                graph.advance_window()
+            if poison_journal and roll < 0.15:
+                graph.start_mutation_journal()
             elif roll < 0.25:
                 controller.force_adaptive()
             elif roll < 0.3:
@@ -299,10 +207,10 @@ class TestAdaptiveWorkspaceInterleavings:
         return controller
 
     @pytest.mark.parametrize("seed", SEEDS[:3])
-    @pytest.mark.parametrize("decaying", (False, True))
-    def test_workspace_byte_identical_across_lifecycle(self, seed, decaying):
-        base = self._drive(seed, workspace_enabled=False, decaying=decaying)
-        batched = self._drive(seed, workspace_enabled=True, decaying=decaying)
+    @pytest.mark.parametrize("poison_journal", (False, True))
+    def test_workspace_byte_identical_across_lifecycle(self, seed, poison_journal):
+        base = self._drive(seed, workspace_enabled=False, poison_journal=poison_journal)
+        batched = self._drive(seed, workspace_enabled=True, poison_journal=poison_journal)
         assert base.allocation.mapping() == batched.allocation.mapping()
         assert base.allocation.sigma == batched.allocation.sigma        # exact
         assert base.allocation.lam_hat == batched.allocation.lam_hat    # exact
@@ -316,18 +224,20 @@ class TestAdaptiveWorkspaceInterleavings:
         stats = batched.workspace_stats
         assert stats["runs"] > 0
         assert stats["extends"] > 0, "workspace never carried across a window"
-        if decaying:
-            # Decay poisons the journal: at least one rebuild beyond the
-            # first adaptive run (global refreshes only reseat).
+        if poison_journal:
+            # The competing journal poisons the workspace's: at least one
+            # rebuild beyond the first adaptive run (global refreshes
+            # only reseat).
             assert stats["rebuilds"] >= 2
         else:
             assert stats["rebuilds"] == 1
             assert stats["reseats"] > 0
 
-    def test_decay_between_runs_forces_rebuild_not_staleness(self):
-        """Directly pin the poisoned-journal path: decay between two
-        workspace runs must rebuild from a fresh freeze (the decayed
-        weights), not replay stale rows."""
+    def test_competing_journal_between_runs_forces_rebuild_not_staleness(self):
+        """Directly pin the poisoned-journal path: a competing journal
+        started between two workspace runs receives the next mutations,
+        so the workspace must rebuild from a fresh freeze instead of
+        replaying its own (now incomplete) log."""
         from repro.core.engine import AdaptiveWorkspace
 
         rng = random.Random(13)
@@ -335,7 +245,7 @@ class TestAdaptiveWorkspaceInterleavings:
         results = {}
         for label in ("snapshot", "workspace"):
             rng = random.Random(13)
-            g = DecayingTransactionGraph(decay=0.5, prune_threshold=1e-4)
+            g = TransactionGraph()
             seed_graph(rng, g, accounts, 600)
             params = TxAlloParams.with_capacity_for(600, k=4, eta=2.0)
             alloc = g_txallo(g, params).allocation
@@ -351,7 +261,7 @@ class TestAdaptiveWorkspaceInterleavings:
                 res = a_txallo(alloc, touched, workspace=workspace)
                 stats.append((res.new_nodes, res.swept_nodes, res.sweeps, res.moves))
                 if step == 1:
-                    g.advance_window()  # poisons the journal mid-sequence
+                    g.start_mutation_journal()  # poisons the journal mid-sequence
             results[label] = (alloc.mapping(), alloc.sigma, alloc.lam_hat, stats)
             if workspace is not None:
                 assert workspace.stats["rebuilds"] >= 2

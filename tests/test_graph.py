@@ -355,17 +355,19 @@ class TestMutationJournal:
         assert journal.nodes == [] and journal.edges == []
         assert not journal.poisoned
 
-    def test_bulk_mutation_poisons_and_detaches(self):
-        from repro.core.forecast import DecayingTransactionGraph
+    def test_edge_cap_overflow_poisons_and_detaches(self, monkeypatch):
+        from repro.core import graph as graph_module
 
-        g = DecayingTransactionGraph(decay=0.5)
-        g.add_transaction(("a", "b"))
+        monkeypatch.setattr(graph_module, "JOURNAL_EDGE_CAP", 2)
+        g = TransactionGraph()
         journal = g.start_mutation_journal()
-        g.advance_window()
+        g.add_transactions([("a", "b"), ("b", "c")])
+        assert not journal.poisoned
+        g.add_transaction(("c", "d"))  # third entry overflows the cap of 2
         assert journal.poisoned
         # Detached: later mutations no longer accrue to the dead journal.
-        g.add_transaction(("a", "b"))
-        assert journal.edges == []
+        g.add_transaction(("d", "e"))
+        assert len(journal.edges) == 3
 
     def test_new_journal_poisons_the_previous_one(self):
         g = TransactionGraph()

@@ -2,10 +2,19 @@
 
 These tests exercise the path a real deployment would take: generate (or
 load) a ledger, build the graph, allocate with each method, evaluate
-analytically, and cross-check on the event simulator.
+analytically, and cross-check on the event simulator.  The package
+layering those modules rely on is pinned here too.
 """
 
+import importlib
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
+
+import repro
 
 from repro.baselines import hash_partition, metis_partition, shard_scheduler_partition
 from repro.chain.simulator import simulate_allocation
@@ -110,3 +119,23 @@ class TestDynamicPipeline:
         adaptive_thpt = controller.allocation.total_throughput()
         fresh = g_txallo(controller.graph, params)
         assert adaptive_thpt >= 0.9 * fresh.allocation.total_throughput()
+
+
+class TestPackageLayering:
+    def test_core_does_not_import_chain(self):
+        """The allocation core stands alone: importing it in a fresh
+        interpreter must not load the chain substrate."""
+        probe = "import sys, repro.core; print('repro.chain' in sys.modules)"
+        # Import the same copy of the package this process is testing.
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(repro.__file__).parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
+        )
+        assert result.stdout.strip() == "False"
+
+    @pytest.mark.parametrize("package", ("repro.chain", "repro.core"))
+    def test_every_export_resolves(self, package):
+        module = importlib.import_module(package)
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert missing == []
+        assert len(set(module.__all__)) == len(module.__all__)

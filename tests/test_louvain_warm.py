@@ -8,16 +8,15 @@ promises instead of byte-parity:
 * the TxAllo objective of a turbo allocation stays within
   :data:`repro.core.engine.WARM_OBJECTIVE_TOLERANCE` of the cold
   fast-backend result on the same graph, across randomised
-  ingest / decay / refresh interleavings;
+  ingest / refresh interleavings;
 * turbo is deterministic: identical histories give identical mappings;
 * turbo never contaminates the fast backend — ``backend="fast"`` stays
   byte-identical to ``"reference"`` even on a snapshot turbo already
   partitioned (separate memos);
 * warm seeds ride ``CSRGraph.extend``; on full rebuilds they survive
   only when the delta log stayed intact and the frontier is still under
-  ``REBUILD_SEED_CARRY_FRACTION`` (a bursty-but-monotone window), and
-  die with the snapshot otherwise (decay / pruning / mostly-rewritten
-  graphs);
+  ``REBUILD_SEED_CARRY_FRACTION`` (a bursty window), and die with the
+  snapshot otherwise (mostly-rewritten graphs);
 * the controller's ``warm_stats`` counters report the warm/cold split.
 """
 
@@ -27,8 +26,7 @@ import pytest
 
 from repro.core.controller import TxAlloController
 from repro.core.engine import WARM_OBJECTIVE_TOLERANCE, louvain_flat_warm
-from repro.core.forecast import DecayingTransactionGraph
-from repro.core.graph import TransactionGraph
+from repro.core.graph import REBUILD_SEED_CARRY_FRACTION, TransactionGraph
 from repro.core.gtxallo import g_txallo
 from repro.core.louvain import louvain_partition
 from repro.core.params import TxAlloParams
@@ -50,9 +48,9 @@ def _random_transactions(rng, nodes, count, new_prefix):
     return txs
 
 
-def _objectives_after_interleaving(graph, seed, rounds, k, decay_every=0):
-    """Ingest/refresh (optionally decay) rounds; returns per-round
-    (turbo_objective, fast_objective) pairs computed on identical graphs."""
+def _objectives_after_interleaving(graph, seed, rounds, k):
+    """Ingest/refresh rounds; returns per-round (turbo_objective,
+    fast_objective) pairs computed on identical graphs."""
     rng = random.Random(seed)
     params_turbo = TxAlloParams.with_capacity_for(600, k=k, backend="turbo")
     params_fast = params_turbo.replace(backend="fast")
@@ -61,8 +59,6 @@ def _objectives_after_interleaving(graph, seed, rounds, k, decay_every=0):
         nodes = list(graph.nodes())
         for tx in _random_transactions(rng, nodes, 60, f"r{round_}"):
             graph.add_transaction(tx)
-        if decay_every and (round_ + 1) % decay_every == 0:
-            graph.advance_window()
         # freeze() here extends (or rebuilds) the snapshot exactly as the
         # controller's adaptive steps would between global refreshes.
         graph.freeze()
@@ -79,18 +75,6 @@ class TestObjectiveTolerance:
         graph = make_random_graph(num_accounts=80, num_transactions=500, seed=seed)
         for turbo_obj, fast_obj in _objectives_after_interleaving(
             graph, seed, rounds=5, k=k
-        ):
-            assert turbo_obj >= (1.0 - WARM_OBJECTIVE_TOLERANCE) * fast_obj
-
-    @pytest.mark.parametrize("seed", (5, 6))
-    def test_ingest_decay_refresh_interleavings(self, seed):
-        graph = DecayingTransactionGraph(decay=0.6, prune_threshold=1e-3)
-        rng = random.Random(seed)
-        accounts = [f"acc{i:03d}" for i in range(60)]
-        for _ in range(300):
-            graph.add_transaction(tuple(rng.sample(accounts, 2)))
-        for turbo_obj, fast_obj in _objectives_after_interleaving(
-            graph, seed, rounds=6, k=4, decay_every=2
         ):
             assert turbo_obj >= (1.0 - WARM_OBJECTIVE_TOLERANCE) * fast_obj
 
@@ -158,17 +142,20 @@ class TestWarmSeedLifecycle:
         assert csr1.louvain_warm_hit is True
 
     def test_full_rebuild_invalidates_seed(self):
-        graph = DecayingTransactionGraph(decay=0.5, prune_threshold=1e-3)
-        rng = random.Random(3)
-        accounts = [f"a{i}" for i in range(40)]
-        for _ in range(200):
-            graph.add_transaction(tuple(rng.sample(accounts, 2)))
+        """A frontier past ``REBUILD_SEED_CARRY_FRACTION`` (hence past the
+        delta-extend cutoff too) rebuilds the snapshot and drops the
+        seeds at the rebuild, before any warm request."""
+        graph = make_random_graph(seed=3)
         csr0 = graph.freeze()
         louvain_flat_warm(csr0)
+        full0 = graph.freeze_stats["full"]
 
-        graph.advance_window()  # bulk rewrite -> full rebuild
-        graph.add_transaction(("a0", "a1"))
+        nodes = sorted(graph.nodes())
+        upto = int(len(nodes) * (REBUILD_SEED_CARRY_FRACTION + 0.1))
+        for i in range(0, upto - 1, 2):
+            graph.add_transaction((nodes[i], nodes[i + 1]))
         csr1 = graph.freeze()
+        assert graph.freeze_stats["full"] == full0 + 1
         assert csr1.warm_seeds == {}
         louvain_flat_warm(csr1)
         assert csr1.louvain_warm_hit is False
