@@ -17,6 +17,36 @@ class TestAddress:
     def test_distinct(self):
         assert address_from_int(1) != address_from_int(2)
 
+    @pytest.mark.parametrize(
+        "value, expected",
+        [
+            ("0x" + "ab" * 20, True),
+            ("0x" + "AB" * 20, True),  # checksum-cased hex is still hex
+            (address_from_int(0), True),
+            ("0x" + "a" * 39, False),
+            ("0x" + "a" * 41, False),
+            ("1x" + "a" * 40, False),
+            ("0x", False),
+            ("", False),
+            (None, False),
+            (b"0x" + b"a" * 40, False),
+        ],
+        ids=[
+            "lower",
+            "upper",
+            "synthetic",
+            "39-hex",
+            "41-hex",
+            "bad-prefix",
+            "prefix-only",
+            "empty",
+            "none",
+            "bytes",
+        ],
+    )
+    def test_is_address_cases(self, value, expected):
+        assert is_address(value) is expected
+
     def test_is_address_rejects_garbage(self):
         assert not is_address("hello")
         assert not is_address("0x123")           # too short

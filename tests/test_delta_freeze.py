@@ -266,3 +266,71 @@ class TestAdaptiveWorkspaceInterleavings:
             if workspace is not None:
                 assert workspace.stats["rebuilds"] >= 2
         assert results["snapshot"] == results["workspace"]
+
+
+class TestWorkspacePoisonTriggers:
+    """Each surviving way to poison the workspace's journal between two
+    runs forces exactly one extra rebuild, and the runs stay byte-identical
+    to the snapshot-per-run path on every workspace-backed tier.
+
+    ``none`` is the control: the journal carries every window, one rebuild.
+    """
+
+    TRIGGERS = ("none", "competing_journal", "stopped_journal", "edge_cap_overflow")
+
+    @staticmethod
+    def _pull_trigger(trigger, alloc, rng, accounts, touched):
+        g = alloc.graph
+        if trigger == "competing_journal":
+            g.start_mutation_journal()
+        elif trigger == "stopped_journal":
+            if g._journal is not None:  # the snapshot path never subscribes
+                g.stop_mutation_journal(g._journal)
+        elif trigger == "edge_cap_overflow":
+            # 15 window edges plus these 10 pass the patched cap of 20.
+            for _ in range(10):
+                accs = rng.sample(accounts, 2)
+                g.add_transaction(accs)
+                alloc.ingest_transaction(accs)
+                touched.update(accs)
+
+    def _run(self, trigger, backend, seed, use_workspace):
+        from repro.core.engine import AdaptiveWorkspace
+
+        rng = random.Random(seed)
+        accounts = [f"acc{i:03d}" for i in range(100)]
+        g = TransactionGraph()
+        seed_graph(rng, g, accounts, 600)
+        params = TxAlloParams.with_capacity_for(600, k=4, eta=2.0, backend=backend)
+        alloc = g_txallo(g, params).allocation
+        workspace = AdaptiveWorkspace() if use_workspace else None
+        runs = []
+        for step in range(4):
+            touched = set()
+            for _ in range(15):
+                accs = rng.sample(accounts, 2)
+                g.add_transaction(accs)
+                alloc.ingest_transaction(accs)
+                touched.update(accs)
+            if step == 2:
+                self._pull_trigger(trigger, alloc, rng, accounts, touched)
+            res = a_txallo(alloc, touched, workspace=workspace)
+            runs.append((res.new_nodes, res.swept_nodes, res.sweeps, res.moves))
+        alloc.validate(check_caches=True)
+        outcome = (alloc.mapping(), alloc.sigma, alloc.lam_hat, runs)
+        return outcome, workspace
+
+    @pytest.mark.parametrize("seed", (1, 2))
+    @pytest.mark.parametrize("backend", ("fast", "turbo", "vector"))
+    @pytest.mark.parametrize("trigger", TRIGGERS)
+    def test_trigger_rebuilds_once_and_keeps_parity(self, monkeypatch, trigger, backend, seed):
+        import repro.core.graph as graph_module
+
+        monkeypatch.setattr(graph_module, "JOURNAL_EDGE_CAP", 20)
+        snapshot, _ = self._run(trigger, backend, seed, use_workspace=False)
+        batched, workspace = self._run(trigger, backend, seed, use_workspace=True)
+        assert batched == snapshot
+        stats = workspace.stats
+        assert stats["runs"] == 4
+        assert stats["rebuilds"] == (1 if trigger == "none" else 2)
+        assert stats["extends"] == (3 if trigger == "none" else 2)

@@ -1,6 +1,7 @@
 """Unit tests for the transaction graph (Definition 2)."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -376,6 +377,37 @@ class TestMutationJournal:
         assert first.poisoned and not second.poisoned
         g.add_transaction(("x", "y"))
         assert first.edges == [] and len(second.edges) == 1
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5, 6])
+    def test_replay_onto_the_start_copy_reproduces_the_graph(self, seed):
+        """The journal is a complete log: replaying it onto a copy taken
+        when it started rebuilds the graph exactly — same insertion order,
+        same row order, bit-identical weights (multi-account shares too)."""
+        rng = random.Random(seed)
+        accounts = [f"acc{i:02d}" for i in range(30)]
+        g = TransactionGraph()
+        for _ in range(40):
+            g.add_transaction(rng.sample(accounts[:20], rng.choice([1, 2, 3])))
+        journal = g.start_mutation_journal()
+        start = g.copy()
+        for step in range(60):
+            roll = rng.random()
+            if roll < 0.1:
+                g.add_node(f"iso{step}")
+            else:
+                g.add_transaction(rng.sample(accounts, rng.choice([1, 2, 2, 3, 4])))
+        assert journal.nodes == list(g.nodes())[start.num_nodes:]
+        for v in journal.nodes:
+            start.add_node(v)
+        for u, v, w in journal.edges:
+            start.add_edge(u, v, w)
+        assert list(start.nodes()) == list(g.nodes())
+        for v in g.nodes():
+            assert list(start.neighbours(v).items()) == list(g.neighbours(v).items())
+            assert start.self_loop(v) == g.self_loop(v)
+        assert start.num_edges == g.num_edges
+        assert start.total_weight == g.total_weight
+        assert not journal.poisoned
 
     def test_stop_detaches_only_the_active_journal(self):
         g = TransactionGraph()

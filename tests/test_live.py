@@ -1,8 +1,14 @@
 """Tests for the live tick-driven network simulator."""
 
+import math
+import random
+from fractions import Fraction
+
 import pytest
 
+from repro import allocators
 from repro.baselines.hash_allocation import hash_partition, hash_shard
+from repro.chain.faults import FaultPlan, ShardStall
 from repro.chain.live import LiveShardedNetwork
 from repro.chain.types import Transaction
 from repro.core.controller import TxAlloController
@@ -170,3 +176,151 @@ class TestControllerDriven:
             "TxAllo should drain the same traffic in fewer block intervals"
         )
         assert txallo_report.mean_latency < hash_report.mean_latency
+
+
+def fluid_fifo_completion_ticks(arrivals, capacity):
+    """Exact completion tick of each ``(arrival_tick, cost)`` slice on one
+    FIFO shard draining ``capacity`` per tick (see ShardState.step)."""
+    cap = Fraction(capacity)
+    free = Fraction(0)
+    ticks = []
+    for arrived, cost in arrivals:
+        free = max(free, Fraction(arrived)) + Fraction(cost) / cap
+        ticks.append(math.ceil(free) - 1)
+    return ticks
+
+
+class TestStaticRoutingOracle:
+    """A static mapping makes the whole run predictable: every shard is a
+    FIFO queue over its slices in arrival order, and a transaction commits
+    in the tick its slowest slice completes.  Costs and capacities are
+    dyadic, so the network must match the exact oracle tick for tick."""
+
+    @staticmethod
+    def traffic(seed, k):
+        rng = random.Random(seed)
+        accounts = [f"a{i}" for i in range(6 * k)]
+        mapping = {a: rng.randrange(k) for a in accounts}
+        blocks = []
+        for now in range(25):
+            quiet = now % 10 >= 7
+            blocks.append([
+                Transaction(
+                    inputs=(rng.choice(accounts),),
+                    outputs=tuple(rng.sample(accounts, rng.choice([1, 1, 2]))),
+                )
+                for _ in range(0 if quiet else rng.randint(0, 6))
+            ])
+        return mapping, blocks
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("lam", [1.0, 2.0, 4.0])
+    @pytest.mark.parametrize("eta", [1.0, 2.0, 2.5])
+    def test_commit_ticks_match_fifo_oracle(self, eta, lam, seed):
+        k = 3
+        mapping, blocks = self.traffic(seed, k)
+        params = TxAlloParams(k=k, eta=eta, lam=lam)
+        report = LiveShardedNetwork(params, mapping).run(blocks, drain=True)
+
+        slices = [[] for _ in range(k)]  # (arrival, cost, tx index)
+        arrivals = []
+        for now, block in enumerate(blocks):
+            for t in block:
+                shards = {mapping[a] for a in t.accounts}
+                for i in shards:
+                    slices[i].append((now, 1.0 if len(shards) == 1 else eta, len(arrivals)))
+                arrivals.append((now, len(shards) > 1))
+        commit = [0] * len(arrivals)
+        for shard in slices:
+            done = fluid_fifo_completion_ticks([(a, c) for a, c, _ in shard], lam)
+            for tick, (_, _, j) in zip(done, shard):
+                commit[j] = max(commit[j], tick)
+        latencies = sorted(c - a + 1 for c, (a, _) in zip(commit, arrivals))
+        n_ticks = max([len(blocks) - 1] + commit) + 1
+
+        assert report.arrived == report.committed == len(arrivals) > 0
+        assert report.cross_shard_ratio == sum(x for _, x in arrivals) / len(arrivals)
+        assert report.mean_latency == sum(latencies) / len(latencies)
+        assert report.p99_latency == latencies[int(0.99 * (len(latencies) - 1))]
+        assert len(report.ticks) == n_ticks
+        assert [t.committed for t in report.ticks] == [commit.count(i) for i in range(n_ticks)]
+        assert [t.arrived for t in report.ticks] == [
+            len(blocks[i]) if i < len(blocks) else 0 for i in range(n_ticks)
+        ]
+
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize(
+        "stalls",
+        [((0, 2, 3),), ((1, 0, 5), (2, 10, 2)), ((0, 4, 1), (0, 6, 2), (2, 5, 4))],
+        ids=["one", "two-shards", "overlapping"],
+    )
+    def test_stalled_shards_shift_commits_by_their_idle_ticks(self, stalls, seed):
+        """A stalled shard serves nothing in its window.  In each shard's
+        own *service time* (its unstalled ticks, counted) the queue is the
+        plain FIFO oracle again; completions map back to wall ticks."""
+        k, eta, lam = 3, 2.0, 2.0
+        mapping, blocks = self.traffic(seed, k)
+        plan = FaultPlan(stalls=tuple(ShardStall(s, t, n) for s, t, n in stalls))
+        report = LiveShardedNetwork(
+            TxAlloParams(k=k, eta=eta, lam=lam), mapping, fault_plan=plan
+        ).run(blocks, drain=True)
+
+        horizon = 200
+        served = [[t for t in range(horizon) if not plan.stalled(i, t)] for i in range(k)]
+        slices = [[] for _ in range(k)]
+        arrivals = []
+        for now, block in enumerate(blocks):
+            for t in block:
+                shards = {mapping[a] for a in t.accounts}
+                for i in shards:
+                    slices[i].append((now, 1.0 if len(shards) == 1 else eta, len(arrivals)))
+                arrivals.append(now)
+        commit = [0] * len(arrivals)
+        for i, shard in enumerate(slices):
+            # Service-time arrival: unstalled ticks strictly before arrival.
+            service = [(sum(1 for t in served[i] if t < a), c) for a, c, _ in shard]
+            for unit, (_, _, j) in zip(fluid_fifo_completion_ticks(service, lam), shard):
+                commit[j] = max(commit[j], served[i][unit])
+        latencies = sorted(c - a + 1 for c, a in zip(commit, arrivals))
+        n_ticks = max([len(blocks) - 1] + commit) + 1
+
+        assert report.committed == len(arrivals)
+        assert len(report.ticks) == n_ticks
+        assert [t.committed for t in report.ticks] == [commit.count(i) for i in range(n_ticks)]
+        assert [t.stalled_shards for t in report.ticks] == [
+            sum(plan.stalled(i, t) for i in range(k)) for t in range(n_ticks)
+        ]
+        assert report.mean_latency == sum(latencies) / len(latencies)
+        assert report.p99_latency == latencies[int(0.99 * (len(latencies) - 1))]
+
+
+class TestConservationAcrossAllocators:
+    """Every registered method, driven live, commits exactly what arrived:
+    no transaction is lost, duplicated or credited twice, whatever the
+    allocator does to the mapping mid-run."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("name", allocators.available())
+    def test_every_arrival_commits_once(self, name, seed):
+        config = WorkloadConfig(num_accounts=120, num_transactions=600, block_size=20, seed=seed)
+        all_blocks = blocks_from(EthereumWorkloadGenerator(config))
+        history = [tuple(t.accounts) for b in all_blocks[:10] for t in b]
+        params = TxAlloParams(k=3, eta=2.0, lam=12.0, tau1=2, tau2=8)
+        allocator = allocators.get_online(name, params, seed_transactions=history)
+        net = LiveShardedNetwork(params, allocator)
+        live_blocks = all_blocks[10:]
+        report = net.run(live_blocks, drain=True)
+
+        arrived = sum(len(b) for b in live_blocks)
+        assert report.arrived == report.committed == arrived
+        assert sum(t.arrived for t in report.ticks) == arrived
+        assert sum(t.committed for t in report.ticks) == arrived
+        assert report.cross_shard_ratio == (
+            sum(t.cross_shard_arrived for t in report.ticks) / arrived
+        )
+        assert report.ticks[-1].backlog_workload == 0.0
+        assert all(s.queue_length == 0 for s in net.shards)
+        # Each transaction's shares sum to one across its shards.
+        assert sum(s.throughput_credit for s in net.shards) == pytest.approx(arrived)
+        assert report.mean_latency >= 1.0 and report.p99_latency >= 1

@@ -1,6 +1,7 @@
 """Tests for the Section III-B metrics, including the latency closed form."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -213,6 +214,26 @@ class TestGraphLevel:
         alloc = Allocation.from_partition(clustered_graph, params, partition)
         assert graph_throughput(clustered_graph, partition, params) == pytest.approx(
             alloc.total_throughput()
+        )
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_graph_and_tx_level_agree_on_random_pairwise_streams(self, k, seed):
+        """For 1-in-1-out transactions and self-sends, Eq. 5 on the graph
+        equals the transaction-level Eqs. 1-3: workloads, cross-shard
+        ratio and capped throughput (all sums are exact here)."""
+        rng = random.Random(seed)
+        accounts = [f"a{i}" for i in range(12)]
+        txs = [tuple(rng.sample(accounts, rng.choice([1, 2, 2, 2]))) for _ in range(80)]
+        g = TransactionGraph()
+        g.add_transactions(txs)
+        mapping = {a: rng.randrange(k) for a in accounts}
+        params = TxAlloParams(k=k, eta=2.5, lam=8.0)
+        report = evaluate_allocation(txs, mapping, params)
+        assert graph_shard_workloads(g, mapping, params) == list(report.shard_workloads)
+        assert graph_cross_shard_ratio(g, mapping) == report.cross_shard_ratio
+        assert graph_throughput(g, mapping, params) == pytest.approx(
+            report.throughput, rel=1e-12
         )
 
     def test_graph_and_tx_level_agree_on_pairwise_workloads(self):

@@ -2,7 +2,9 @@
 cross-validation of the paper's analytic formulas (Eqs. 2-4) against the
 event-level simulation."""
 
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -91,6 +93,13 @@ class TestSimulator:
         report = sim.run()
         assert report.num_cross_shard == 1
         assert report.cross_shard_ratio == pytest.approx(0.5)
+
+    def test_run_gives_up_past_max_units(self):
+        params = TxAlloParams(k=2, eta=2.0, lam=1.0)
+        txs = [tx("a", "b")] * 3  # 6 units of work on each shard
+        with pytest.raises(SimulationError, match="did not drain within 4 units"):
+            simulate_allocation(txs, {"a": 0, "b": 1}, params, max_units=4)
+        assert simulate_allocation(txs, {"a": 0, "b": 1}, params, max_units=6).total_units == 6
 
     def test_report_workloads(self):
         params = TxAlloParams(k=2, eta=3.0, lam=10.0)
@@ -296,3 +305,154 @@ class TestLatencyCounters:
         assert report.per_shard_mean_latency == expected
         assert report.mean_latency == sum(expected) / len(expected)
         assert report.worst_case_latency == max(max(lat) for lat in per_shard if lat)
+
+
+def fluid_fifo_completions(arrivals, capacity):
+    """Completion tick of each ``(arrival_tick, cost)`` job, in queue order.
+
+    The model ``ShardState`` implements, computed in exact rationals: one
+    FIFO server draining ``capacity`` workload per tick.  A job starts
+    once it has arrived and the job ahead of it has finished, takes
+    ``cost / capacity`` ticks, and completes in the tick its finish time
+    falls in (a finish exactly on a tick boundary belongs to the tick that
+    ends there).  Capacity left over while the queue is empty is lost.
+    """
+    cap = Fraction(capacity)
+    free = Fraction(0)
+    completions = []
+    for arrived, cost in arrivals:
+        free = max(free, Fraction(arrived)) + Fraction(cost) / cap
+        completions.append(math.ceil(free) - 1)
+    return completions
+
+
+def random_arrivals(seed, ticks=40, costs=(1.0, 2.0, 1.5, 0.5)):
+    """Seeded ``(arrival_tick, cost)`` list with busy and quiet spells."""
+    rng = random.Random(seed)
+    arrivals = []
+    for now in range(ticks):
+        if now % 15 < 8:
+            arrivals.extend((now, rng.choice(costs)) for _ in range(rng.randint(0, 4)))
+    return arrivals
+
+
+class TestShardQueueModel:
+    """``ShardState`` against an exact fluid FIFO oracle.
+
+    All costs and capacities are dyadic, so the shard's float arithmetic
+    is exact and every completion tick must match the oracle.
+    """
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("capacity", [0.5, 1.0, 1.5, 3.0])
+    def test_completion_ticks_match_fluid_fifo(self, capacity, seed):
+        arrivals = random_arrivals(seed)
+        expected = fluid_fifo_completions(arrivals, capacity)
+        shard = ShardState(0, capacity=capacity)
+        by_tick = {}
+        for i, (arrived, cost) in enumerate(arrivals):
+            by_tick.setdefault(arrived, []).append((i, cost))
+        got = {}
+        now = 0
+        while now < 40 or shard.queue_length:
+            for i, cost in by_tick.get(now, ()):
+                shard.enqueue(tx(f"s{i}", f"r{i}"), cost=cost, share=1.0, now=now)
+            for done in shard.step(now=now):
+                got[done.item.tx.inputs[0]] = done.completed_at
+            now += 1
+        assert [got[f"s{i}"] for i in range(len(arrivals))] == expected
+        latencies = [c - a + 1 for c, (a, _) in zip(expected, arrivals)]
+        assert shard.processed_count == len(arrivals)
+        assert shard.latency_sum == sum(latencies)
+        assert shard.latency_max == max(latencies)
+        assert shard.total_workload == sum(cost for _, cost in arrivals)
+        assert shard.backlog_workload == 0.0
+
+    @pytest.mark.parametrize(
+        "cost, share",
+        [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -0.5)],
+        ids=["zero-cost", "negative-cost", "zero-share", "negative-share"],
+    )
+    def test_rejected_item_leaves_the_shard_untouched(self, cost, share):
+        shard = ShardState(0, capacity=1.0)
+        shard.enqueue(tx("a", "b"), cost=2.0, share=1.0, now=0)
+        with pytest.raises(SimulationError):
+            shard.enqueue(tx("c", "d"), cost=cost, share=share, now=0)
+        assert shard.queue_length == 1
+        assert shard.backlog_workload == 2.0
+        assert shard.total_workload == 2.0
+
+    @pytest.mark.parametrize(
+        "capacity, costs",
+        [
+            (1.0, [1.0] * 4),
+            (2.0, [1.0, 1.0, 1.0]),
+            (1.0, [2.5, 0.5]),
+            (4.0, [2.0, 2.0, 2.0, 2.0, 0.5]),
+            (1.5, [1.0, 2.0, 1.0, 2.0]),
+            (0.5, [1.0, 0.5]),
+        ],
+    )
+    def test_drain_takes_ceiling_of_total_over_capacity(self, capacity, costs):
+        """Chronological processing is still work-conserving: budget left
+        after the head finishes goes to the next item in the same tick."""
+        shard = ShardState(0, capacity=capacity)
+        for i, cost in enumerate(costs):
+            shard.enqueue(tx(f"s{i}", f"r{i}"), cost=cost, share=1.0, now=0)
+        assert shard.drain_fully(start=0) == math.ceil(sum(costs) / capacity)
+        assert shard.processed_count == len(costs)
+        assert shard.latency_max == math.ceil(sum(costs) / capacity)
+
+    def test_drain_fully_gives_up_past_max_units(self):
+        shard = ShardState(3, capacity=1.0)
+        shard.enqueue(tx("a", "b"), cost=5.0, share=1.0, now=0)
+        with pytest.raises(SimulationError, match="shard 3 failed to drain within 2 units"):
+            shard.drain_fully(start=0, max_units=2)
+
+
+class TestSimulatorGrid:
+    """Exact simulator-vs-analytic agreement over a grid of shapes.
+
+    Everything is submitted at t=0, so each shard's FIFO completes its
+    ``j``-th slice at tick ``ceil(prefix_j / λ) - 1``; workloads, the
+    cross-shard ratio and the worst case must equal Eqs. 1-4's inputs.
+    """
+
+    @staticmethod
+    def scenario(k, eta, seed):
+        rng = random.Random(seed)
+        accounts = [f"a{i}" for i in range(5 * k)]
+        mapping = {a: rng.randrange(k) for a in accounts}
+        txs = []
+        for _ in range(12 * k):
+            outputs = tuple(rng.sample(accounts, rng.choice([1, 1, 1, 2])))
+            txs.append(Transaction(inputs=(rng.choice(accounts),), outputs=outputs))
+        return txs, mapping, TxAlloParams(k=k, eta=eta, lam=4.0)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("eta", [1.0, 2.0, 3.5])
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_report_matches_queue_oracle_and_analytic_inputs(self, k, eta, seed):
+        txs, mapping, params = self.scenario(k, eta, seed)
+        report = simulate_allocation(txs, mapping, params)
+        analytic = evaluate_allocation([tuple(t.accounts) for t in txs], mapping, params)
+
+        costs = [[] for _ in range(k)]
+        for t in txs:
+            shards = {mapping[a] for a in t.accounts}
+            for i in shards:
+                costs[i].append(1.0 if len(shards) == 1 else eta)
+        latencies = [
+            [c + 1 for c in fluid_fifo_completions([(0, c) for c in shard], params.lam)]
+            for shard in costs
+        ]
+        per_shard = tuple(sum(lat) / len(lat) if lat else 1.0 for lat in latencies)
+
+        assert report.num_transactions == analytic.num_transactions == len(txs)
+        assert report.num_cross_shard == analytic.num_cross_shard
+        assert report.cross_shard_ratio == analytic.cross_shard_ratio
+        assert report.per_shard_workload == analytic.shard_workloads
+        assert report.per_shard_mean_latency == per_shard
+        assert report.mean_latency == sum(per_shard) / k
+        assert report.worst_case_latency == int(analytic.worst_case_latency)
+        assert report.total_units == max(math.ceil(sum(c) / params.lam) for c in costs)
