@@ -1,31 +1,24 @@
-"""Engine speedup run-table: reference vs flat-array vs numpy ``g_txallo``.
+"""Engine speedup run-table: reference vs flat-array ``g_txallo``.
 
 Times the *paper's evaluation pattern* — the Fig. 8 running-time grid,
 i.e. ``g_txallo`` end-to-end for every ``(k, eta)`` cell over one shared
-workload — on the reference, fast and (when numpy is importable) vector
-backends, asserts byte-identical outputs between reference and fast cell
-by cell, checks the vector objective against the registry tolerance, and
-writes ``BENCH_engine.json`` next to this file so subsequent PRs have a
-perf trajectory to gate against:
+workload — on the reference and fast backends, asserts byte-identical
+outputs between them cell by cell, and writes ``BENCH_engine.json`` next
+to this file so subsequent PRs have a perf trajectory to gate against:
 
 ``{"scale", "n_nodes", "n_edges", "ref_seconds", "fast_seconds",
-"speedup", "vector_seconds", "vector_speedup",
-"vector_objective_ratio_min", ...}``
+"speedup", ...}``
 
-``ref_seconds`` / ``fast_seconds`` / ``vector_seconds`` are the grid
-totals (the non-reference backends legitimately amortise one freeze +
-one memoised Louvain partition across the grid, exactly as
-``experiments.sweep`` does); ``single_*`` fields record one cold/warm
-``k=20`` call for the pessimistic view.  The ``vector_*`` columns are
-``None`` when numpy is absent so the schema stays stable across both CI
-legs.
+``ref_seconds`` / ``fast_seconds`` are the grid totals (the fast backend
+legitimately amortises one freeze + one memoised Louvain partition
+across the grid, exactly as ``experiments.sweep`` does); ``single_*``
+fields record one cold/warm ``k=20`` call for the pessimistic view.
 
 Scale knob: ``--scale`` / the ``BENCH_SCALE`` env crank the workload
 (CI pins 0.5 for runner budget; ``benchmarks/run_table.py
 --local-scale 2`` regenerates a non-toy row locally, and
 ``--scale 2 --out BENCH_engine.scale2.json`` produces the committed
-large-N row that ``tests/test_bench_gate.py`` holds to the >= 3x
-vector-grid gate).
+large-N row).
 """
 
 from __future__ import annotations
@@ -45,11 +38,10 @@ except ImportError:
 from repro.core.parallel import pin_blas_threads
 
 # Explicit thread ownership for honest timings: pin the BLAS/OpenMP
-# knobs before any repro import can pull numpy in (the multi-core
-# layer owns its parallelism -- see repro.core.parallel).
+# knobs before any other import (the multi-core layer owns its
+# parallelism -- see repro.core.parallel).
 pin_blas_threads()
 
-from repro.core import backends
 from repro.core.gtxallo import g_txallo
 from repro.core.params import TxAlloParams
 from repro.eval import experiments
@@ -100,29 +92,6 @@ def run_bench(scale: float = BENCH_SCALE, out_path: Path = OUT_PATH) -> dict:
             fast.small_nodes_absorbed,
         ), cell
 
-    # The numpy tier runs the same grid on its own fresh workload and is
-    # held to the registry's objective tolerance cell by cell instead of
-    # byte parity (the synchronous batched sweeps land on a different
-    # local optimum).  When numpy is absent the columns stay None so the
-    # payload schema is identical on the no-numpy CI leg.
-    vector_seconds = None
-    vector_ratio_min = None
-    single_vec_cold = None
-    vector_available = backends.get_backend("vector").available()
-    if vector_available:
-        wl_vec = experiments.build_workload(scale=scale, seed=2022)
-        vector_seconds, vec_results = _run_grid(wl_vec, "vector")
-        vector_ratio_min = min(
-            vec_results[cell].allocation.total_throughput()
-            / fast.allocation.total_throughput()
-            for cell, fast in fast_results.items()
-            if fast.allocation.total_throughput() > 0
-        )
-        tolerance = backends.get_backend("vector").tolerance
-        assert vector_ratio_min >= 1.0 - tolerance, (
-            f"vector objective ratio {vector_ratio_min:.4f} outside tolerance"
-        )
-
     # One extra cold + warm single call at the paper's headline setting.
     wl_single = experiments.build_workload(scale=scale, seed=2022)
     params = TxAlloParams.with_capacity_for(
@@ -137,11 +106,6 @@ def run_bench(scale: float = BENCH_SCALE, out_path: Path = OUT_PATH) -> dict:
     t0 = time.perf_counter()
     g_txallo(wl_ref.graph, params, backend="reference")
     single_ref = time.perf_counter() - t0
-    if vector_available:
-        wl_single_vec = experiments.build_workload(scale=scale, seed=2022)
-        t0 = time.perf_counter()
-        g_txallo(wl_single_vec.graph, params, backend="vector")
-        single_vec_cold = time.perf_counter() - t0
 
     speedup = ref_seconds / fast_seconds if fast_seconds > 0 else float("inf")
     payload = {
@@ -154,20 +118,11 @@ def run_bench(scale: float = BENCH_SCALE, out_path: Path = OUT_PATH) -> dict:
         "ref_seconds": ref_seconds,
         "fast_seconds": fast_seconds,
         "speedup": speedup,
-        "vector_seconds": vector_seconds,
-        "vector_speedup": (
-            ref_seconds / vector_seconds if vector_seconds else None
-        ),
-        "vector_objective_ratio_min": vector_ratio_min,
         "single_ref_seconds": single_ref,
         "single_cold_seconds": single_cold,
         "single_warm_seconds": single_warm,
         "single_cold_speedup": single_ref / single_cold if single_cold > 0 else None,
         "single_warm_speedup": single_ref / single_warm if single_warm > 0 else None,
-        "single_vector_cold_seconds": single_vec_cold,
-        "single_vector_cold_speedup": (
-            single_ref / single_vec_cold if single_vec_cold else None
-        ),
     }
     out_path.write_text(json.dumps(payload, indent=2) + "\n")
     print()
@@ -185,27 +140,6 @@ def check_gates(payload: dict) -> list:
     speedup = payload["speedup"]
     if speedup < 3.0:
         failures.append(f"engine speedup regressed: {speedup:.2f}x < 3x")
-    # The numpy tier's contract, enforced only when it actually ran: the
-    # grid beats the reference backend (>= 3x at scale >= 1 where the
-    # batched numpy path runs; >= 2.5x at the small CI scale, where the
-    # tier delegates to the flat engine below MIN_VECTOR_NODES and the
-    # fast gate above already polices the real work — the slack only
-    # absorbs runner timing noise on the delegation dispatch), a cold
-    # single call never loses to reference, and every cell's objective
-    # stays within the registry tolerance of the fast backend.
-    if payload.get("vector_seconds") is not None:
-        vector_gate = 3.0 if payload["scale"] >= 1.0 else 2.5
-        vec_speedup = payload["vector_speedup"]
-        if vec_speedup < vector_gate:
-            failures.append(
-                f"vector grid speedup regressed: {vec_speedup:.2f}x < {vector_gate}x"
-            )
-        vec_cold = payload["single_vector_cold_speedup"]
-        if vec_cold is not None and vec_cold < 1.0:
-            failures.append(f"vector cold single slower than reference: {vec_cold:.2f}x")
-        ratio = payload["vector_objective_ratio_min"]
-        if ratio < 1.0 - backends.OBJECTIVE_TOLERANCE:
-            failures.append(f"vector objective ratio out of tolerance: {ratio:.4f}")
     return failures
 
 

@@ -36,11 +36,11 @@ except ImportError:
 from repro.core.parallel import pin_blas_threads
 
 # Explicit thread ownership for honest timings: pin the BLAS/OpenMP
-# knobs before any repro import can pull numpy in (the multi-core
+# knobs before any other import (the multi-core
 # layer owns its parallelism -- see repro.core.parallel).
 pin_blas_threads()
 
-from repro.core import backends, parallel
+from repro.core import parallel
 from repro.eval import experiments
 
 BENCH_SCALE = float(os.environ.get("BENCH_SCALE", "0.5"))
@@ -93,7 +93,6 @@ def run_bench(scale: float = BENCH_SCALE, out_path: Path = OUT_PATH) -> dict:
         "scale": scale,
         "cpu_count": os.cpu_count(),
         "fork_available": parallel.fork_available(),
-        "numpy_available": backends.numpy_available(),
         "blas_pinned": parallel.blas_threads_pinned(),
     }
     payload.update(_grid_part(scale))

@@ -53,7 +53,7 @@ except ImportError:
 from repro.core.parallel import pin_blas_threads
 
 # Explicit thread ownership for honest timings: pin the BLAS/OpenMP
-# knobs before any repro import can pull numpy in (the multi-core
+# knobs before any other import (the multi-core
 # layer owns its parallelism -- see repro.core.parallel).
 pin_blas_threads()
 

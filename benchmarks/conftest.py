@@ -20,7 +20,7 @@ import os
 
 import pytest
 
-# Pin BLAS/OpenMP thread counts before any repro import can pull numpy
+# Pin BLAS/OpenMP thread counts before any import can pull a BLAS library
 # in: bench timings must not be skewed by library-level oversubscription
 # (the multi-core layer owns its parallelism explicitly — see
 # repro.core.parallel).  The import is deliberately placed ahead of
@@ -58,12 +58,12 @@ def pytest_addoption(parser):
 def _assert_blas_pinned():
     """Every bench test runs under an explicit BLAS/OpenMP thread pin.
 
-    The pin itself happens at module import above (before numpy loads);
+    The pin itself happens at module import above (before any other import);
     this just fails loudly if some future import shuffle drops it.
     """
     assert blas_threads_pinned(), (
         "BLAS/OpenMP thread knobs are unpinned — pin_blas_threads() must "
-        "run at benchmarks/conftest.py import, before numpy loads"
+        "run at benchmarks/conftest.py import, before any other import"
     )
     yield
 

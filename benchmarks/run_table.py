@@ -44,9 +44,6 @@ COLUMNS = (
     "engine_grid_ref_s",
     "engine_grid_fast_s",
     "engine_grid_speedup",
-    "engine_grid_vector_s",
-    "engine_grid_vector_speedup",
-    "engine_vector_obj_ratio",
     "delta_loop_full_s",
     "delta_loop_delta_s",
     "delta_loop_speedup",
@@ -112,11 +109,6 @@ def build_row(bench_dir: Path, commit: str, suffix: str = "") -> dict:
         "engine_grid_ref_s": engine.get("ref_seconds"),
         "engine_grid_fast_s": engine.get("fast_seconds"),
         "engine_grid_speedup": engine.get("speedup"),
-        # Schema-guarded: old BENCH_engine.json files predate the numpy
-        # tier and render as "-", as does a no-numpy regeneration.
-        "engine_grid_vector_s": engine.get("vector_seconds"),
-        "engine_grid_vector_speedup": engine.get("vector_speedup"),
-        "engine_vector_obj_ratio": engine.get("vector_objective_ratio_min"),
         "delta_loop_full_s": delta.get("full_loop_seconds"),
         "delta_loop_delta_s": delta.get("delta_loop_seconds"),
         "delta_loop_speedup": delta.get("speedup"),

@@ -140,14 +140,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--backend", choices=list(backends.names()), default="fast",
-        help="TxAllo engine backend, resolved through the strategy "
+        help="TxAllo engine backend, looked up in the strategy "
              "registry (repro.core.backends): 'fast' (flat-array CSR "
              "sweep engine) and 'reference' (dict-based executable "
              "spec) are byte-identical; 'turbo' (warm-started Louvain, "
-             "work-skipping sweeps) and 'vector' (numpy batched "
-             "sweeps, falls back to fast when numpy is absent) are "
-             "deterministic and objective-gated within the registry "
-             "tolerance (default fast)",
+             "work-skipping sweeps) is deterministic and "
+             "objective-gated within the registry tolerance "
+             "(default fast)",
     )
     parser.add_argument(
         "--workers", type=_positive_int, default=1,

@@ -72,10 +72,10 @@ def a_txallo(
     once — reading the rows from the graph's incrementally-maintained
     frozen CSR form — and sweeps on those (:mod:`repro.core.engine`),
     ``"reference"`` rescans the dict adjacency every sweep.  Both mutate
-    ``alloc`` byte-identically.  ``"turbo"`` and ``"vector"`` have no
-    adaptive-specific behaviour — A-TxAllo already touches only the
-    block frontier, where the flat engine is optimal — so both register
-    the fast kernel unchanged (and stay byte-identical here).
+    ``alloc`` byte-identically.  ``"turbo"`` has no adaptive-specific
+    behaviour — A-TxAllo already touches only the block frontier, where
+    the flat engine is optimal — so it registers the fast kernel
+    unchanged (and stays byte-identical here).
 
     ``workspace`` (an :class:`repro.core.engine.AdaptiveWorkspace`) makes
     consecutive flat-backend runs share one persistent neighbourhood
@@ -89,7 +89,7 @@ def a_txallo(
         epsilon = alloc.params.epsilon
     if backend is None:
         backend = alloc.params.backend
-    spec = backends.resolve_backend(backend)
+    spec = backends.get_backend(backend)
     new_nodes, swept, sweeps, moves, converged = spec.atxallo_kernel(
         alloc, touched, epsilon, workspace
     )

@@ -5,13 +5,12 @@ registry maps allocator *names* to allocator factories, this one maps
 ``TxAlloParams.backend`` names to a :class:`BackendSpec` declaring, per
 tier, the three kernels the allocation stack dispatches to — Louvain,
 the G-TxAllo sweep, the A-TxAllo sweep — together with the tier's parity
-contract and its availability predicate.  ``louvain_partition``,
-``g_txallo``, ``a_txallo``, ``TxAlloParams`` validation, the controller's
-workspace/warm-stats decisions, the CLI's ``--backend`` choices and the
-benchmarks all resolve backends through :func:`get_backend` /
-:func:`resolve_backend` instead of string-switching, so a new tier
-(numba, a C extension, ...) is one :func:`register_backend` call, not a
-multi-file surgery.
+contract.  ``louvain_partition``, ``g_txallo``, ``a_txallo``,
+``TxAlloParams`` validation, the controller's workspace/warm-stats
+decisions, the CLI's ``--backend`` choices and the benchmarks all look
+backends up through :func:`get_backend` instead of string-switching, so
+a new tier (numba, a C extension, ...) is one :func:`register_backend`
+call, not a multi-file surgery.
 
 Built-in tiers
 --------------
@@ -27,14 +26,8 @@ Built-in tiers
     **Objective-gated**: allowed to land on a different local optimum as
     long as its total capped throughput stays within
     :data:`OBJECTIVE_TOLERANCE` of the cold fast result.
-``vector``
-    numpy segment-op kernels over the CSR arrays
-    (:mod:`repro.core.vector`).  Objective-gated like turbo (float
-    summation order differs from the reference by construction), and
-    *optional*: numpy is the ``repro[vector]`` extra, and when the
-    import is unavailable the tier falls back to ``fast`` at resolve
-    time with a single warning (:func:`resolve_backend`).
 
+Every built-in tier is pure stdlib, so every tier is always available.
 Every tier runs A-TxAllo on a serial kernel: the adaptive sweeps touch
 only the accounts in new blocks, where the flat engine is already cheap.
 
@@ -56,8 +49,7 @@ eager kernel imports here would close the cycle.
 from __future__ import annotations
 
 import dataclasses
-import warnings
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 from repro.errors import ParameterError
 
@@ -74,32 +66,14 @@ BYTE_IDENTICAL = "byte_identical"
 OBJECTIVE_GATED = "objective_gated"
 
 
-def _always_available() -> bool:
-    return True
-
-
-def numpy_available() -> bool:
-    """True when ``import numpy`` succeeds — the vector tier's predicate."""
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
 @dataclasses.dataclass(frozen=True)
 class BackendSpec:
-    """One engine tier: its kernels, parity contract and availability.
+    """One engine tier: its kernels and parity contract.
 
     ``parity`` is :data:`BYTE_IDENTICAL` (the tier must reproduce the
     reference bit-for-bit; ``tolerance`` is 0) or
     :data:`OBJECTIVE_GATED` (the tier may land on a different local
     optimum, gated on total capped throughput within ``tolerance``).
-
-    ``available`` is checked by :func:`resolve_backend` before
-    dispatching; when it returns False the resolver walks ``fallback``
-    (warning once per process) instead of failing — optional-dependency
-    tiers degrade, they do not break the run.
 
     ``uses_workspace`` tells the controller the tier's A-TxAllo kernel
     runs on the flat engine and accepts an
@@ -115,27 +89,21 @@ class BackendSpec:
     gtxallo_kernel: Callable
     atxallo_kernel: Callable
     tolerance: float = 0.0
-    available: Callable[[], bool] = _always_available
-    fallback: Optional[str] = None
     uses_workspace: bool = False
     warm_louvain: bool = False
 
 
 _REGISTRY: Dict[str, BackendSpec] = {}
 
-#: Backend names that already warned about an unavailable tier this
-#: process — the fallback is taken silently afterwards.
-_FALLBACK_WARNED: set = set()
 
-
-def register_backend(spec: BackendSpec, *, overwrite: bool = False) -> BackendSpec:
+def register_backend(spec: BackendSpec) -> BackendSpec:
     """Register ``spec`` under ``spec.name``; returns it for chaining."""
     if spec.parity not in (BYTE_IDENTICAL, OBJECTIVE_GATED):
         raise ParameterError(
             f"backend parity must be {BYTE_IDENTICAL!r} or "
             f"{OBJECTIVE_GATED!r}, got {spec.parity!r}"
         )
-    if spec.name in _REGISTRY and not overwrite:
+    if spec.name in _REGISTRY:
         raise ParameterError(f"backend {spec.name!r} is already registered")
     _REGISTRY[spec.name] = spec
     return spec
@@ -144,7 +112,6 @@ def register_backend(spec: BackendSpec, *, overwrite: bool = False) -> BackendSp
 def unregister_backend(name: str) -> None:
     """Remove a backend (for tests registering throwaway tiers)."""
     _REGISTRY.pop(name, None)
-    _FALLBACK_WARNED.discard(name)
 
 
 def names() -> Tuple[str, ...]:
@@ -165,43 +132,6 @@ def get_backend(name: str) -> BackendSpec:
         raise ParameterError(
             f"unknown backend {name!r}, available: [{', '.join(names())}]"
         ) from None
-
-
-def resolve_backend(name: str) -> BackendSpec:
-    """Like :func:`get_backend`, but walks unavailable tiers' fallbacks.
-
-    An optional-dependency tier (``vector`` without numpy) resolves to
-    its declared fallback with one ``RuntimeWarning`` per process; a
-    tier that is unavailable *and* has no fallback raises.
-    """
-    spec = get_backend(name)
-    seen = set()
-    while not spec.available():
-        if spec.fallback is None:
-            raise ParameterError(
-                f"backend {spec.name!r} is unavailable and declares no fallback"
-            )
-        if spec.name in seen:
-            raise ParameterError(
-                f"backend fallback cycle at {spec.name!r}"
-            )
-        seen.add(spec.name)
-        if spec.name not in _FALLBACK_WARNED:
-            _FALLBACK_WARNED.add(spec.name)
-            warnings.warn(
-                f"backend {spec.name!r} is unavailable "
-                f"({spec.description.split(';')[0]}); falling back to "
-                f"{spec.fallback!r}",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        spec = get_backend(spec.fallback)
-    return spec
-
-
-def reset_fallback_warnings() -> None:
-    """Re-arm the once-per-process fallback warnings (tests only)."""
-    _FALLBACK_WARNED.clear()
 
 
 # ======================================================================
@@ -264,20 +194,6 @@ def _gtxallo_turbo(graph, params, initial_partition, node_order):
     )
 
 
-def _louvain_vector(graph, max_levels, resolution):
-    from repro.core.vector import louvain_vector
-
-    return louvain_vector(graph, max_levels=max_levels, resolution=resolution)
-
-
-def _gtxallo_vector(graph, params, initial_partition, node_order):
-    from repro.core.vector import g_txallo_vector
-
-    return g_txallo_vector(
-        graph, params, initial_partition=initial_partition, node_order=node_order
-    )
-
-
 register_backend(BackendSpec(
     name="fast",
     description="flat-array CSR sweep engine; byte-identical to the reference",
@@ -307,20 +223,4 @@ register_backend(BackendSpec(
     atxallo_kernel=_atxallo_flat,
     uses_workspace=True,
     warm_louvain=True,
-))
-
-register_backend(BackendSpec(
-    name="vector",
-    description="numpy segment-op kernels (requires the repro[vector] extra)",
-    parity=OBJECTIVE_GATED,
-    tolerance=OBJECTIVE_TOLERANCE,
-    available=numpy_available,
-    fallback="fast",
-    louvain_kernel=_louvain_vector,
-    gtxallo_kernel=_gtxallo_vector,
-    # A-TxAllo stays on the byte-identical flat kernel: the adaptive
-    # sweeps touch O(|V̂|) nodes, where the flat engine is already
-    # optimal and the AdaptiveWorkspace batching applies unchanged.
-    atxallo_kernel=_atxallo_flat,
-    uses_workspace=True,
 ))

@@ -108,7 +108,6 @@ class CSRGraph:
         "louvain_warm_memo",
         "intra_cut_warm_memo",
         "warm_seeds",
-        "vector_cache",
         "louvain_warm_hit",
         "_sorted_order",
         "_sorted_rank",
@@ -166,13 +165,6 @@ class CSRGraph:
         self.warm_seeds: Dict[
             Tuple[int, float], Tuple[List[int], set]
         ] = {}
-        # Scratch space of the numpy backend (repro.core.vector):
-        # zero-copy ndarray views over the stdlib arrays above plus the
-        # vector tier's own memos (symmetric edge list, Louvain
-        # membership).  Keyed and populated exclusively by that module;
-        # kept opaque here so this module stays numpy-free.  Like every
-        # memo it is per-snapshot — an extend() starts empty.
-        self.vector_cache: Dict[object, object] = {}
         # Set by the last warm Louvain request on this snapshot: True if
         # it ran from a seed, False if it fell back to a cold run, None
         # if none ran.  The controller's warm_stats counters read this.

@@ -25,17 +25,12 @@ reference    (anchor)            dict-based executable specification
 fast         byte_identical      this module; the default tier
 turbo        objective_gated     warm Louvain + work-skipping sweeps,
                                  within ``WARM_OBJECTIVE_TOLERANCE``
-vector       objective_gated     numpy segment ops
-                                 (:mod:`repro.core.vector`), same
-                                 tolerance; optional ``repro[vector]``
-                                 extra, falls back to ``fast`` with one
-                                 warning when numpy is unavailable
 ===========  ==================  =========================================
 
 ``byte_identical`` tiers must reproduce the reference bit-for-bit (the
 contract below); ``objective_gated`` tiers may land on a different
 deterministic local optimum, gated on total capped throughput.  The
-A-TxAllo kernel of *every* flat tier (fast/turbo/vector) is
+A-TxAllo kernel of *every* flat tier (fast/turbo) is
 :func:`a_txallo_flat` — adaptive sweeps touch O(|V̂|) nodes, where the
 flat engine is already optimal — so the adaptive path stays
 byte-identical across them.
@@ -157,7 +152,7 @@ from repro.errors import AllocationError, GraphError
 # reference modules (which import this engine only lazily, so there is
 # no cycle) — the backends cannot drift apart on convergence behaviour.
 
-#: Relative tolerance of the objective-gated tiers (turbo, vector): the
+#: Relative tolerance of the objective-gated tier (turbo): the
 #: tier's total capped throughput must satisfy
 #: ``tier >= (1 - WARM_OBJECTIVE_TOLERANCE) * fast`` on the same graph
 #: and parameters.  The canonical number lives on the backend registry

@@ -75,22 +75,19 @@ def g_txallo(
     sorted account order, mirroring the paper's hash-derived ordering.
 
     ``backend`` overrides ``params.backend`` and names a tier in the
-    engine-backend registry (:mod:`repro.core.backends`); unavailable
-    tiers resolve to their declared fallback.  ``"fast"`` runs the
-    flat-array sweep engine over the frozen CSR graph
+    engine-backend registry (:mod:`repro.core.backends`).  ``"fast"``
+    runs the flat-array sweep engine over the frozen CSR graph
     (:mod:`repro.core.engine`), ``"reference"`` the dict-based
     implementation in this module — byte-identical allocations, caches
     and sweep/move counts, pinned by ``tests/test_engine_parity.py``.
-    ``"turbo"`` (warm-started Louvain + work-skipping sweeps) and
-    ``"vector"`` (numpy batched sweeps, ``node_order`` ignored — the
-    synchronous sweeps have no visit order) may land on a different
-    local optimum; both are gated within
+    ``"turbo"`` (warm-started Louvain + work-skipping sweeps) may land
+    on a different local optimum, gated within
     :data:`repro.core.engine.WARM_OBJECTIVE_TOLERANCE` of the fast
     objective (see the engine module docstring for the full contract).
     """
     if backend is None:
         backend = params.backend
-    spec = backends.resolve_backend(backend)
+    spec = backends.get_backend(backend)
     alloc, num_louvain, num_small, sweeps, moves, t_init, t_opt = spec.gtxallo_kernel(
         graph, params, initial_partition, node_order
     )

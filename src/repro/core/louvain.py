@@ -45,19 +45,18 @@ def louvain_partition(
     plain modularity); ``max_levels`` bounds the aggregation recursion.
 
     ``backend`` names a tier in the engine-backend registry
-    (:mod:`repro.core.backends`); unavailable tiers resolve to their
-    declared fallback.  ``"fast"`` (the default) runs the flat-array
-    implementation over the frozen CSR graph (:mod:`repro.core.engine`)
-    and is bit-identical to ``"reference"``, the dict-based
-    implementation below (``tests/test_engine_parity.py`` pins it).
+    (:mod:`repro.core.backends`).  ``"fast"`` (the default) runs the
+    flat-array implementation over the frozen CSR graph
+    (:mod:`repro.core.engine`) and is bit-identical to ``"reference"``,
+    the dict-based implementation below (``tests/test_engine_parity.py``
+    pins it).
     ``"turbo"`` warm-starts level-0 local moving from the previous
     snapshot's partition (:func:`repro.core.engine.louvain_flat_warm`)
-    and ``"vector"`` runs synchronous numpy rounds
-    (:mod:`repro.core.vector`); both may return a *different* (still
-    deterministic) partition — the allocation built on top is gated on
-    the TxAllo objective instead of partition equality.
+    and may return a *different* (still deterministic) partition — the
+    allocation built on top is gated on the TxAllo objective instead of
+    partition equality.
     """
-    spec = backends.resolve_backend(backend)
+    spec = backends.get_backend(backend)
     return spec.louvain_kernel(graph, max_levels, resolution)
 
 

@@ -26,10 +26,11 @@ their own sequential loop and never reach :func:`run_grid`.
 BLAS/OpenMP pinning
 -------------------
 :func:`pin_blas_threads` pins the BLAS/OpenMP thread-count environment
-knobs (``OMP_NUM_THREADS`` etc.) so process-pool workers and numpy's
-own threading do not oversubscribe cores under the benches; every
-``benchmarks/bench_*.py`` calls it before numpy can load, and
-``benchmarks/conftest.py`` asserts the pin.
+knobs (``OMP_NUM_THREADS`` etc.) so process-pool workers do not
+oversubscribe cores through a BLAS library some other import pulls in
+under the benches; every ``benchmarks/bench_*.py`` calls it at the top of
+the module, and ``benchmarks/conftest.py`` asserts the pin.  The package
+itself is stdlib-only and never loads numpy.
 """
 
 from __future__ import annotations
@@ -54,10 +55,10 @@ BLAS_ENV_VARS = (
 def pin_blas_threads(count: int = 1) -> Dict[str, str]:
     """Pin BLAS/OpenMP thread counts via the standard environment knobs.
 
-    Must run before numpy first loads to be fully effective (the benches
-    call it at the top of the module, ahead of any ``repro`` import that
-    could pull the vector tier in).  Uses ``setdefault``, so explicit
-    user settings survive.  Returns the resulting pin map.
+    Must run before any BLAS library first loads to be fully effective
+    (the benches call it at the top of the module, ahead of every other
+    import).  Uses ``setdefault``, so explicit user settings survive.
+    Returns the resulting pin map.
     """
     value = str(int(count))
     for var in BLAS_ENV_VARS:

@@ -22,12 +22,11 @@ One implementation knob rides along:
   executable specification — the two produce byte-identical allocations
   (pinned by the engine parity tests), so the switch only trades speed
   for readability/debuggability.  ``"turbo"`` (warm-started Louvain +
-  work-skipping sweeps) and ``"vector"`` (numpy segment-op kernels,
-  falls back to ``"fast"`` when numpy is not installed) may produce a
-  *different* (still deterministic) allocation, whose TxAllo objective
-  is gated within :data:`repro.core.engine.WARM_OBJECTIVE_TOLERANCE`
-  of the fast/reference result — see :mod:`repro.core.engine` for the
-  exact contract.
+  work-skipping sweeps) may produce a *different* (still deterministic)
+  allocation, whose TxAllo objective is gated within
+  :data:`repro.core.engine.WARM_OBJECTIVE_TOLERANCE` of the
+  fast/reference result — see :mod:`repro.core.engine` for the exact
+  contract.
 """
 
 from __future__ import annotations
@@ -82,9 +81,7 @@ class TxAlloParams:
                 f"global period tau2 ({self.tau2})"
             )
         # Registry lookup raises the canonical "unknown backend ...,
-        # available: [...]" ParameterError; availability is *not*
-        # checked here — a params object naming an optional tier stays
-        # valid, and dispatch resolves the fallback.
+        # available: [...]" ParameterError.
         _backends.get_backend(self.backend)
 
     @classmethod

@@ -12,13 +12,12 @@ Two operational needs around the paper's determinism argument
   equal allocations give equal digests on every machine.
 
 Checkpoints record ``params.backend`` verbatim — any name in the engine
-backend registry (:mod:`repro.core.backends`) round-trips, including
-optional tiers like ``"vector"`` whose dependency may be absent on the
-reloading machine (resolution falls back at dispatch time, not here).  A
-checkpoint naming a backend this build does *not* register fails
-parameter validation inside :func:`load_allocation` and therefore
-surfaces as :class:`~repro.errors.DataError` (malformed checkpoint), the
-same as any other bad field.
+backend registry (:mod:`repro.core.backends`) round-trips.  A checkpoint
+naming a backend this build does *not* register — including a retired
+tier such as ``parallel`` or ``vector`` — fails parameter validation
+inside :func:`load_allocation` and therefore surfaces as
+:class:`~repro.errors.DataError` (malformed checkpoint), the same as any
+other bad field.
 """
 
 from __future__ import annotations

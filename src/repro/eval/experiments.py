@@ -261,11 +261,9 @@ def sweep(
     (:mod:`repro.core.backends`); with ``"fast"`` the whole grid shares
     one frozen CSR graph and one memoised Louvain partition, which is
     where most of the engine's end-to-end win comes from.
-    ``"reference"`` is byte-identical to ``"fast"``; ``"turbo"`` and
-    ``"vector"`` (the optional numpy tier — it amortises the same frozen
-    CSR and adds batched sweeps at large N, falling back to ``"fast"``
-    when numpy is absent) may shift TxAllo's cells within the registry's
-    documented objective tolerance.
+    ``"reference"`` is byte-identical to ``"fast"``; ``"turbo"`` may
+    shift TxAllo's cells within the registry's documented objective
+    tolerance.
 
     ``workers > 1`` fans the independent cells out to a process pool
     (:func:`repro.core.parallel.run_grid`) with the shared freeze,

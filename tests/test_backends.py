@@ -1,21 +1,25 @@
 """Engine-backend strategy registry (repro.core.backends).
 
-Covers the registry's four jobs end to end: the one canonical
-unknown-backend error shared by every dispatch surface, checkpoint
-round-trips carrying backend names (including unregistered ones
-degrading to DataError), the optional-dependency fallback walk when
-numpy is absent, extensibility (a throwaway extra tier dispatching
-through the same public entry points), and the numpy vector tier's
-objective-gated contract against the fast backend.
+Covers the registry's jobs end to end: the one canonical
+unknown-backend error shared by every dispatch surface (retired tiers
+included), checkpoint round-trips carrying backend names (unregistered
+ones degrading to DataError), extensibility (a throwaway extra tier
+dispatching through the same public entry points), the parity contract
+each tier declares, and the stdlib-only runtime contract every built-in
+tier keeps.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import pathlib
+import random
 import re
+import subprocess
 import sys
-import warnings
+import textwrap
 
 import pytest
 
@@ -28,7 +32,10 @@ from repro.core.persistence import load_allocation, save_allocation
 from repro.errors import DataError, ParameterError
 from tests.conftest import make_random_graph
 
-HAVE_NUMPY = backends.numpy_available()
+#: Tiers this build no longer registers; their names must stay unknown.
+RETIRED_TIERS = ("parallel", "vector")
+
+SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def _canonical_unknown(name):
@@ -38,7 +45,7 @@ def _canonical_unknown(name):
 
 
 def test_built_in_tiers_in_registration_order():
-    assert backends.names() == ("fast", "reference", "turbo", "vector")
+    assert backends.names() == ("fast", "reference", "turbo")
     fields = {f.name for f in dataclasses.fields(TxAlloParams)}
     assert "workers" not in fields
 
@@ -72,25 +79,27 @@ class TestCanonicalUnknownBackendError:
         with pytest.raises(ParameterError, match=_canonical_unknown("warp")):
             backends.get_backend("warp")
 
-    def test_retired_parallel_tier_is_unknown(self):
-        with pytest.raises(ParameterError, match=_canonical_unknown("parallel")):
-            backends.get_backend("parallel")
-        with pytest.raises(ParameterError, match=_canonical_unknown("parallel")):
-            TxAlloParams(k=2, backend="parallel")
+    @pytest.mark.parametrize("name", RETIRED_TIERS)
+    def test_retired_tier_is_unknown(self, name):
+        with pytest.raises(ParameterError, match=_canonical_unknown(name)):
+            backends.get_backend(name)
+        with pytest.raises(ParameterError, match=_canonical_unknown(name)):
+            TxAlloParams(k=2, backend=name)
 
 
 class TestPersistenceRoundTrip:
     """Satellite 2: backend names survive checkpoints; junk degrades."""
 
-    def test_vector_backend_round_trips(self, tmp_path):
+    @pytest.mark.parametrize("name", backends.names())
+    def test_backend_round_trips(self, tmp_path, name):
         g = make_random_graph(seed=11)
-        params = TxAlloParams.with_capacity_for(400, k=4, backend="vector")
-        mapping = g_txallo(g, params, backend="fast").allocation.mapping()
+        params = TxAlloParams.with_capacity_for(400, k=4, backend=name)
+        mapping = g_txallo(g, params).allocation.mapping()
         path = tmp_path / "ckpt.json"
         save_allocation(path, mapping, params, block_height=7)
         loaded_mapping, loaded_params, height = load_allocation(path)
         assert loaded_mapping == mapping
-        assert loaded_params.backend == "vector"
+        assert loaded_params == params
         assert height == 7
 
     def test_unregistered_backend_raises_dataerror(self, tmp_path):
@@ -107,77 +116,23 @@ class TestPersistenceRoundTrip:
         with pytest.raises(DataError, match="malformed checkpoint"):
             load_allocation(path)
 
-    def test_retired_parallel_backend_raises_dataerror(self, tmp_path):
-        """Checkpoints written by the retired shard-parallel tier name a
-        backend this build no longer registers: malformed data."""
+    @pytest.mark.parametrize("name", RETIRED_TIERS)
+    def test_retired_backend_raises_dataerror(self, tmp_path, name):
+        """Checkpoints written by a retired tier name a backend this
+        build no longer registers: malformed data."""
         g = make_random_graph(seed=11)
         params = TxAlloParams.with_capacity_for(400, k=4)
         mapping = g_txallo(g, params).allocation.mapping()
         path = tmp_path / "ckpt.json"
         save_allocation(path, mapping, params)
         payload = json.loads(path.read_text())
-        payload["params"]["backend"] = "parallel"
-        payload["params"]["workers"] = 4
+        payload["params"]["backend"] = name
+        if name == "parallel":
+            # The shard-parallel tier's checkpoints carried its pool size.
+            payload["params"]["workers"] = 4
         path.write_text(json.dumps(payload))
         with pytest.raises(DataError, match="malformed checkpoint"):
             load_allocation(path)
-
-
-class TestNumpyAbsentFallback:
-    """Satellite 3: without numpy the vector tier degrades to fast."""
-
-    @pytest.fixture
-    def no_numpy(self, monkeypatch):
-        # None in sys.modules makes ``import numpy`` raise ImportError,
-        # which is exactly what the availability predicate probes.
-        monkeypatch.setitem(sys.modules, "numpy", None)
-        backends.reset_fallback_warnings()
-        yield
-        backends.reset_fallback_warnings()
-
-    def test_resolves_to_fast_with_one_warning(self, no_numpy):
-        assert not backends.numpy_available()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            spec = backends.resolve_backend("vector")
-            again = backends.resolve_backend("vector")
-        assert spec.name == "fast"
-        assert again.name == "fast"
-        fallback_warnings = [
-            w for w in caught if issubclass(w.category, RuntimeWarning)
-        ]
-        assert len(fallback_warnings) == 1, "fallback must warn exactly once"
-        assert "falling back to 'fast'" in str(fallback_warnings[0].message)
-
-    def test_results_identical_to_fast(self, no_numpy):
-        g_vec = make_random_graph(seed=21)
-        g_fast = make_random_graph(seed=21)
-        params = TxAlloParams.with_capacity_for(400, k=4, backend="vector")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            vec = g_txallo(g_vec, params)
-        fast = g_txallo(g_fast, params, backend="fast")
-        assert vec.allocation.mapping() == fast.allocation.mapping()
-        assert vec.allocation.sigma == fast.allocation.sigma
-        assert vec.allocation.lam_hat == fast.allocation.lam_hat
-        assert (vec.sweeps, vec.moves) == (fast.sweeps, fast.moves)
-
-    def test_unavailable_without_fallback_raises(self):
-        spec = backends.BackendSpec(
-            name="doomed",
-            description="always unavailable, no fallback",
-            parity=backends.BYTE_IDENTICAL,
-            louvain_kernel=lambda *a: None,
-            gtxallo_kernel=lambda *a: None,
-            atxallo_kernel=lambda *a: None,
-            available=lambda: False,
-        )
-        backends.register_backend(spec)
-        try:
-            with pytest.raises(ParameterError, match="declares no fallback"):
-                backends.resolve_backend("doomed")
-        finally:
-            backends.unregister_backend("doomed")
 
 
 class TestRegistryExtensibility:
@@ -247,68 +202,70 @@ class TestRegistryExtensibility:
             ))
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable (repro[vector])")
-class TestVectorBackend:
-    """The numpy tier's objective-gated contract on the true vector path."""
+def _refresh_after_ingest(backend, seed, k, eta):
+    """A cold G-TxAllo, a small ingest, then the refresh under test (on
+    ``turbo`` it runs warm when the ingest frontier is small enough)."""
+    graph = make_random_graph(num_accounts=150, num_transactions=900, seed=seed)
+    params = TxAlloParams.with_capacity_for(900, k=k, eta=eta, backend=backend)
+    g_txallo(graph, params)
+    rng = random.Random(seed)
+    nodes = sorted(graph.nodes())
+    for i in range(12):
+        accounts = rng.sample(nodes, 2) if i % 4 else [f"new{i}", rng.choice(nodes)]
+        graph.add_transaction(accounts)
+    graph.freeze()
+    return g_txallo(graph, params)
 
-    @pytest.fixture(autouse=True)
-    def force_vector_path(self, monkeypatch):
-        # Below the crossover the vector tier delegates wholesale to the
-        # flat engine; pin it to 0 so these small graphs exercise the
-        # batched numpy sweeps themselves.
-        import repro.core.vector as vector
 
-        monkeypatch.setattr(vector, "MIN_VECTOR_NODES", 0)
+class TestDeclaredContracts:
+    """Every registered tier keeps the parity contract its spec declares,
+    measured against ``fast`` on an identical history."""
 
     @pytest.mark.parametrize("seed", (3, 8, 11, 21))
     @pytest.mark.parametrize("k,eta", ((2, 2.0), (4, 2.0), (6, 6.0)))
-    def test_objective_within_tolerance_of_fast(self, seed, k, eta):
-        g_vec = make_random_graph(seed=seed)
-        g_fast = make_random_graph(seed=seed)
-        params = TxAlloParams.with_capacity_for(400, k=k, eta=eta, backend="vector")
-        vec = g_txallo(g_vec, params)
-        fast = g_txallo(g_fast, params, backend="fast")
-        tolerance = backends.get_backend("vector").tolerance
-        assert vec.allocation.total_throughput() >= (
-            (1.0 - tolerance) * fast.allocation.total_throughput()
-        )
+    @pytest.mark.parametrize("name", [n for n in backends.names() if n != "fast"])
+    def test_refresh_meets_declared_parity(self, name, k, eta, seed):
+        spec = backends.get_backend(name)
+        tier = _refresh_after_ingest(name, seed, k, eta)
+        fast = _refresh_after_ingest("fast", seed, k, eta)
+        tier.allocation.validate(check_caches=True)
+        if spec.parity == backends.BYTE_IDENTICAL:
+            assert tier.allocation.mapping() == fast.allocation.mapping()
+            assert tier.allocation.sigma == fast.allocation.sigma
+            assert tier.allocation.lam_hat == fast.allocation.lam_hat
+            assert (tier.sweeps, tier.moves) == (fast.sweeps, fast.moves)
+        else:
+            assert tier.allocation.total_throughput() >= (
+                (1.0 - spec.tolerance) * fast.allocation.total_throughput()
+            )
 
-    def test_deterministic(self):
-        runs = []
-        for _ in range(2):
-            g = make_random_graph(seed=11)
-            params = TxAlloParams.with_capacity_for(400, k=4, backend="vector")
-            runs.append(g_txallo(g, params))
+    @pytest.mark.parametrize("name", backends.names())
+    def test_deterministic_with_exact_caches(self, name):
+        runs = [_refresh_after_ingest(name, 11, 4, 2.0) for _ in range(2)]
+        runs[0].allocation.validate(check_caches=True)
         assert runs[0].allocation.mapping() == runs[1].allocation.mapping()
         assert runs[0].allocation.sigma == runs[1].allocation.sigma
         assert (runs[0].sweeps, runs[0].moves) == (runs[1].sweeps, runs[1].moves)
 
-    def test_caches_exact(self):
-        g = make_random_graph(seed=3)
-        params = TxAlloParams.with_capacity_for(400, k=4, backend="vector")
-        alloc = g_txallo(g, params).allocation
-        alloc.validate(check_caches=True)
-
-    def test_louvain_vector_is_a_valid_partition(self):
+    @pytest.mark.parametrize("name", backends.names())
+    def test_louvain_is_a_dense_partition(self, name):
         g = make_random_graph(seed=8)
-        part = louvain_partition(g, backend="vector")
+        part = louvain_partition(g, backend=name)
         assert set(part) == set(g.nodes())
         labels = sorted(set(part.values()))
         assert labels == list(range(len(labels)))
-        assert part == louvain_partition(g, backend="vector")
+        assert part == louvain_partition(g, backend=name)
 
-    def test_atxallo_byte_identical_to_fast(self):
-        """The vector tier registers the flat A-TxAllo kernel: given the
-        same allocation, adaptive sweeps match the fast backend exactly."""
-        import random
-
+    @pytest.mark.parametrize("name", [n for n in backends.names() if n != "fast"])
+    def test_a_txallo_byte_identical_to_fast(self, name):
+        """A-TxAllo is byte-identical on every tier: given the same
+        allocation and block window, the sweep matches ``fast`` exactly."""
         results = {}
-        for backend in ("fast", "vector"):
+        for backend in ("fast", name):
             g = make_random_graph(seed=7)
-            params = TxAlloParams.with_capacity_for(400, k=4, backend="fast")
-            alloc = g_txallo(g, params).allocation
+            alloc = g_txallo(g, TxAlloParams.with_capacity_for(400, k=4)).allocation
             rng = random.Random(7)
-            nodes = list(g.nodes())
+            nodes = sorted(g.nodes())
             txs = [tuple(rng.sample(nodes, 2)) for _ in range(40)]
             txs += [(f"new_{i}", rng.choice(nodes)) for i in range(5)]
             touched = set()
@@ -324,23 +281,46 @@ class TestVectorBackend:
                 alloc.lam_hat,
                 (result.new_nodes, result.swept_nodes, result.sweeps, result.moves),
             )
-        assert results["fast"] == results["vector"]
+        assert results[name] == results["fast"]
 
-    def test_controller_runs_on_vector_backend(self):
-        import random
 
-        from repro.core.controller import TxAlloController
+_STDLIB_PROBE = textwrap.dedent(
+    """
+    import importlib
+    import pkgutil
+    import sys
 
-        rng = random.Random(5)
-        accounts = [f"acc{i:03d}" for i in range(40)]
-        seed_txs = [tuple(rng.sample(accounts, 2)) for _ in range(120)]
-        params = TxAlloParams.with_capacity_for(
-            200, k=3, backend="vector", tau1=2, tau2=4
-        )
-        controller = TxAlloController(params, seed_transactions=seed_txs)
-        for _ in range(5):
-            block = [tuple(rng.sample(accounts, 2)) for _ in range(10)]
-            controller.observe_block(block)
-        controller.allocation.validate(check_caches=True)
-        assert controller.adaptive_events, "tau1 cadence never fired"
-        assert controller.global_events, "tau2 cadence never fired"
+    import repro
+    from repro.core import backends
+    from repro.core.graph import TransactionGraph
+    from repro.core.gtxallo import g_txallo
+    from repro.core.params import TxAlloParams
+
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        importlib.import_module(info.name)
+    txs = [(f"a{i}", f"a{(i * 7 + 3) % 30}") for i in range(120)]
+    for name in backends.names():
+        graph = TransactionGraph()
+        graph.add_transactions(txs)
+        params = TxAlloParams.with_capacity_for(len(txs), k=3, backend=name)
+        g_txallo(graph, params).allocation.validate(check_caches=True)
+        print(name)
+    assert "numpy" not in sys.modules, "numpy was imported"
+    """
+)
+
+
+def test_every_module_and_tier_runs_without_numpy():
+    """The runtime is stdlib-only: importing every ``repro`` submodule and
+    running G-TxAllo on every registered tier never loads numpy."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC_DIR), env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", _STDLIB_PROBE],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == list(backends.names())

@@ -31,7 +31,6 @@ import pytest
 
 BENCH_DIR = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
 BENCH_PATH = BENCH_DIR / "BENCH_engine.json"
-SCALE2_PATH = BENCH_DIR / "BENCH_engine.scale2.json"
 LOUVAIN_PATH = BENCH_DIR / "BENCH_louvain.json"
 ADAPTIVE_PATH = BENCH_DIR / "BENCH_adaptive.json"
 RESILIENCE_PATH = BENCH_DIR / "BENCH_resilience.json"
@@ -40,9 +39,6 @@ PARALLEL_SCALE2_PATH = BENCH_DIR / "BENCH_parallel.scale2.json"
 MATRIX_PATH = BENCH_DIR / "BENCH_matrix.json"
 
 GRID_SPEEDUP_GATE = 3.0
-VECTOR_GRID_GATE = 3.0
-VECTOR_COLD_GATE = 1.0
-VECTOR_OBJECTIVE_TOLERANCE = 0.02
 WARM_REFRESH_GATE = 2.0
 ADAPTIVE_LOOP_GATE = 1.3
 TPS_RETENTION_GATE = 0.7
@@ -87,55 +83,9 @@ def test_engine_run_table_schema():
         "grid_etas",
         "ref_seconds",
         "fast_seconds",
-        "vector_seconds",
-        "vector_speedup",
-        "vector_objective_ratio_min",
-        "single_vector_cold_seconds",
     ):
         assert key in payload, key
     assert payload["fast_seconds"] > 0.0
-
-
-def _load_scale2():
-    if not SCALE2_PATH.exists():
-        pytest.skip(
-            "benchmarks/BENCH_engine.scale2.json absent; run "
-            "benchmarks/bench_engine_speedup.py --scale 2 "
-            "--out benchmarks/BENCH_engine.scale2.json to regenerate"
-        )
-    return json.loads(SCALE2_PATH.read_text())
-
-
-def test_vector_scale2_grid_speedup_gate():
-    """The numpy tier's reason to exist: >= 3x on the large-N grid."""
-    payload = _load_scale2()
-    if payload.get("vector_seconds") is None:
-        pytest.skip("scale-2 run table was produced without numpy")
-    assert payload["vector_speedup"] >= VECTOR_GRID_GATE, (
-        f"vector grid speedup {payload['vector_speedup']:.2f}x at scale 2 fell "
-        f"below the {VECTOR_GRID_GATE}x gate; rerun "
-        "benchmarks/bench_engine_speedup.py --scale 2 and investigate"
-    )
-
-
-def test_vector_scale2_cold_single_gate():
-    payload = _load_scale2()
-    if payload.get("single_vector_cold_seconds") is None:
-        pytest.skip("scale-2 run table was produced without numpy")
-    assert payload["single_vector_cold_speedup"] >= VECTOR_COLD_GATE, (
-        f"cold single vector g_txallo {payload['single_vector_cold_speedup']:.2f}x "
-        f"vs reference fell below {VECTOR_COLD_GATE}x at scale 2"
-    )
-
-
-def test_vector_scale2_objective_within_tolerance():
-    payload = _load_scale2()
-    if payload.get("vector_objective_ratio_min") is None:
-        pytest.skip("scale-2 run table was produced without numpy")
-    assert payload["vector_objective_ratio_min"] >= 1.0 - VECTOR_OBJECTIVE_TOLERANCE, (
-        f"vector objective ratio {payload['vector_objective_ratio_min']:.4f} "
-        f"drifted more than {VECTOR_OBJECTIVE_TOLERANCE} below the fast backend"
-    )
 
 
 def test_warm_refresh_speedup_gate():

@@ -3,7 +3,6 @@
 
 import pytest
 
-from repro.core import backends
 from repro.core import controller as controller_module
 from repro.core.controller import TxAlloController
 from repro.core.graph import TransactionGraph
@@ -259,16 +258,7 @@ class TestAdaptiveExceptionSafety:
 #: ``workspace_stats`` of a controller without a workspace.
 WORKSPACE_OFF = {"rebuilds": 0, "reseats": 0, "extends": 0, "runs": 0}
 
-WORKSPACE_BACKENDS = [
-    "fast",
-    "turbo",
-    pytest.param(
-        "vector",
-        marks=pytest.mark.skipif(
-            not backends.numpy_available(), reason="vector tier needs numpy"
-        ),
-    ),
-]
+WORKSPACE_BACKENDS = ["fast", "turbo"]
 
 
 class TestAdaptiveWorkspace:

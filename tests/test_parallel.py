@@ -21,15 +21,13 @@ import random
 import pytest
 
 from repro import allocators
-from repro.core import backends, parallel
+from repro.core import parallel
 from repro.core.allocation import Allocation
 from repro.core.atxallo import a_txallo
 from repro.core.gtxallo import g_txallo
 from repro.core.params import TxAlloParams
 from repro.eval import experiments
 from tests.conftest import make_random_graph
-
-NUMPY = backends.numpy_available()
 
 
 @pytest.fixture(scope="module")
@@ -43,11 +41,7 @@ def small_workload():
 class TestGridParity:
     GRID = dict(ks=(2, 6), etas=(2.0, 6.0), methods=("txallo", "metis", "random"))
 
-    @pytest.mark.parametrize(
-        "backend",
-        ["fast", "reference", "turbo"]
-        + (["vector"] if NUMPY else []),
-    )
+    @pytest.mark.parametrize("backend", ["fast", "reference", "turbo"])
     def test_grid_records_identical_across_worker_counts(
         self, small_workload, backend
     ):
@@ -187,9 +181,7 @@ class TestSharedStateComputedOnce:
 # ----------------------------------------------------------------------
 # Serial A-TxAllo on an adversarially overlapping window
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize(
-    "backend", ["fast", "reference", "turbo"] + (["vector"] if NUMPY else [])
-)
+@pytest.mark.parametrize("backend", ["fast", "reference", "turbo"])
 def test_adversarially_overlapping_window_keeps_caches_exact(backend):
     """Every touched node neighbours every other (one dense clique
     spanning the shards): the sweep must still leave an exact,
