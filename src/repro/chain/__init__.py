@@ -11,7 +11,7 @@ from repro.chain.faults import (
     with_faults,
 )
 from repro.chain.live import LiveReport, LiveShardedNetwork, TickStats
-from repro.chain.shard import ProcessedItem, ShardState, WorkItem
+from repro.chain.shard import ShardState, WorkItem
 from repro.chain.simulator import (
     ShardedChainSimulator,
     SimulationReport,
@@ -32,7 +32,6 @@ __all__ = [
     "LiveReport",
     "LiveShardedNetwork",
     "TickStats",
-    "ProcessedItem",
     "ShardState",
     "ShardedChainSimulator",
     "SimulationReport",

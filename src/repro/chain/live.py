@@ -53,7 +53,17 @@ from __future__ import annotations
 
 import collections
 import dataclasses
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Union,
+)
 
 from repro.chain.shard import ShardState
 from repro.chain.types import Transaction
@@ -152,49 +162,20 @@ class LiveShardedNetwork:
             ShardState(i, params.lam) for i in range(params.k)
         ]
         self.now = 0
-        self._seq = 0  # unique arrival ids: identical transfers repeat in
-        self._pending_completions: Dict[str, int] = {}
-        self._tx_enqueued_at: Dict[str, int] = {}
+        # Completion tracking keys each arrival by its arrival number
+        # (so ``_seq`` also counts arrivals), not by its tx_id: identical
+        # transfers share a content-derived tx_id.  The value is the
+        # number of shards still holding a slice.
+        self._seq = 0
+        self._pending_completions: Dict[int, int] = {}
         # Latency histogram (latency -> commits): bounded by the longest
         # latency seen rather than the commit count, and exact for the
         # mean and p99 since latencies are ints.
         self._latencies: collections.Counter = collections.Counter()
-        self._committed = 0
-        self._arrived = 0
         self._cross_arrived = 0
         self._degraded_ticks = 0
         self._dropped_malformed = 0
         self.ticks: List[TickStats] = []
-
-    # ------------------------------------------------------------------
-    def _shard_of(self, account: str) -> int:
-        return self.allocator.shard_of(account)
-
-    def _route(self, tx: Transaction) -> int:
-        """Enqueue one arrival on its involved shards; returns ``m``.
-
-        The returned shard count is the routing decision actually taken,
-        so per-tick cross-shard stats come from here instead of a second
-        round of ``shard_of`` queries after the fact.
-        """
-        involved = sorted({self._shard_of(a) for a in tx.accounts})
-        m = len(involved)
-        self._arrived += 1
-        if m > 1:
-            self._cross_arrived += 1
-        cost = 1.0 if m == 1 else self.params.eta
-        share = 1.0 / m
-        # Identical transfers share a content-derived tx_id; completion
-        # tracking needs a unique id per *arrival*, so re-stamp.
-        unique = Transaction(
-            inputs=tx.inputs, outputs=tx.outputs, tx_id=f"{tx.tx_id}#{self._seq}"
-        )
-        self._seq += 1
-        self._pending_completions[unique.tx_id] = m
-        self._tx_enqueued_at[unique.tx_id] = self.now
-        for shard in involved:
-            self.shards[shard].enqueue(unique, cost=cost, share=share, now=self.now)
-        return m
 
     # ------------------------------------------------------------------
     def tick(self, incoming: Iterable[Transaction]) -> TickStats:
@@ -206,11 +187,14 @@ class LiveShardedNetwork:
 
         # Delivery validation: malformed objects are dropped with a
         # counter — they reach neither the allocator nor a shard queue.
-        valid: List[Transaction] = []
+        # Each valid arrival's account set is built once, here, and serves
+        # both the allocator and routing.
+        arrivals: List[FrozenSet[str]] = []
         dropped_now = 0
         for tx in incoming:
-            if isinstance(tx, Transaction) and tx.accounts:
-                valid.append(tx)
+            accounts = tx.accounts if isinstance(tx, Transaction) else None
+            if accounts:
+                arrivals.append(accounts)
             else:
                 dropped_now += 1
         self._dropped_malformed += dropped_now
@@ -218,51 +202,66 @@ class LiveShardedNetwork:
         # The allocator learns about the block *and* may update the
         # allocation; routing below uses the updated mapping (the paper
         # applies a fresh mapping from the next block onward).
-        event = self.allocator.observe_block(
-            [tuple(tx.accounts) for tx in valid]
-        )
+        event = self.allocator.observe_block([tuple(accounts) for accounts in arrivals])
         update = event.kind if event is not None else None
 
-        # Routing records the cross-shard decision as it is taken —
-        # one shard_of pass per account, and the stat cannot drift from
-        # the queues it describes.
+        # Routing enqueues one slice per involved shard and records the
+        # cross-shard decision as it is taken — one shard_of call per
+        # account, and the stat cannot drift from the queues it describes.
+        # Slices of one arrival go to distinct shards, so the order they
+        # are queued in does not matter.
+        now = self.now
+        shard_of = self.allocator.shard_of
+        shards = self.shards
+        pending = self._pending_completions
+        eta = self.params.eta
         cross_now = 0
-        for tx in valid:
-            if self._route(tx) > 1:
+        for accounts in arrivals:
+            involved = {shard_of(account) for account in accounts}
+            m = len(involved)
+            if m == 1:
+                cost = share = 1.0
+            else:
                 cross_now += 1
+                cost = eta
+                share = 1.0 / m
+            seq = self._seq
+            self._seq = seq + 1
+            pending[seq] = m
+            for shard in involved:
+                shards[shard].enqueue(seq, cost, share, now)
+        self._cross_arrived += cross_now
 
+        latencies = self._latencies
         committed_now = 0
         stalled_now = 0
-        for shard in self.shards:
-            if plan is not None and plan.stalled(shard.shard_id, self.now):
+        for shard in shards:
+            if plan is not None and plan.stalled(shard.shard_id, now):
                 # The shard processes zero capacity this tick; its queue
                 # accrues and drains at normal capacity once the stall
                 # window ends.
                 stalled_now += 1
                 continue
-            for done in shard.step(now=self.now):
-                tx_id = done.item.tx.tx_id
-                remaining = self._pending_completions.get(tx_id)
+            for seq, _, _, enqueued_at in shard.step(now=now):
+                remaining = pending.get(seq)
                 if remaining is None:
-                    raise SimulationError(f"completion for unknown tx {tx_id}")
+                    raise SimulationError(f"completion for unknown tx {seq!r}")
                 if remaining == 1:
-                    del self._pending_completions[tx_id]
-                    latency = self.now - self._tx_enqueued_at.pop(tx_id) + 1
-                    self._latencies[latency] += 1
-                    self._committed += 1
+                    del pending[seq]
+                    latencies[now - enqueued_at + 1] += 1
                     committed_now += 1
                 else:
-                    self._pending_completions[tx_id] = remaining - 1
+                    pending[seq] = remaining - 1
 
         degraded = bool(self.allocator.degraded)
         if degraded:
             self._degraded_ticks += 1
         stats = TickStats(
-            tick=self.now,
-            arrived=len(valid),
+            tick=now,
+            arrived=len(arrivals),
             committed=committed_now,
             cross_shard_arrived=cross_now,
-            backlog_workload=sum(s.backlog_workload for s in self.shards),
+            backlog_workload=sum(s.backlog_workload for s in shards),
             allocation_update=update,
             degraded=degraded,
             stalled_shards=stalled_now,
@@ -295,12 +294,12 @@ class LiveShardedNetwork:
     # ------------------------------------------------------------------
     def report(self) -> LiveReport:
         histogram = sorted(self._latencies.items())
-        n = sum(count for _, count in histogram)
-        mean = sum(lat * count for lat, count in histogram) / n if n else 0.0
-        # The p99 is the nearest-rank entry sorted[int(0.99 * (n - 1))] of
+        committed = sum(count for _, count in histogram)
+        mean = sum(lat * count for lat, count in histogram) / committed if committed else 0.0
+        # The p99 is the nearest-rank entry sorted[int(0.99 * (committed - 1))] of
         # the (virtual) sorted latency list.
         p99 = 0
-        rank = int(0.99 * (n - 1))
+        rank = int(0.99 * (committed - 1))
         for latency, count in histogram:
             p99 = latency
             rank -= count
@@ -309,12 +308,12 @@ class LiveShardedNetwork:
         resilience = self.allocator.resilience_stats
         return LiveReport(
             ticks=list(self.ticks),
-            committed=self._committed,
-            arrived=self._arrived,
+            committed=committed,
+            arrived=self._seq,
             mean_latency=mean,
             p99_latency=p99,
             cross_shard_ratio=(
-                self._cross_arrived / self._arrived if self._arrived else 0.0
+                self._cross_arrived / self._seq if self._seq else 0.0
             ),
             freeze_stats=self.allocator.freeze_stats,
             degraded_ticks=self._degraded_ticks,

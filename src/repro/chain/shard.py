@@ -6,6 +6,12 @@ transactions appear as work items in *every* involved shard, each
 costing ``η`` workload but contributing only ``1/μ(Tx)`` throughput —
 the paper's no-double-counting rule.
 
+A work item carries an opaque hashable ``key`` naming what it is a slice
+of: the simulator passes the :class:`~repro.chain.types.Transaction`
+itself, the live network its integer arrival number.  :meth:`ShardState.step`
+hands completed items back as they were queued; their completion time
+is the ``now`` the caller passed in.
+
 Every per-tick read is O(1): :attr:`ShardState.backlog_workload` comes
 from a running sum of queued cost kept by ``enqueue`` and ``step`` (reset
 to exactly ``0.0`` whenever the queue drains, so float dust from
@@ -17,34 +23,18 @@ items are folded into counters (``processed_count``, ``latency_sum``,
 from __future__ import annotations
 
 import collections
-import dataclasses
-from typing import Deque, List
+from typing import Deque, Hashable, List, NamedTuple
 
-from repro.chain.types import Transaction
 from repro.errors import SimulationError
 
 
-@dataclasses.dataclass(frozen=True)
-class WorkItem:
+class WorkItem(NamedTuple):
     """One transaction's slice of work inside one shard."""
 
-    tx: Transaction
+    key: Hashable      # what the slice belongs to; see the module docstring
     cost: float        # 1 for intra-shard, eta for cross-shard
     share: float       # throughput credit: 1/mu(tx)
     enqueued_at: int   # time unit of arrival
-
-
-@dataclasses.dataclass
-class ProcessedItem:
-    """A completed work item, with its completion time."""
-
-    item: WorkItem
-    completed_at: int
-
-    @property
-    def latency(self) -> int:
-        """Confirmation latency in time units (>= 1)."""
-        return self.completed_at - self.item.enqueued_at + 1
 
 
 class ShardState:
@@ -71,13 +61,13 @@ class ShardState:
         self.throughput_credit = 0.0
 
     # ------------------------------------------------------------------
-    def enqueue(self, tx: Transaction, cost: float, share: float, now: int) -> None:
+    def enqueue(self, key: Hashable, cost: float, share: float, now: int) -> None:
         """Queue one work item, chronologically."""
         if cost <= 0 or share <= 0:
             raise SimulationError(
                 f"work item needs positive cost/share, got cost={cost!r} share={share!r}"
             )
-        self._queue.append(WorkItem(tx=tx, cost=cost, share=share, enqueued_at=now))
+        self._queue.append(WorkItem(key, cost, share, now))
         self._queued_cost += cost
         self.total_workload += cost
 
@@ -91,8 +81,12 @@ class ShardState:
         return self._queued_cost - self._carry
 
     # ------------------------------------------------------------------
-    def step(self, now: int) -> List[ProcessedItem]:
+    def step(self, now: int) -> List[WorkItem]:
         """Process one time unit: spend up to ``capacity`` workload.
+
+        Returns the items completed in this unit, in queue order; each
+        one's completion time is ``now`` and its latency
+        ``now - enqueued_at + 1``.
 
         Strictly chronological — the head of the queue must finish before
         the next item starts, so an expensive cross-shard transaction
@@ -100,24 +94,25 @@ class ShardState:
         (Section III-B's fairness rule).  Work on the head may span
         multiple units (``_carry`` tracks partial progress).
         """
+        queue = self._queue
         budget = self.capacity
-        done: List[ProcessedItem] = []
-        while self._queue and budget > 1e-12:
-            head = self._queue[0]
-            remaining = head.cost - self._carry
+        done: List[WorkItem] = []
+        while queue and budget > 1e-12:
+            head = queue[0]
+            _, cost, share, enqueued_at = head
+            remaining = cost - self._carry
             if remaining <= budget + 1e-12:
-                self._queue.popleft()
+                queue.popleft()
                 self._carry = 0.0
-                self._queued_cost = self._queued_cost - head.cost if self._queue else 0.0
+                self._queued_cost = self._queued_cost - cost if queue else 0.0
                 budget -= remaining
-                completed = ProcessedItem(item=head, completed_at=now)
-                done.append(completed)
-                latency = completed.latency
+                done.append(head)
+                latency = now - enqueued_at + 1
                 self.processed_count += 1
                 self.latency_sum += latency
                 if latency > self.latency_max:
                     self.latency_max = latency
-                self.throughput_credit += head.share
+                self.throughput_credit += share
             else:
                 self._carry += budget
                 budget = 0.0

@@ -200,10 +200,11 @@ class TestSeededChaos:
         report = net.run(live, drain=True)  # must never raise
 
         # No transaction lost: everything that arrived committed, and
-        # the completion/latency books are empty after the drain.
+        # the completion book and every shard queue are empty after the
+        # drain.
         assert report.committed == report.arrived
         assert net._pending_completions == {}
-        assert net._tx_enqueued_at == {}
+        assert all(shard.queue_length == 0 for shard in net.shards)
         # Degradation is reported, never silently swallowed.
         stats = supervised.resilience_stats
         if stats["failures"]:

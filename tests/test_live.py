@@ -1,5 +1,7 @@
 """Tests for the live tick-driven network simulator."""
 
+import dataclasses
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -14,6 +16,7 @@ from repro.chain.types import Transaction
 from repro.core.controller import TxAlloController
 from repro.core.params import TxAlloParams
 from repro.data.synthetic import EthereumWorkloadGenerator, WorkloadConfig
+from repro.eval.experiments import build_workload, live_compare
 
 
 def tx(a, b):
@@ -324,3 +327,49 @@ class TestConservationAcrossAllocators:
         # Each transaction's shares sum to one across its shards.
         assert sum(s.throughput_credit for s in net.shards) == pytest.approx(arrived)
         assert report.mean_latency >= 1.0 and report.p99_latency >= 1
+
+
+#: sha256 of every live report :class:`TestGoldenLiveDigest` produces.
+#: Any change to routing, queueing, completion tracking or latency
+#: accounting in the live network moves it; a pure refactor must not.
+GOLDEN_LIVE_DIGEST = "fefc07e2c08c9ea7497f1dff15f778d59be88ecbd8c8ed196bb3c705ee45971f"
+
+
+class TestGoldenLiveDigest:
+    """Byte-identity of the live network across refactors.
+
+    Every registered allocator runs ``live_compare`` on two seeds, with
+    and without the seeded fault plan; the digest covers every
+    ``TickStats`` field and the report's aggregate figures.  It does not
+    depend on ``PYTHONHASHSEED``.
+    """
+
+    def test_live_reports_match_the_golden_digest(self):
+        digest = hashlib.sha256()
+        for seed in (1, 2):
+            workload = build_workload(scale=0.05, seed=seed)
+            for faults in (False, True):
+                comparison = live_compare(
+                    workload,
+                    k=4,
+                    tau1=2,
+                    tau2=20,
+                    methods=allocators.available(),
+                    faults=faults,
+                    fault_seed=seed if faults else None,
+                )
+                for name, report in sorted(comparison.reports.items()):
+                    digest.update(name.encode())
+                    for tick in report.ticks:
+                        digest.update(repr(dataclasses.astuple(tick)).encode())
+                    summary = (
+                        report.committed,
+                        report.arrived,
+                        report.mean_latency,
+                        report.p99_latency,
+                        report.cross_shard_ratio,
+                        report.dropped_malformed,
+                        report.degraded_ticks,
+                    )
+                    digest.update(repr(summary).encode())
+        assert digest.hexdigest() == GOLDEN_LIVE_DIGEST

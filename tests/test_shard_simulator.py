@@ -21,6 +21,11 @@ def tx(s, r):
     return Transaction.transfer(s, r)
 
 
+def latency(item, now):
+    """Confirmation latency of an item ``step(now)`` returned (>= 1)."""
+    return now - item.enqueued_at + 1
+
+
 class TestShardState:
     def test_capacity_must_be_positive(self):
         with pytest.raises(SimulationError):
@@ -42,15 +47,15 @@ class TestShardState:
         assert shard.step(now=0) == []
         assert shard.step(now=1) == []
         done = shard.step(now=2)
-        assert len(done) == 1 and done[0].item.tx.inputs == ("a",)
-        assert done[0].latency == 3
-        assert shard.step(now=3)[0].item.tx.inputs == ("c",)
+        assert len(done) == 1 and done[0].key.inputs == ("a",)
+        assert latency(done[0], now=2) == 3
+        assert shard.step(now=3)[0].key.inputs == ("c",)
 
     def test_latency_computation(self):
         shard = ShardState(0, capacity=1.0)
         shard.enqueue(tx("a", "b"), cost=1.0, share=1.0, now=0)
         done = shard.step(now=0)
-        assert done[0].latency == 1
+        assert latency(done[0], now=0) == 1
 
     def test_throughput_credit_accumulates_shares(self):
         shard = ShardState(0, capacity=10.0)
@@ -230,8 +235,8 @@ class TestRunningBacklog:
         shard.enqueue(tx("c", "d"), cost=1.0, share=1.0, now=1)
         done = []
         for now in range(4):
-            done.extend(shard.step(now=now))
-        latencies = [p.latency for p in done]
+            done.extend((item, now) for item in shard.step(now=now))
+        latencies = [latency(item, now) for item, now in done]
         assert latencies == [3, 3]
         assert shard.processed_count == 2
         assert shard.latency_sum == sum(latencies)
@@ -239,14 +244,14 @@ class TestRunningBacklog:
 
 
 def record_slices(monkeypatch):
-    """Record (shard, tx_id, enqueued_at, completed_at) for every finished slice."""
+    """Record (shard, key, enqueued_at, completed_at) for every finished slice."""
     slices = []
     original = ShardState.step
 
     def step(shard, now):
         done = original(shard, now)
-        for p in done:
-            slices.append((shard.shard_id, p.item.tx.tx_id, p.item.enqueued_at, p.completed_at))
+        for item in done:
+            slices.append((shard.shard_id, item.key, item.enqueued_at, now))
         return done
 
     monkeypatch.setattr(ShardState, "step", step)
@@ -282,12 +287,40 @@ class TestLatencyCounters:
         ]
         report = net.run(blocks, drain=True)
         done = {}
-        for _, tx_id, enqueued, completed in slices:
-            done[tx_id] = (enqueued, max(completed, done.get(tx_id, (0, 0))[1]))
+        for _, key, enqueued, completed in slices:
+            done[key] = (enqueued, max(completed, done.get(key, (0, 0))[1]))
         latencies = sorted(c - e + 1 for e, c in done.values())
         assert len(latencies) == report.committed > 100
         assert report.mean_latency == sum(latencies) / len(latencies)
         assert report.p99_latency == latencies[int(0.99 * (len(latencies) - 1))]
+
+    def test_one_transaction_twice_in_a_block_commits_twice(self, monkeypatch):
+        """The same object delivered twice is two arrivals, each tracked to
+        its own commit on both shards of a cross-shard pair."""
+        slices = record_slices(monkeypatch)
+        params = TxAlloParams(k=2, eta=2.0, lam=1.5)
+        net = LiveShardedNetwork(params, {"a": 0, "b": 1})
+        t = tx("a", "b")
+        report = net.run([[t, t]], drain=True)
+        # Each shard queues two eta-cost slices at tick 0.
+        expected = fluid_fifo_completions([(0, params.eta)] * 2, params.lam)
+        assert expected == [1, 2]
+        for shard_id in range(params.k):
+            mine = [s for s in slices if s[0] == shard_id]
+            assert [completed for _, _, _, completed in mine] == expected
+        assert len({key for _, key, _, _ in slices}) == 2
+        latencies = [completed + 1 for completed in expected]  # arrived at tick 0
+        assert report.arrived == report.committed == 2
+        assert [tick.committed for tick in report.ticks] == [0, 1, 1]
+        assert report.mean_latency == sum(latencies) / len(latencies)
+        assert report.p99_latency == latencies[int(0.99 * (len(latencies) - 1))]
+        assert report.cross_shard_ratio == 1.0
+
+    def test_completion_for_an_unknown_arrival_raises(self):
+        net = LiveShardedNetwork(TxAlloParams(k=2, eta=2.0, lam=1.0), {"a": 0})
+        net.shards[1].enqueue(99, cost=1.0, share=1.0, now=0)
+        with pytest.raises(SimulationError, match="completion for unknown tx 99"):
+            net.tick([])
 
     def test_empty_run_reports_zero(self):
         net = LiveShardedNetwork(TxAlloParams(k=2, eta=2.0, lam=1.0), {})
@@ -358,7 +391,7 @@ class TestShardQueueModel:
             for i, cost in by_tick.get(now, ()):
                 shard.enqueue(tx(f"s{i}", f"r{i}"), cost=cost, share=1.0, now=now)
             for done in shard.step(now=now):
-                got[done.item.tx.inputs[0]] = done.completed_at
+                got[done.key.inputs[0]] = now
             now += 1
         assert [got[f"s{i}"] for i in range(len(arrivals))] == expected
         latencies = [c - a + 1 for c, (a, _) in zip(expected, arrivals)]
