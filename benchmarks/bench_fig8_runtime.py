@@ -34,7 +34,8 @@ def test_gtxallo_within_parity_of_metis(fig8):
     at 12.6M accounts.  Our baseline is a simplified pure-Python
     multilevel partitioner, which is much cheaper than the real METIS
     pipeline, so at laptop scale the two are comparable; we assert a
-    parity band and record the caveat in EXPERIMENTS.md."""
+    parity band.  README's "Benchmarks and standing gates" section
+    records the caveat and the measured ratio."""
     total_ours = sum(fig8.value(2.0, "txallo", k) for k in (10, 20, 40, 60))
     total_metis = sum(fig8.value(2.0, "metis", k) for k in (10, 20, 40, 60))
     assert total_ours < total_metis * 2.5

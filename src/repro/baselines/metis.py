@@ -11,7 +11,9 @@ so the baseline is self-contained:
    nodes, heaviest first, to the currently lightest part;
 3. **Refinement** — during uncoarsening, boundary Kernighan-Lin/FM passes
    move nodes to reduce the edge cut subject to a *node-weight* balance
-   constraint.
+   constraint.  A node that had no cut-reducing move at its last scan,
+   and whose neighbours have not moved since, is skipped (see
+   :func:`_refine`).
 
 That last point is the paper's central criticism (Section II-C): METIS
 balances **vertex weight** (account activity), not shard **workload**
@@ -21,13 +23,14 @@ to TxAllo.
 
 Node weights default to each account's weighted degree — its share of
 transaction activity — matching how prior work weights the allocation
-graph.  The implementation is deterministic: all scans are in sorted or
-index order, all ties break toward smaller identifiers.
+graph.  The implementation is deterministic: nodes are visited in index
+order and every tie breaks explicitly toward the smaller identifier.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import heapq
 from typing import Dict, List, Optional
 
 from repro.core.graph import Node, TransactionGraph
@@ -90,6 +93,7 @@ def metis_partition(
     while levels.current_size() > target:
         if not levels.coarsen_once():
             break
+    depth = levels.num_levels()
 
     part = _initial_partition(levels.top_adj(), levels.top_weights(), k)
     max_part_weight = imbalance * sum(weights) / k
@@ -104,7 +108,7 @@ def metis_partition(
     mapping = {v: part[index_of[v]] for v in nodes}
     cut = _edge_cut(adj, part)
     imbal = _imbalance(weights, part, k)
-    return MetisResult(mapping, cut, imbal, levels.num_levels())
+    return MetisResult(mapping, cut, imbal, depth)
 
 
 # ----------------------------------------------------------------------
@@ -139,18 +143,19 @@ class _Hierarchy:
         n = len(adj)
         match = [-1] * n
         # Visit nodes in index order; match to the unmatched neighbour with
-        # the heaviest connecting edge (ties -> smaller index).
+        # the heaviest connecting edge (ties -> smaller index).  The row is
+        # scanned in dict order, so the tie-break is explicit.
         for i in range(n):
             if match[i] != -1:
                 continue
             best_j = -1
             best_w = -1.0
-            for j in sorted(adj[i]):
-                if match[j] == -1 and j != i:
-                    w = adj[i][j]
-                    if w > best_w:
-                        best_w = w
-                        best_j = j
+            for j, w in adj[i].items():
+                if match[j] == -1 and j != i and (
+                    w > best_w or (w == best_w and j < best_j)
+                ):
+                    best_w = w
+                    best_j = j
             if best_j != -1:
                 match[i] = best_j
                 match[best_j] = i
@@ -205,13 +210,13 @@ def _initial_partition(
     n = len(weights)
     order = sorted(range(n), key=lambda i: (-weights[i], i))
     part = [0] * n
-    loads = [0.0] * k
+    # (load, part) min-heap: its top is the lightest part, ties -> the
+    # smaller part.  Plain lightest-first is METIS-like and deterministic.
+    heap = [(0.0, p) for p in range(k)]
     for i in order:
-        # Prefer the part with most connectivity among the lightest few —
-        # plain lightest-first is METIS-like and deterministic.
-        target = min(range(k), key=lambda p: (loads[p], p))
+        load, target = heap[0]
         part[i] = target
-        loads[target] += weights[i]
+        heapq.heapreplace(heap, (load + weights[i], target))
     return part
 
 
@@ -223,37 +228,68 @@ def _refine(
     max_part_weight: float,
     passes: int,
 ) -> List[int]:
-    """Boundary FM passes: move nodes to cut-reducing parts under balance."""
+    """Boundary FM passes: move nodes to cut-reducing parts under balance.
+
+    A node's connectivity to each part accumulates in an epoch-stamped
+    scatter buffer over the ``k`` parts (``acc``/``stamp``, as in
+    :func:`repro.core.engine._optimise_flat`).  A node is *settled* when
+    its last scan found no other part with a strictly positive gain and no
+    neighbour has moved since.  A gain depends only on the parts of the
+    node's neighbours, and loads can only veto a positive gain, so a
+    settled node cannot move and its scan is skipped.  A move unsettles
+    the mover's neighbours (the adjacency is symmetric).  The moves are
+    exactly those of scanning every node on every pass.
+    """
     n = len(weights)
     loads = [0.0] * k
     for i in range(n):
         loads[part[i]] += weights[i]
+    acc = [0.0] * k
+    stamp = [0] * k
+    epoch = 0
+    touched: List[int] = []
+    settled = [False] * n
     for _ in range(passes):
         moved = 0
         for i in range(n):
+            if settled[i]:
+                continue
             p = part[i]
-            # Connectivity of i to each part.
-            conn: Dict[int, float] = {}
-            for j, w in adj[i].items():
+            epoch += 1
+            del touched[:]
+            row = adj[i]
+            for j, w in row.items():
                 q = part[j]
-                conn[q] = conn.get(q, 0.0) + w
-            internal = conn.get(p, 0.0)
+                if stamp[q] == epoch:
+                    acc[q] += w
+                else:
+                    stamp[q] = epoch
+                    acc[q] = w
+                    touched.append(q)
+            internal = acc[p] if stamp[p] == epoch else 0.0
+            wi = weights[i]
             best_q = p
             best_gain = 0.0
-            for q in sorted(conn):
+            positive = False
+            touched.sort()
+            for q in touched:
                 if q == p:
                     continue
-                if loads[q] + weights[i] > max_part_weight:
-                    continue
-                gain = conn[q] - internal
-                if gain > best_gain:
-                    best_gain = gain
-                    best_q = q
+                gain = acc[q] - internal
+                if gain > 0.0:
+                    positive = True
+                    if gain > best_gain and not loads[q] + wi > max_part_weight:
+                        best_gain = gain
+                        best_q = q
             if best_q != p:
                 part[i] = best_q
-                loads[p] -= weights[i]
-                loads[best_q] += weights[i]
+                loads[p] -= wi
+                loads[best_q] += wi
                 moved += 1
+                for j in row:
+                    settled[j] = False
+            else:
+                settled[i] = not positive
         if moved == 0:
             break
     return part

@@ -111,20 +111,40 @@ def evaluate_allocation(
     lam_hat = [0.0] * k
     total = 0
     cross = 0
-    for accounts in transactions:
-        shards = involved_shards(accounts, mapping)
-        total += 1
-        m = len(shards)
-        if m == 1:
-            (i,) = shards
-            sigma[i] += 1.0
-            lam_hat[i] += 1.0
-        else:
-            cross += 1
-            share = 1.0 / m
-            for i in shards:
-                sigma[i] += eta
-                lam_hat[i] += share
+    # Two-account transactions skip building the shard set.  A
+    # transaction adds to each of its shards exactly once, so every
+    # shard's sums see the same additions in the same order on either path.
+    try:
+        for accounts in transactions:
+            total += 1
+            if len(accounts) == 2:
+                a, b = accounts
+                i = mapping[a]
+                j = mapping[b]
+                if i == j:
+                    sigma[i] += 1.0
+                    lam_hat[i] += 1.0
+                else:
+                    cross += 1
+                    sigma[i] += eta
+                    lam_hat[i] += 0.5
+                    sigma[j] += eta
+                    lam_hat[j] += 0.5
+                continue
+            shards = {mapping[a] for a in accounts}
+            m = len(shards)
+            if m == 1:
+                (i,) = shards
+                sigma[i] += 1.0
+                lam_hat[i] += 1.0
+            else:
+                cross += 1
+                share = 1.0 / m
+                for i in shards:
+                    sigma[i] += eta
+                    lam_hat[i] += share
+    except KeyError as exc:
+        raise AllocationError(f"account {exc.args[0]!r} is not allocated") from None
     throughput = sum(
         capped_throughput(s, lh, lam) for s, lh in zip(sigma, lam_hat)
     )

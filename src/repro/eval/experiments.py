@@ -4,7 +4,10 @@ Each ``figure*`` function reproduces one figure of Section VI on a
 synthetic Ethereum-like workload (see :mod:`repro.data.synthetic` for the
 substitution rationale) and returns raw data plus a ``render()``-able
 report.  The benchmark suite (``benchmarks/``) and the CLI both drive
-these runners; EXPERIMENTS.md records paper-vs-measured shapes.
+these runners.  The ``benchmarks/bench_fig*.py`` shape assertions pin
+the paper-vs-measured shapes; README's "Benchmarks and standing gates"
+section records where a measured figure departs from the paper's (the
+Fig. 8 runtime caveat).
 
 Scale: the paper uses 91.8M transactions; the default here is ~60k
 (``scale=1.0``), which preserves every comparative shape while running on

@@ -1,5 +1,9 @@
 """Tests for the three baseline allocators."""
 
+import hashlib
+import random
+from typing import Dict, List
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +15,12 @@ from repro.baselines.hash_allocation import (
     prefix_partition,
     prefix_shard,
 )
-from repro.baselines.metis import metis_partition
+from repro.baselines.metis import (
+    _Hierarchy,
+    _initial_partition,
+    _refine,
+    metis_partition,
+)
 from repro.baselines.shard_scheduler import ShardScheduler, shard_scheduler_partition
 from repro.core.metrics import graph_cross_shard_ratio, workload_balance
 from repro.core.params import TxAlloParams
@@ -114,9 +123,203 @@ class TestMetis:
         assert max(sizes) - min(sizes) < len(weights)
 
     def test_levels_reported(self):
+        # 200 accounts coarsen twice before reaching the 100-node target:
+        # the finest graph plus two coarse levels.
         graph = make_random_graph(num_accounts=200, num_transactions=1500, seed=19)
         result = metis_partition(graph, 2)
-        assert result.levels >= 1
+        assert result.levels == 3
+
+
+# ----------------------------------------------------------------------
+# Oracles: the straightforward METIS loops the flat kernels replaced.
+# ----------------------------------------------------------------------
+def _oracle_initial_partition(adj, weights, k):
+    n = len(weights)
+    order = sorted(range(n), key=lambda i: (-weights[i], i))
+    part = [0] * n
+    loads = [0.0] * k
+    for i in order:
+        target = min(range(k), key=lambda p: (loads[p], p))
+        part[i] = target
+        loads[target] += weights[i]
+    return part
+
+
+def _oracle_refine(adj, weights, part, k, max_part_weight, passes):
+    n = len(weights)
+    loads = [0.0] * k
+    for i in range(n):
+        loads[part[i]] += weights[i]
+    for _ in range(passes):
+        moved = 0
+        for i in range(n):
+            p = part[i]
+            conn: Dict[int, float] = {}
+            for j, w in adj[i].items():
+                q = part[j]
+                conn[q] = conn.get(q, 0.0) + w
+            internal = conn.get(p, 0.0)
+            best_q = p
+            best_gain = 0.0
+            for q in sorted(conn):
+                if q == p:
+                    continue
+                if loads[q] + weights[i] > max_part_weight:
+                    continue
+                gain = conn[q] - internal
+                if gain > best_gain:
+                    best_gain = gain
+                    best_q = q
+            if best_q != p:
+                part[i] = best_q
+                loads[p] -= weights[i]
+                loads[best_q] += weights[i]
+                moved += 1
+        if moved == 0:
+            break
+    return part
+
+
+def _oracle_match(adj):
+    """Heavy-edge matching: scan each row in sorted order."""
+    n = len(adj)
+    match = [-1] * n
+    for i in range(n):
+        if match[i] != -1:
+            continue
+        best_j = -1
+        best_w = -1.0
+        for j in sorted(adj[i]):
+            if match[j] == -1 and j != i:
+                w = adj[i][j]
+                if w > best_w:
+                    best_w = w
+                    best_j = j
+        if best_j != -1:
+            match[i] = best_j
+            match[best_j] = i
+        else:
+            match[i] = i
+    return match
+
+
+def _coarse_ids(match):
+    """Coarse ids in order of first appearance, as coarsen_once numbers them."""
+    coarse_of = [-1] * len(match)
+    next_id = 0
+    for i, j in enumerate(match):
+        if coarse_of[i] != -1:
+            continue
+        coarse_of[i] = next_id
+        if j != i and coarse_of[j] == -1:
+            coarse_of[j] = next_id
+        next_id += 1
+    return coarse_of
+
+
+def _random_adj(seed, n=150, *, equal_edges=False, equal_nodes=False):
+    """A symmetric random graph whose rows are in shuffled (unsorted) order.
+
+    Edge and node weights come from small discrete sets plus a random
+    float, so gains and weights tie often.
+    """
+    rng = random.Random(seed)
+    edges = {}
+    for i in range(n):
+        for _ in range(rng.randint(1, 5)):
+            j = rng.randrange(n)
+            if j != i:
+                w = 1.0 if equal_edges else rng.choice([0.5, 1.0, 1.0, 2.0, rng.random()])
+                edges[(min(i, j), max(i, j))] = w
+    pairs = list(edges.items())
+    rng.shuffle(pairs)
+    adj: List[Dict[int, float]] = [dict() for _ in range(n)]
+    for (i, j), w in pairs:
+        adj[i][j] = w
+        adj[j][i] = w
+    if equal_nodes:
+        weights = [1.0] * n
+    else:
+        weights = [rng.choice([1.0, 2.0, rng.uniform(0.5, 4.0)]) for _ in range(n)]
+    return adj, weights
+
+
+def _metis_digest(seed, k):
+    graph = make_random_graph(num_accounts=400, num_transactions=3000, seed=seed, groups=8)
+    result = metis_partition(graph, k)
+    cut, imbalance = result.edge_cut.hex(), result.node_weight_imbalance.hex()
+    payload = repr((sorted(result.mapping.items()), cut, imbalance))
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+#: sha256 of (mapping, edge_cut, node_weight_imbalance), recorded with the
+#: straightforward loops above before the flat kernels replaced them.
+METIS_GOLDEN = {
+    (3, 2): "6619873a0021237778d98273491c2658a048f635814bb5d5b82d6da5ea319457",
+    (3, 4): "34bc36a98e208e1f7646eca9dbf4bc020a89f9fedf472345f1ab02a237ab17ae",
+    (3, 8): "515925b04130652b5cf03d568c2e43a212ac1bb6e39e7aa5b669399fa120b02c",
+    (29, 2): "28f70077715d58300f25bec7b872908c803d5c1e94fdd4be6b504e879d86272e",
+    (29, 4): "fec91a21281165366470ba322e77451317454c812b104e554908987046002ab0",
+    (29, 8): "2ecabddc719f9228da5d9c9338bb0a974e4835e6c811e078d51486212f12268d",
+}
+
+
+class TestMetisExactness:
+    """The flat kernels make exactly the oracle's choices, ties included."""
+
+    GRAPHS = [
+        pytest.param({}, id="mixed"),
+        pytest.param({"equal_edges": True}, id="equal-edges"),
+        pytest.param({"equal_nodes": True}, id="equal-nodes"),
+        pytest.param({"equal_edges": True, "equal_nodes": True}, id="all-equal"),
+    ]
+
+    @pytest.mark.parametrize("shape", GRAPHS)
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_matching_matches_oracle(self, seed, shape):
+        adj, weights = _random_adj(seed, **shape)
+        levels = _Hierarchy(adj, weights)
+        coarsened = levels.coarsen_once()
+        coarse_of = _coarse_ids(_oracle_match(adj))
+        assert coarsened == (max(coarse_of) + 1 <= len(adj) * 0.9)
+        if coarsened:
+            assert levels._maps[-1] == coarse_of
+
+    @pytest.mark.parametrize("shape", GRAPHS)
+    @pytest.mark.parametrize("k", [2, 3, 8])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_initial_partition_matches_oracle(self, seed, k, shape):
+        adj, weights = _random_adj(seed, **shape)
+        assert _initial_partition(adj, weights, k) == _oracle_initial_partition(adj, weights, k)
+
+    @pytest.mark.parametrize("imbalance", [1.0, 1.02, 1.05, 1.5, 100.0])
+    @pytest.mark.parametrize("shape", GRAPHS)
+    @pytest.mark.parametrize("k", [2, 5, 8])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_refine_matches_oracle(self, seed, k, shape, imbalance):
+        adj, weights = _random_adj(seed, **shape)
+        rng = random.Random(seed * 31 + k)
+        start = [rng.randrange(k) for _ in weights]
+        max_part_weight = imbalance * sum(weights) / k
+        for passes in (1, 4, 50):
+            got = _refine(adj, weights, start[:], k, max_part_weight, passes)
+            want = _oracle_refine(adj, weights, start[:], k, max_part_weight, passes)
+            assert got == want
+
+    def test_tight_imbalance_vetoes_positive_gains(self):
+        """The tight-balance cases above do exercise load vetoes: with the
+        same start, a loose bound moves nodes the tight bound refuses."""
+        adj, weights = _random_adj(5)
+        rng = random.Random(5)
+        start = [rng.randrange(4) for _ in weights]
+        tight = _oracle_refine(adj, weights, start[:], 4, 1.02 * sum(weights) / 4, 4)
+        loose = _oracle_refine(adj, weights, start[:], 4, 100.0 * sum(weights) / 4, 4)
+        assert tight != loose
+        assert _refine(adj, weights, start[:], 4, 1.02 * sum(weights) / 4, 4) == tight
+
+    @pytest.mark.parametrize("seed,k", sorted(METIS_GOLDEN))
+    def test_partition_golden(self, seed, k):
+        assert _metis_digest(seed, k) == METIS_GOLDEN[(seed, k)]
 
 
 class TestShardScheduler:

@@ -1,5 +1,7 @@
 """Tests for the Section III-B metrics, including the latency closed form."""
 
+import dataclasses
+import hashlib
 import math
 import random
 
@@ -7,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.allocation import Allocation, capped_throughput
 from repro.core.graph import TransactionGraph
 from repro.core.metrics import (
+    MetricsReport,
     average_latency,
     evaluate_allocation,
     graph_cross_shard_ratio,
@@ -23,6 +27,7 @@ from repro.core.metrics import (
 )
 from repro.core.params import TxAlloParams
 from repro.errors import AllocationError
+from repro.eval.experiments import build_workload, sweep
 
 MAPPING = {"a": 0, "b": 0, "c": 1, "d": 2}
 
@@ -92,6 +97,123 @@ class TestEvaluate:
         r1 = evaluate_allocation(txs, alloc, params)
         r2 = evaluate_allocation(txs, partition, params)
         assert r1 == r2
+
+
+def _oracle_evaluate(transactions, allocation, params):
+    """Eqs. 1-5 one transaction at a time through ``involved_shards``."""
+    mapping = allocation.mapping() if isinstance(allocation, Allocation) else allocation
+    k, eta, lam = params.k, params.eta, params.lam
+    sigma = [0.0] * k
+    lam_hat = [0.0] * k
+    total = 0
+    cross = 0
+    for accounts in transactions:
+        shards = involved_shards(accounts, mapping)
+        total += 1
+        m = len(shards)
+        if m == 1:
+            (i,) = shards
+            sigma[i] += 1.0
+            lam_hat[i] += 1.0
+        else:
+            cross += 1
+            share = 1.0 / m
+            for i in shards:
+                sigma[i] += eta
+                lam_hat[i] += share
+    throughput = sum(capped_throughput(s, lh, lam) for s, lh in zip(sigma, lam_hat))
+    return MetricsReport(
+        num_transactions=total,
+        num_cross_shard=cross,
+        cross_shard_ratio=(cross / total) if total else 0.0,
+        shard_workloads=tuple(sigma),
+        workload_balance=workload_balance(sigma, lam),
+        throughput=throughput,
+        normalized_throughput=throughput / lam if lam not in (0.0, math.inf) else 0.0,
+        average_latency=average_latency(sigma, lam),
+        worst_case_latency=worst_case_latency(sigma, lam),
+    )
+
+
+def _mixed_stream(seed, accounts, n=400):
+    """1-, 2- and 3+-account transactions, ``(a, a)`` pairs, and every
+    container type the evaluator accepts."""
+    rng = random.Random(seed)
+    containers = [tuple, list, set, frozenset]
+    txs = []
+    for _ in range(n):
+        size = rng.choice([1, 2, 2, 2, 3, 4, 6])
+        accs = rng.sample(accounts, size)
+        if rng.random() < 0.1:
+            accs = [accs[0], accs[0]]
+        txs.append(rng.choice(containers)(accs))
+    return txs
+
+
+#: sha256 of small-scale ``sweep`` records (every field but the wall-clock
+#: ``runtime_seconds``), recorded with the per-transaction evaluator.
+SWEEP_GOLDEN = "718cb63014f4fa97c379a50ac41dc44c31a88ea9e84ed1440d8c4c76d4e515fe"
+
+
+class TestEvaluateExactness:
+    """``evaluate_allocation`` equals the per-transaction oracle bit for bit."""
+
+    ACCOUNTS = [f"acc{i}" for i in range(40)]
+
+    @pytest.mark.parametrize("lam", [3.0, 25.0, math.inf])
+    @pytest.mark.parametrize("eta", [1.0, 1.7, 3.0])
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_oracle_on_mixed_streams(self, seed, k, eta, lam):
+        rng = random.Random(seed + 100 * k)
+        mapping = {a: rng.randrange(k) for a in self.ACCOUNTS}
+        txs = _mixed_stream(seed, self.ACCOUNTS)
+        params = TxAlloParams(k=k, eta=eta, lam=lam)
+        assert evaluate_allocation(txs, mapping, params) == _oracle_evaluate(txs, mapping, params)
+
+    def test_self_pair_is_intra_shard(self):
+        txs = [("a", "a"), ["c", "c"], ("a", "c")]
+        params = TxAlloParams(k=3, eta=2.0, lam=10.0)
+        rep = evaluate_allocation(txs, MAPPING, params)
+        assert rep.num_cross_shard == 1
+        assert rep.shard_workloads == (3.0, 3.0, 0.0)
+        assert rep == _oracle_evaluate(txs, MAPPING, params)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_allocation_in_place_of_dict(self, seed):
+        graph = TransactionGraph()
+        txs = _mixed_stream(seed, self.ACCOUNTS, n=200)
+        graph.add_transactions([tuple(sorted(t)) for t in txs])
+        params = TxAlloParams(k=4, eta=2.5, lam=12.0)
+        rng = random.Random(seed)
+        partition = {v: rng.randrange(4) for v in graph.nodes()}
+        alloc = Allocation.from_partition(graph, params, partition)
+        got = evaluate_allocation(txs, alloc, params)
+        assert got == _oracle_evaluate(txs, alloc, params)
+        assert got == evaluate_allocation(txs, partition, params)
+
+    @pytest.mark.parametrize(
+        "tx",
+        [("a", "zzz"), ("zzz", "a"), ("zzz", "yyy"), ("a", "zzz", "c"), ["a", "c", "zzz", "yyy"]],
+    )
+    def test_unallocated_account_message(self, tx):
+        params = TxAlloParams(k=3, eta=2.0, lam=10.0)
+        with pytest.raises(AllocationError) as want:
+            involved_shards(tx, MAPPING)
+        with pytest.raises(AllocationError) as got:
+            evaluate_allocation([("a", "b"), tx], MAPPING, params)
+        assert str(got.value) == str(want.value)
+        assert "zzz" in str(got.value)
+
+    def test_sweep_golden(self):
+        workload = build_workload(scale=0.05, seed=13)
+        methods = ("txallo", "hash", "metis", "shard_scheduler")
+        records = sweep(workload, ks=(2, 8), etas=(1.5, 3.0), methods=methods)
+        rows = [
+            tuple(v for f, v in dataclasses.asdict(r).items() if f != "runtime_seconds")
+            for r in records
+        ]
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == SWEEP_GOLDEN
 
 
 class TestBalance:
