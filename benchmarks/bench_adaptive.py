@@ -67,8 +67,8 @@ BLOCK_SIZE = 100
 #: Loop timings are best-of-N to shave scheduler noise off the gate.
 TIMING_REPEATS = 3
 
-#: The standing end-to-end gate (the loop was 1.1-1.2x after PR 4's
-#: turbo refreshes; the A-TxAllo-dominated term lands here).
+#: The standing end-to-end gate (the A-TxAllo-dominated term of the
+#: Fig. 9 block loop lands here).
 LOOP_SPEEDUP_GATE = 1.3
 
 OUT_PATH = Path(__file__).resolve().parent / "BENCH_adaptive.json"

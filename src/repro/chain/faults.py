@@ -324,8 +324,8 @@ class FaultyAllocator(OnlineAllocator):
         return self.inner.freeze_stats
 
     def __getattr__(self, name: str):
-        # Transparent stand-in for the wrapped allocator (warm_stats,
-        # allocation, block_height, ...).  Only reached for attributes
+        # Transparent stand-in for the wrapped allocator (allocation,
+        # block_height, workspace_stats, ...).  Only reached for attributes
         # this proxy does not define itself; guard against recursion
         # before __init__ has bound ``inner``.
         inner = self.__dict__.get("inner")

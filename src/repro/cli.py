@@ -143,10 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="TxAllo engine backend, looked up in the strategy "
              "registry (repro.core.backends): 'fast' (flat-array CSR "
              "sweep engine) and 'reference' (dict-based executable "
-             "spec) are byte-identical; 'turbo' (warm-started Louvain, "
-             "work-skipping sweeps) is deterministic and "
-             "objective-gated within the registry tolerance "
-             "(default fast)",
+             "spec) are byte-identical (default fast); live-compare "
+             "always runs fast",
     )
     parser.add_argument(
         "--workers", type=_positive_int, default=1,

@@ -72,10 +72,7 @@ def a_txallo(
     once — reading the rows from the graph's incrementally-maintained
     frozen CSR form — and sweeps on those (:mod:`repro.core.engine`),
     ``"reference"`` rescans the dict adjacency every sweep.  Both mutate
-    ``alloc`` byte-identically.  ``"turbo"`` has no adaptive-specific
-    behaviour — A-TxAllo already touches only the block frontier, where
-    the flat engine is optimal — so it registers the fast kernel
-    unchanged (and stays byte-identical here).
+    ``alloc`` byte-identically.
 
     ``workspace`` (an :class:`repro.core.engine.AdaptiveWorkspace`) makes
     consecutive flat-backend runs share one persistent neighbourhood

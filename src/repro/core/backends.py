@@ -4,12 +4,11 @@ This is the engine-side sibling of :mod:`repro.allocators`: where that
 registry maps allocator *names* to allocator factories, this one maps
 ``TxAlloParams.backend`` names to a :class:`BackendSpec` declaring, per
 tier, the three kernels the allocation stack dispatches to — Louvain,
-the G-TxAllo sweep, the A-TxAllo sweep — together with the tier's parity
-contract.  ``louvain_partition``, ``g_txallo``, ``a_txallo``,
-``TxAlloParams`` validation, the controller's workspace/warm-stats
-decisions, the CLI's ``--backend`` choices and the benchmarks all look
-backends up through :func:`get_backend` instead of string-switching, so
-a new tier (numba, a C extension, ...) is one :func:`register_backend`
+the G-TxAllo sweep, the A-TxAllo sweep.  ``louvain_partition``,
+``g_txallo``, ``a_txallo``, ``TxAlloParams`` validation, the
+controller's workspace decision, the CLI's ``--backend`` choices and
+the benchmarks all look backends up through :func:`get_backend` instead
+of string-switching, so a new tier (numba, a C extension, ...) is one :func:`register_backend`
 call, not a multi-file surgery.
 
 Built-in tiers
@@ -21,12 +20,9 @@ Built-in tiers
     The flat-array CSR sweep engine (:mod:`repro.core.engine`).
     **Byte-identical** to the reference — same mapping, same cache
     floats, same sweep/move counts.
-``turbo``
-    Fast plus warm-started Louvain and work-skipping sweeps.
-    **Objective-gated**: allowed to land on a different local optimum as
-    long as its total capped throughput stays within
-    :data:`OBJECTIVE_TOLERANCE` of the cold fast result.
 
+Every tier must be byte-identical to the reference; the retired
+``parallel``, ``vector`` and ``turbo`` names are unknown backends.
 Every built-in tier is pure stdlib, so every tier is always available.
 Every tier runs A-TxAllo on a serial kernel: the adaptive sweeps touch
 only the accounts in new blocks, where the flat engine is already cheap.
@@ -53,44 +49,21 @@ from typing import Callable, Dict, Tuple
 
 from repro.errors import ParameterError
 
-#: Relative tolerance of the objective gate shared by every
-#: ``objective_gated`` tier: the tier's total capped throughput must be
-#: ``>= (1 - OBJECTIVE_TOLERANCE) *`` the cold fast-backend result on
-#: the same graph and parameters.  ``repro.core.engine`` re-exports this
-#: as ``WARM_OBJECTIVE_TOLERANCE`` (the historical name tests and
-#: benchmarks gate against).
-OBJECTIVE_TOLERANCE = 0.02
-
-#: ``BackendSpec.parity`` values.
-BYTE_IDENTICAL = "byte_identical"
-OBJECTIVE_GATED = "objective_gated"
-
-
 @dataclasses.dataclass(frozen=True)
 class BackendSpec:
-    """One engine tier: its kernels and parity contract.
-
-    ``parity`` is :data:`BYTE_IDENTICAL` (the tier must reproduce the
-    reference bit-for-bit; ``tolerance`` is 0) or
-    :data:`OBJECTIVE_GATED` (the tier may land on a different local
-    optimum, gated on total capped throughput within ``tolerance``).
+    """One engine tier: its kernels.
 
     ``uses_workspace`` tells the controller the tier's A-TxAllo kernel
     runs on the flat engine and accepts an
-    :class:`~repro.core.engine.AdaptiveWorkspace`; ``warm_louvain``
-    that its global runs stamp ``louvain_warm_hit`` for the warm/cold
-    counters.
+    :class:`~repro.core.engine.AdaptiveWorkspace`.
     """
 
     name: str
     description: str
-    parity: str
     louvain_kernel: Callable
     gtxallo_kernel: Callable
     atxallo_kernel: Callable
-    tolerance: float = 0.0
     uses_workspace: bool = False
-    warm_louvain: bool = False
 
 
 _REGISTRY: Dict[str, BackendSpec] = {}
@@ -98,11 +71,6 @@ _REGISTRY: Dict[str, BackendSpec] = {}
 
 def register_backend(spec: BackendSpec) -> BackendSpec:
     """Register ``spec`` under ``spec.name``; returns it for chaining."""
-    if spec.parity not in (BYTE_IDENTICAL, OBJECTIVE_GATED):
-        raise ParameterError(
-            f"backend parity must be {BYTE_IDENTICAL!r} or "
-            f"{OBJECTIVE_GATED!r}, got {spec.parity!r}"
-        )
     if spec.name in _REGISTRY:
         raise ParameterError(f"backend {spec.name!r} is already registered")
     _REGISTRY[spec.name] = spec
@@ -161,16 +129,13 @@ def _atxallo_reference(alloc, touched, epsilon, workspace):
 def _louvain_fast(graph, max_levels, resolution):
     from repro.core.engine import louvain_fast
 
-    return louvain_fast(graph, max_levels=max_levels, resolution=resolution, warm=False)
+    return louvain_fast(graph, max_levels=max_levels, resolution=resolution)
 
 
 def _gtxallo_fast(graph, params, initial_partition, node_order):
     from repro.core.engine import g_txallo_flat
 
-    return g_txallo_flat(
-        graph, params, initial_partition=initial_partition,
-        node_order=node_order, warm=False,
-    )
+    return g_txallo_flat(graph, params, initial_partition=initial_partition, node_order=node_order)
 
 
 def _atxallo_flat(alloc, touched, epsilon, workspace):
@@ -179,25 +144,9 @@ def _atxallo_flat(alloc, touched, epsilon, workspace):
     return a_txallo_flat(alloc, touched, epsilon, workspace=workspace)
 
 
-def _louvain_turbo(graph, max_levels, resolution):
-    from repro.core.engine import louvain_fast
-
-    return louvain_fast(graph, max_levels=max_levels, resolution=resolution, warm=True)
-
-
-def _gtxallo_turbo(graph, params, initial_partition, node_order):
-    from repro.core.engine import g_txallo_flat
-
-    return g_txallo_flat(
-        graph, params, initial_partition=initial_partition,
-        node_order=node_order, warm=True,
-    )
-
-
 register_backend(BackendSpec(
     name="fast",
     description="flat-array CSR sweep engine; byte-identical to the reference",
-    parity=BYTE_IDENTICAL,
     louvain_kernel=_louvain_fast,
     gtxallo_kernel=_gtxallo_fast,
     atxallo_kernel=_atxallo_flat,
@@ -207,20 +156,7 @@ register_backend(BackendSpec(
 register_backend(BackendSpec(
     name="reference",
     description="dict-based executable specification (the parity anchor)",
-    parity=BYTE_IDENTICAL,
     louvain_kernel=_louvain_reference,
     gtxallo_kernel=_gtxallo_reference,
     atxallo_kernel=_atxallo_reference,
-))
-
-register_backend(BackendSpec(
-    name="turbo",
-    description="warm-started Louvain + work-skipping sweeps on the flat engine",
-    parity=OBJECTIVE_GATED,
-    tolerance=OBJECTIVE_TOLERANCE,
-    louvain_kernel=_louvain_turbo,
-    gtxallo_kernel=_gtxallo_turbo,
-    atxallo_kernel=_atxallo_flat,
-    uses_workspace=True,
-    warm_louvain=True,
 ))

@@ -20,7 +20,7 @@ extend the previous snapshot instead of re-lowering the whole graph.
 
 Since the adaptive workspace
 (:class:`repro.core.engine.AdaptiveWorkspace`, owned by the controller
-and on by default for the flat backends) consecutive A-TxAllo runs go
+and on by default for the flat backend) consecutive A-TxAllo runs go
 further: they share one persistent flat neighbourhood view kept current
 from the graph's mutation journal, so the τ₁ loop does not freeze the
 graph at all.  The workspace also survives G-TxAllo refreshes: its graph
@@ -39,9 +39,8 @@ last installed G-TxAllo result is not re-run: when the graph's
 match what that result left behind, the controller keeps the current
 allocation and still records the refresh as a ``"global"`` event.  This
 is exact, not an approximation: G-TxAllo is deterministic in the graph on
-every backend tier (the turbo tier's warm Louvain is memoised on the
-cached snapshot), so a re-run would rebuild the very allocation already
-installed.  Long runs of empty blocks (a live network draining its
+every backend tier, so a re-run would rebuild the very allocation
+already installed.  Long runs of empty blocks (a live network draining its
 backlog) thus cost nothing at the τ₂ ticks, and the adaptive workspace
 does not even reseat.
 """
@@ -128,7 +127,6 @@ class TxAlloController(OnlineAllocator):
         self._touched: Set[Node] = set()
         self._adaptive_enabled = adaptive_enabled
         self._global_enabled = global_enabled
-        self._warm_counts: dict = {"warm": 0, "cold": 0}
         # (graph.version, allocation.mutation_count) right after the last
         # installed G-TxAllo result, and that run's move count; None until
         # G-TxAllo has run (an initial_mapping= start must still refresh).
@@ -221,19 +219,6 @@ class TxAlloController(OnlineAllocator):
         return self._run_adaptive()
 
     # ------------------------------------------------------------------
-    def _count_warm(self) -> None:
-        """Record whether the global run's Louvain went warm or cold.
-
-        Only meaningful on warm-Louvain backends (the registry spec's
-        ``warm_louvain`` flag — turbo today); ``louvain_warm_hit`` is
-        stamped on the (cached, so free to re-fetch) frozen snapshot by
-        :func:`repro.core.engine.louvain_flat_warm`.
-        """
-        if not backends.get_backend(self.params.backend).warm_louvain:
-            return
-        hit = self.graph.freeze().louvain_warm_hit
-        self._warm_counts["warm" if hit else "cold"] += 1
-
     def _run_global(self) -> UpdateEvent:
         """Run G-TxAllo, or reuse its last result when nothing changed.
 
@@ -255,7 +240,6 @@ class TxAlloController(OnlineAllocator):
         if mark is None or mark != (self.graph.version, self.allocation.mutation_count):
             result = g_txallo(self.graph, self.params)
             self.allocation = result.allocation
-            self._count_warm()
             self._global_mark = (self.graph.version, self.allocation.mutation_count)
             self._global_moves = result.moves
         self._touched.clear()
@@ -324,17 +308,3 @@ class TxAlloController(OnlineAllocator):
         if self._workspace is None:
             return {"rebuilds": 0, "reseats": 0, "extends": 0, "runs": 0}
         return self._workspace.stats
-
-    @property
-    def warm_stats(self) -> dict:
-        """Per-refresh Louvain warm-start counters: ``{"warm", "cold"}``.
-
-        ``warm`` counts global runs whose Louvain was seeded from the
-        previous snapshot's partition, ``cold`` from-scratch partitions
-        (including every run on non-turbo backends' behalf: both stay 0
-        unless ``params.backend == "turbo"``).  Refreshes reused because
-        nothing changed count in neither: no Louvain ran.  Benchmarks and
-        tests use this to prove the warm path actually carried across
-        refreshes.
-        """
-        return dict(self._warm_counts)

@@ -53,22 +53,6 @@ to a cold :meth:`CSRGraph.from_graph` of the same graph, which
 ``tests/test_delta_freeze.py`` pins property-style.
 :meth:`TransactionGraph.freeze` drives this automatically; callers never
 invoke :meth:`extend` directly.
-
-Warm Louvain state
-------------------
-The ``"turbo"`` backend warm-starts Louvain from the partition of the
-*previous* snapshot (see :func:`repro.core.engine.louvain_flat_warm`).
-The prior membership rides the snapshot chain: :meth:`extend` copies the
-base snapshot's Louvain results (cold ``louvain_memo`` or warm
-``louvain_warm_memo``) into :attr:`warm_seeds`, together with the
-accumulated *frontier* — the ids whose adjacency rows changed since that
-partition was computed.  Ids are insertion-stable under :meth:`extend`,
-so a base label list indexes directly into the extended snapshot.  A
-full :meth:`from_graph` rebuild carries the seeds only while the delta
-log stayed intact and the frontier is under
-``graph.REBUILD_SEED_CARRY_FRACTION`` (:func:`carry_warm_seeds`); any
-other rebuild starts with no warm seeds, and the next warm request falls
-back to a cold run.
 """
 
 from __future__ import annotations
@@ -78,15 +62,6 @@ from typing import TYPE_CHECKING, AbstractSet, Dict, List, Optional, Sequence, T
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.graph import Node, TransactionGraph
-
-#: A warm seed whose stale share (accumulated frontier plus nodes added
-#: since its partition) exceeds this fraction of the graph is dropped at
-#: :meth:`CSRGraph.extend` time: the turbo Louvain would fall back to a
-#: cold run anyway (:data:`repro.core.engine.WARM_FALLBACK_FRACTION` is
-#: this same number), so propagating it would only grow the frontier set
-#: per freeze for nothing.  Deliberately permissive — see the engine-side
-#: constant for the measured rationale.
-WARM_SEED_STALE_FRACTION = 0.85
 
 
 class CSRGraph:
@@ -105,10 +80,6 @@ class CSRGraph:
         "total_weight",
         "louvain_memo",
         "intra_cut_memo",
-        "louvain_warm_memo",
-        "intra_cut_warm_memo",
-        "warm_seeds",
-        "louvain_warm_hit",
         "_sorted_order",
         "_sorted_rank",
     )
@@ -147,28 +118,6 @@ class CSRGraph:
         self.intra_cut_memo: Dict[
             Tuple[int, float], Tuple[List[float], List[float]]
         ] = {}
-        # Warm-start (backend="turbo") state.  louvain_warm_memo /
-        # intra_cut_warm_memo mirror the cold memos but for the
-        # warm-started partition, which may legitimately differ — keeping
-        # them separate guarantees a turbo run can never poison the
-        # byte-parity contract of the "fast" backend on the same
-        # snapshot.  warm_seeds maps the same (max_levels, resolution)
-        # key to ``(labels, frontier)``: the previous snapshot's
-        # membership (id space, covering a prefix of this snapshot's
-        # nodes) plus the set of ids whose rows changed since it was
-        # computed.  Populated by :meth:`extend` only; a from_graph
-        # rebuild has no usable prior membership.
-        self.louvain_warm_memo: Dict[Tuple[int, float], List[int]] = {}
-        self.intra_cut_warm_memo: Dict[
-            Tuple[int, float], Tuple[List[float], List[float]]
-        ] = {}
-        self.warm_seeds: Dict[
-            Tuple[int, float], Tuple[List[int], set]
-        ] = {}
-        # Set by the last warm Louvain request on this snapshot: True if
-        # it ran from a seed, False if it fell back to a cold run, None
-        # if none ran.  The controller's warm_stats counters read this.
-        self.louvain_warm_hit: Optional[bool] = None
         # Lazy ascending-identifier permutation; only the global sweeps
         # need it, so the adaptive path never pays the O(N log N) sort.
         self._sorted_order: Optional[array] = None
@@ -338,8 +287,6 @@ class CSRGraph:
             num_edges=graph.num_edges,
             total_weight=graph.total_weight,
         )
-
-        carry_warm_seeds(base, csr, [index_of[v] for v in rebuild])
         return csr
 
     # ------------------------------------------------------------------
@@ -398,46 +345,3 @@ class CSRGraph:
             f"weight={self.total_weight:.2f})"
         )
 
-
-def carry_warm_seeds(
-    base: "CSRGraph", csr: "CSRGraph", delta_ids: Sequence[int]
-) -> None:
-    """Carry ``base``'s Louvain memberships onto ``csr`` as warm seeds.
-
-    ``delta_ids`` are the (``csr``-numbered) ids whose rows changed since
-    ``base``; ids must be insertion-stable between the two snapshots, so
-    this is valid for incremental extends *and* for full rebuilds whose
-    delta log stayed intact (a log invalidated by a delta-freeze toggle
-    does not say which rows changed, so no frontier can be charged).
-
-    Preference order per key: the base's own warm result (the partition
-    actually in use on a turbo chain), then its cold result, then an
-    inherited seed from an earlier snapshot (the base never ran Louvain —
-    e.g. adaptive-only freezes between two global refreshes), whose
-    frontier keeps accumulating.  An inherited frontier set is *shared
-    along the chain* and updated in place, so each carry pays O(delta),
-    not O(total frontier) — the fast backend never consumes these seeds
-    and must not pay for them.  This is a deliberate exception to
-    snapshot immutability: an older snapshot in the chain may see its
-    frontier grow, including ids beyond its own node range;
-    ``louvain_flat_warm`` clamps those out and over-re-seeds the rest,
-    which is safe and deterministic for any fixed call sequence.  Seeds
-    whose stale share went past the warm fallback fraction are dropped
-    rather than carried dead weight; the formula matches
-    ``louvain_flat_warm``'s fallback check (frontier + nodes added since
-    the seed partition, conservatively double-counting new nodes present
-    in both terms), so a seed kept here is exactly a seed the warm start
-    will accept.
-    """
-    n = len(csr.nodes)
-    max_stale = WARM_SEED_STALE_FRACTION * n
-    seeds = csr.warm_seeds
-    for memo in (base.louvain_warm_memo, base.louvain_memo):
-        for key, labels in memo.items():
-            if key not in seeds and len(delta_ids) + (n - len(labels)) <= max_stale:
-                seeds[key] = (labels, set(delta_ids))
-    for key, (labels, frontier) in base.warm_seeds.items():
-        if key not in seeds:
-            frontier.update(delta_ids)
-            if len(frontier) + (n - len(labels)) <= max_stale:
-                seeds[key] = (labels, frontier)

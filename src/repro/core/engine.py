@@ -16,24 +16,18 @@ compiled CSR kernel (:mod:`repro.core.csr`):
 Backend levels
 --------------
 Dispatch goes through the engine-backend registry
-(:mod:`repro.core.backends`); the built-in tiers and their contracts:
+(:mod:`repro.core.backends`); the built-in tiers:
 
-===========  ==================  =========================================
-tier         parity contract     notes
-===========  ==================  =========================================
-reference    (anchor)            dict-based executable specification
-fast         byte_identical      this module; the default tier
-turbo        objective_gated     warm Louvain + work-skipping sweeps,
-                                 within ``WARM_OBJECTIVE_TOLERANCE``
-===========  ==================  =========================================
+===========  =========================================
+tier         notes
+===========  =========================================
+reference    dict-based executable specification
+fast         this module; the default tier, byte-identical to reference
+===========  =========================================
 
-``byte_identical`` tiers must reproduce the reference bit-for-bit (the
-contract below); ``objective_gated`` tiers may land on a different
-deterministic local optimum, gated on total capped throughput.  The
-A-TxAllo kernel of *every* flat tier (fast/turbo) is
-:func:`a_txallo_flat` — adaptive sweeps touch O(|V̂|) nodes, where the
-flat engine is already optimal — so the adaptive path stays
-byte-identical across them.
+The A-TxAllo kernel of the flat tier is :func:`a_txallo_flat` —
+adaptive sweeps touch O(|V̂|) nodes, where the flat engine is already
+optimal.
 
 Parity contract
 ---------------
@@ -65,43 +59,6 @@ same order:
 ``tests/test_engine_parity.py`` enforces this contract property-style
 across randomised workloads, shard counts and eta values.
 
-Turbo backend
--------------
-``backend="turbo"`` trades the *partition* parity contract for speed on
-the dynamic controller path, where every τ₂ global refresh used to
-re-partition N nodes from scratch.  Two documented divergences:
-
-1. **Warm-start Louvain** (:func:`louvain_flat_warm`): level-0 local
-   moving is seeded from the previous snapshot's partition, carried
-   through :meth:`repro.core.csr.CSRGraph.extend` — untouched nodes keep
-   their prior labels, delta-frontier nodes join their neighbour-majority
-   community (or start as singletons), and after one full confirmation
-   pass only the neighbourhoods of actual movers are re-examined.  It
-   runs in insertion-id order with ids as ranks (the seed indexes by CSR
-   id; the reference's sorted order is not replayed).
-2. **Work-skipping optimisation** (:func:`_optimise_flat_turbo`): the
-   first sweep visits every node in the reference's ascending-identifier
-   order, later sweeps revisit only nodes with a moved neighbour.
-
-The sweep *orders* are the reference's own — tiny graphs are several
-percent sensitive to visit order, so turbo spends its divergence budget
-only on the warm seed and the skipped re-sweeps.  Both changes still
-affect *which* local optimum the deterministic search lands on, so turbo
-allocations may differ from fast/reference ones.  What is gated instead
-of byte-parity: the TxAllo objective (total capped throughput) of a
-turbo allocation must stay within :data:`WARM_OBJECTIVE_TOLERANCE` of
-the cold fast-backend result on the same graph, and the controller's
-live committed-TPS / cross-shard metrics must not regress —
-``tests/test_louvain_warm.py`` pins the former property-style and
-``benchmarks/bench_louvain_warm.py`` gates both plus the ≥2x refresh
-speedup.  Turbo stays fully deterministic (same history, same
-allocation, on every miner), and it never contaminates the other
-backends: warm results live in separate memos (``louvain_warm_memo`` /
-``intra_cut_warm_memo``) on the snapshot.  When no warm seed is
-available (first freeze, a full rebuild that dropped the seeds,
-oversized accumulated frontier) the turbo path falls back to the cold
-partition and only the sweep schedule differs.
-
 Adaptive workspace
 ------------------
 :class:`AdaptiveWorkspace` batches consecutive A-TxAllo runs: instead of
@@ -112,10 +69,10 @@ self-loop vector, and a dense id→shard array — and keeps them current by
 replaying the graph's :class:`~repro.core.graph.MutationJournal` (new
 nodes, edge weight increments) in O(window delta) instead of
 O(frontier degree) re-lowering plus an incremental freeze per window.
-The workspace is a **cache, not a backend level**: unlike ``"turbo"`` it
-is not allowed to land on a different optimum — a workspace-backed run
-must produce byte-identical allocations, caches and sweep/move counts to
-the snapshot-per-run fast path (the row maps replay the same float
+The workspace is a **cache, not a backend level**: it is not allowed to
+land on a different optimum — a workspace-backed run must produce
+byte-identical allocations, caches and sweep/move counts to the
+snapshot-per-run fast path (the row maps replay the same float
 accumulations in the same order the CSR rows would, and per-run ``w_ext``
 is re-summed in row order exactly as a lowering would), which
 ``tests/test_engine_parity.py`` and ``tests/test_delta_freeze.py`` pin
@@ -139,9 +96,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.allocation import Allocation
 from repro.core.atxallo import MAX_SWEEPS as _ADAPTIVE_MAX_SWEEPS
-from repro.core.backends import OBJECTIVE_TOLERANCE as _OBJECTIVE_TOLERANCE
 from repro.core.csr import CSRGraph
-from repro.core.csr import WARM_SEED_STALE_FRACTION as _WARM_SEED_STALE_FRACTION
 from repro.core.graph import Node, TransactionGraph
 from repro.core.gtxallo import MAX_SWEEPS as _GLOBAL_MAX_SWEEPS
 from repro.core.louvain import _MIN_GAIN
@@ -152,27 +107,6 @@ from repro.errors import AllocationError, GraphError
 # reference modules (which import this engine only lazily, so there is
 # no cycle) — the backends cannot drift apart on convergence behaviour.
 
-#: Relative tolerance of the objective-gated tier (turbo): the
-#: tier's total capped throughput must satisfy
-#: ``tier >= (1 - WARM_OBJECTIVE_TOLERANCE) * fast`` on the same graph
-#: and parameters.  The canonical number lives on the backend registry
-#: (:data:`repro.core.backends.OBJECTIVE_TOLERANCE`, stamped into each
-#: objective-gated ``BackendSpec.tolerance``); this historical alias is
-#: what tests, benchmarks and CI gate against.
-WARM_OBJECTIVE_TOLERANCE = _OBJECTIVE_TOLERANCE
-
-#: Warm-start falls back to a cold Louvain run when the accumulated
-#: frontier (plus nodes added since the seed partition) exceeds this
-#: fraction of the graph.  Deliberately permissive: frontier nodes are
-#: re-seeded from the surviving labels by neighbour majority and then
-#: corrected by the full confirmation pass, so even a majority-stale
-#: seed beats a cold run (measured: a ~60%-stale Fig. 9 cadence still
-#: warm-starts ≥2.5x faster at equal-or-better objective).  Past ~85%
-#: there is almost nothing left to anchor the vote.  The same fraction
-#: governs seed propagation in ``CSRGraph.extend`` (defined there to
-#: avoid an import cycle), so over-stale seeds are dropped at the source.
-WARM_FALLBACK_FRACTION = _WARM_SEED_STALE_FRACTION
-
 
 # ======================================================================
 # Louvain on CSR
@@ -181,16 +115,10 @@ def louvain_fast(
     graph: TransactionGraph,
     max_levels: int = 32,
     resolution: float = 1.0,
-    warm: bool = False,
 ) -> Dict[Node, int]:
-    """Fast/turbo-backend :func:`repro.core.louvain.louvain_partition`."""
+    """Fast-backend :func:`repro.core.louvain.louvain_partition`."""
     csr = graph.freeze()
-    if warm:
-        membership = louvain_flat_warm(
-            csr, max_levels=max_levels, resolution=resolution
-        )
-    else:
-        membership = louvain_flat(csr, max_levels=max_levels, resolution=resolution)
+    membership = louvain_flat(csr, max_levels=max_levels, resolution=resolution)
     return {v: membership[i] for i, v in enumerate(csr.nodes)}
 
 
@@ -373,221 +301,6 @@ def _aggregate_flat(
 
 
 # ======================================================================
-# Warm-start Louvain (backend="turbo")
-# ======================================================================
-def louvain_flat_warm(
-    csr: CSRGraph,
-    max_levels: int = 32,
-    resolution: float = 1.0,
-) -> List[int]:
-    """Louvain warm-started from the previous snapshot's partition.
-
-    The prior membership rides the snapshot chain
-    (:attr:`repro.core.csr.CSRGraph.warm_seeds`, maintained by
-    ``CSRGraph.extend``): untouched nodes keep their prior labels,
-    delta-frontier and brand-new nodes are re-seeded to their
-    neighbour-majority community (or a fresh singleton), and level-0
-    local moving starts from that state — one full confirmation sweep,
-    then only neighbourhoods of actual movers are revisited.  Deeper
-    levels run the standard cold aggregation loop on the (much smaller)
-    coarse graph.
-
-    Runs in insertion-id space: no sorted-space remap, so labels are
-    dense ints in order of first appearance over the *insertion* node
-    sequence.  The result may differ from :func:`louvain_flat` — that is
-    the turbo backend's documented divergence; quality is gated on the
-    TxAllo objective downstream, not on partition equality.
-
-    Falls back to a cold :func:`louvain_flat` run (and records the
-    fallback in ``csr.louvain_warm_hit``) when no seed is available — a
-    from-scratch snapshot, a full rebuild that dropped the seeds — or
-    when the accumulated frontier exceeds :data:`WARM_FALLBACK_FRACTION`
-    of the graph.  Results are memoised per snapshot in
-    ``louvain_warm_memo``, never in the cold memo, so turbo runs cannot
-    leak into the fast backend's parity contract.
-    """
-    n = csr.num_nodes
-    if n == 0:
-        return []
-
-    memo_key = (max_levels, resolution)
-    cached = csr.louvain_warm_memo.get(memo_key)
-    if cached is not None:
-        return list(cached)
-
-    seed = csr.warm_seeds.get(memo_key)
-    if seed is not None:
-        labels, frontier = seed
-        if len(frontier) + (n - len(labels)) > WARM_FALLBACK_FRACTION * n:
-            seed = None
-    if seed is None:
-        csr.louvain_warm_hit = False
-        result = louvain_flat(csr, max_levels=max_levels, resolution=resolution)
-        csr.louvain_warm_memo[memo_key] = list(result)
-        return result
-    csr.louvain_warm_hit = True
-
-    rows: List[Sequence[Tuple[int, float]]] = csr.pairs
-    loops: List[float] = list(csr.loop)
-
-    # --- seed the level-0 membership --------------------------------
-    community = [-1] * n
-    next_label = 0
-    num_seeded = len(labels)
-    for i in range(num_seeded):
-        c = labels[i]
-        community[i] = c
-        if c >= next_label:
-            next_label = c + 1
-    # The frontier set is shared along the snapshot chain and mutated by
-    # later extends (see CSRGraph.extend), so when this snapshot is not
-    # the chain's newest it may contain ids beyond our range (nodes that
-    # do not exist here yet) and extra in-range ids touched later — drop
-    # the former, re-seed the latter (over-re-seeding is safe).
-    stale_set = {i for i in frontier if i < n}
-    stale_set.update(range(num_seeded, n))
-    stale = sorted(stale_set)
-    for i in stale:
-        community[i] = -1
-    for i in stale:
-        votes: Dict[int, float] = {}
-        for j, w in rows[i]:
-            c = community[j]
-            if c >= 0:
-                votes[c] = votes.get(c, 0.0) + w
-        if votes:
-            # Weighted neighbour majority; ties toward the smallest label.
-            community[i] = min(votes.items(), key=lambda kv: (-kv[1], kv[0]))[0]
-        else:
-            community[i] = next_label
-            next_label += 1
-
-    # --- seeded level 0, then the standard aggregation recursion ----
-    community, improved = _one_level_seeded(
-        rows, loops, resolution, community, next_label
-    )
-    relabel: Dict[int, int] = {}
-    for i in range(n):
-        c = community[i]
-        if c not in relabel:
-            relabel[c] = len(relabel)
-    community = [relabel[c] for c in community]
-    membership = community
-
-    if improved and len(relabel) < n:
-        ids = range(n)
-        rows, loops = _aggregate_flat(rows, loops, community, len(relabel), ids, ids)
-        for _level in range(1, max_levels):
-            ids = range(len(loops))
-            community, improved = _one_level_flat(rows, loops, resolution, ids, ids)
-            relabel = {}
-            for i in ids:
-                c = community[i]
-                if c not in relabel:
-                    relabel[c] = len(relabel)
-            community = [relabel[c] for c in community]
-            membership = [community[m] for m in membership]
-            if not improved or len(relabel) == len(loops):
-                break
-            rows, loops = _aggregate_flat(rows, loops, community, len(relabel), ids, ids)
-
-    csr.louvain_warm_memo[memo_key] = membership
-    return list(membership)
-
-
-def _one_level_seeded(
-    rows: List[Sequence[Tuple[int, float]]],
-    loops: List[float],
-    resolution: float,
-    community: List[int],
-    num_labels: int,
-) -> Tuple[List[int], bool]:
-    """Level-0 local moving from a seeded partition (turbo only).
-
-    Same per-node move rule as :func:`_one_level_flat`, but ``community``
-    arrives pre-seeded and the sweep schedule work-skips: one full pass
-    in ascending id order confirms (or corrects) every node, after which
-    only the neighbourhoods of nodes that actually moved are revisited
-    until quiescence.
-    """
-    n = len(loops)
-    k = [0.0] * n
-    m = 0.0
-    for i in range(n):
-        s = 0.0
-        m += loops[i]
-        for j, w in rows[i]:
-            s += w
-            if j > i:
-                m += w
-        k[i] = s + 2.0 * loops[i]
-    if m <= 0.0:
-        return list(range(n)), False
-
-    comm_tot = [0.0] * num_labels
-    for i in range(n):
-        comm_tot[community[i]] += k[i]
-    two_m = 2.0 * m
-
-    acc = [0.0] * num_labels
-    stamp = [0] * num_labels
-    epoch = 0
-    touched: List[int] = []
-    in_next = bytearray(n)
-
-    any_move = False
-    current: Sequence[int] = range(n)
-    while True:
-        next_ids: List[int] = []
-        for i in current:
-            c_old = community[i]
-            epoch += 1
-            del touched[:]
-            append = touched.append
-            row = rows[i]
-            for j, w in row:
-                c = community[j]
-                if stamp[c] == epoch:
-                    acc[c] += w
-                else:
-                    stamp[c] = epoch
-                    acc[c] = w
-                    append(c)
-            ki = k[i]
-            tot = comm_tot[c_old] - ki
-            comm_tot[c_old] = tot
-            norm = resolution * ki / two_m
-            w_old = acc[c_old] if stamp[c_old] == epoch else 0.0
-            base = w_old - tot * norm
-            cand_c = -1
-            cand_gain = 0.0
-            for c in touched:
-                if c == c_old:
-                    continue
-                gain = acc[c] - comm_tot[c] * norm
-                if cand_c < 0 or gain > cand_gain or (gain == cand_gain and c < cand_c):
-                    cand_gain = gain
-                    cand_c = c
-            if cand_c >= 0 and cand_gain > base + _MIN_GAIN:
-                community[i] = cand_c
-                comm_tot[cand_c] += ki
-                any_move = True
-                for j, _w in row:
-                    if not in_next[j]:
-                        in_next[j] = 1
-                        next_ids.append(j)
-            else:
-                comm_tot[c_old] = tot + ki
-        if not next_ids:
-            break
-        next_ids.sort()
-        for j in next_ids:
-            in_next[j] = 0
-        current = next_ids
-    return community, any_move
-
-
-# ======================================================================
 # Int-indexed allocation state
 # ======================================================================
 class _FlatAllocation:
@@ -742,40 +455,24 @@ def g_txallo_flat(
     params: TxAlloParams,
     initial_partition: Optional[Dict[Node, int]] = None,
     node_order: Optional[Sequence[Node]] = None,
-    warm: bool = False,
 ) -> Tuple[Allocation, int, int, int, int, float, float]:
     """Algorithm 1 on the flat engine.
 
     Returns ``(allocation, louvain_communities, small_nodes_absorbed,
     sweeps, moves, init_seconds, optimise_seconds)`` — the fields
     :class:`repro.core.gtxallo.GTxAlloResult` is built from.
-
-    ``warm=True`` is the turbo backend: Louvain warm-starts from the
-    previous snapshot's partition (:func:`louvain_flat_warm`) and the
-    optimisation phase work-skips converged nodes
-    (:func:`_optimise_flat_turbo`); sweep orders stay the reference's.
-    Deterministic, but allowed to land on a different local optimum than
-    ``warm=False`` — see the module docstring for the gated contract.
     """
     t0 = time.perf_counter()
     csr = graph.freeze()
 
     if initial_partition is None:
         memo_key = (32, 1.0)  # the louvain defaults used below
-        if warm:
-            comm = louvain_flat_warm(csr)
-            num_louvain = 1 + max(comm, default=-1)
-            intra_cut = csr.intra_cut_warm_memo.get(memo_key)
-            if intra_cut is None:
-                intra_cut = _intra_cut(csr, comm, num_louvain)
-                csr.intra_cut_warm_memo[memo_key] = intra_cut
-        else:
-            comm = louvain_flat(csr)
-            num_louvain = 1 + max(comm, default=-1)
-            intra_cut = csr.intra_cut_memo.get(memo_key)
-            if intra_cut is None:
-                intra_cut = _intra_cut(csr, comm, num_louvain)
-                csr.intra_cut_memo[memo_key] = intra_cut
+        comm = louvain_flat(csr)
+        num_louvain = 1 + max(comm, default=-1)
+        intra_cut = csr.intra_cut_memo.get(memo_key)
+        if intra_cut is None:
+            intra_cut = _intra_cut(csr, comm, num_louvain)
+            csr.intra_cut_memo[memo_key] = intra_cut
     else:
         # The label count follows the partition dict (which may mention
         # accounts beyond the graph), matching the reference exactly.
@@ -783,10 +480,6 @@ def g_txallo_flat(
         comm = _lower_partition(csr, initial_partition, num_louvain)
         intra_cut = None
 
-    # Both backends keep the reference's ascending-identifier sweep order
-    # (tiny graphs are several percent sensitive to sweep order, so turbo
-    # does not spend its divergence budget there — only on the warm seed
-    # and the work-skipping schedule).
     flat, num_small = _initialise_flat(csr, params, comm, num_louvain, intra_cut)
     t1 = time.perf_counter()
 
@@ -800,10 +493,7 @@ def g_txallo_flat(
             order = [index_of[v] for v in node_order]
         except KeyError as exc:
             raise GraphError(f"unknown node {exc.args[0]!r}") from None
-    if warm:
-        sweeps, moves = _optimise_flat_turbo(flat, order, params.epsilon)
-    else:
-        sweeps, moves = _optimise_flat(flat, order, params.epsilon)
+    sweeps, moves = _optimise_flat(flat, order, params.epsilon)
     t2 = time.perf_counter()
 
     alloc = flat.to_allocation(graph)
@@ -1063,149 +753,6 @@ def _optimise_flat(
                 moves += 1
         if sweep_gain < epsilon:
             break
-    flat.epoch = epoch
-    return sweeps, moves
-
-
-def _optimise_flat_turbo(
-    flat: _FlatAllocation,
-    order: Iterable[int],
-    epsilon: float,
-) -> Tuple[int, int]:
-    """Phase 2 with the turbo work-skipping schedule.
-
-    The first sweep visits every node in ``order`` exactly like
-    :func:`_optimise_flat`; each later sweep revisits only the nodes
-    with a neighbour that moved in the previous sweep (ascending id).
-    By Lemma 1 a move changes only the two communities involved, so a
-    node with no moved neighbour keeps the same candidate set and very
-    nearly the same gains — re-evaluating the whole graph each sweep is
-    what made the cold refresh pay O(N k) per sweep after the first.
-    The skip can defer marginal moves for nodes a move only affected
-    through a community's ``sigma``/``lam_hat`` drift (not through an
-    incident edge); on the dynamic path those are exactly the moves the
-    next A-TxAllo step or refresh picks up, and the end-state quality is
-    part of the turbo divergence contract, gated on the objective (the
-    measured objective gap at bench scale is under 1%, usually in
-    turbo's favour).  Gain arithmetic is identical to
-    :func:`_optimise_flat`, expression for expression.
-    """
-    params = flat.params
-    eta = params.eta
-    lam = params.lam
-    one_minus_eta = 1.0 - eta
-    eta_minus_one = eta - 1.0
-    comm = flat.comm
-    pairs = flat.csr.pairs
-    loop = flat.csr.loop
-    ext = flat.csr.ext
-    sigma = flat.sigma
-    lam_hat = flat.lam_hat
-    acc = flat.acc
-    stamp = flat.stamp
-    epoch = flat.epoch
-    counts = flat.counts
-    neg_inf = -float("inf")
-
-    n = len(comm)
-    touched: List[int] = []
-    in_next = bytearray(n)
-    thpt = [0.0] * len(sigma)
-    for c in range(len(sigma)):
-        sigma_c = sigma[c]
-        if sigma_c <= lam or sigma_c == 0.0:
-            thpt[c] = lam_hat[c]
-        else:
-            thpt[c] = lam / sigma_c * lam_hat[c]
-
-    sweeps = 0
-    moves = 0
-    current: Iterable[int] = list(order)
-    while sweeps < _GLOBAL_MAX_SWEEPS:
-        sweeps += 1
-        sweep_gain = 0.0
-        next_ids: List[int] = []
-        for i in current:
-            p = comm[i]
-            epoch += 1
-            del touched[:]
-            append = touched.append
-            row = pairs[i]
-            for j, w in row:
-                c = comm[j]
-                if stamp[c] == epoch:
-                    acc[c] += w
-                else:
-                    stamp[c] = epoch
-                    acc[c] = w
-                    append(c)
-            if not touched or (len(touched) == 1 and touched[0] == p):
-                continue
-            touched.sort()
-            w_self = loop[i]
-            w_ext = ext[i]
-            half_ext = w_ext / 2.0
-            w_p = acc[p] if stamp[p] == epoch else 0.0
-            sigma_p = sigma[p]
-            lam_hat_p = lam_hat[p]
-            sigma_new = sigma_p - w_self - eta * (w_ext - w_p) + eta_minus_one * w_p
-            lam_hat_new = lam_hat_p - w_self - half_ext
-            if sigma_new <= lam or sigma_new == 0.0:
-                after = lam_hat_new
-            else:
-                after = lam / sigma_new * lam_hat_new
-            leave = after - thpt[p]
-            best_q = -1
-            best_gain = neg_inf
-            for q in touched:
-                if q == p:
-                    continue
-                w_q = acc[q]
-                sigma_q = sigma[q]
-                sigma_new = sigma_q + w_self + eta * (w_ext - w_q) + one_minus_eta * w_q
-                lam_hat_new = lam_hat[q] + w_self + half_ext
-                if sigma_new <= lam or sigma_new == 0.0:
-                    join_after = lam_hat_new
-                else:
-                    join_after = lam / sigma_new * lam_hat_new
-                gain = leave + (join_after - thpt[q])
-                if gain > best_gain:
-                    best_gain = gain
-                    best_q = q
-            if best_q >= 0 and best_gain > 0.0:
-                half = w_self + half_ext
-                w_q = acc[best_q] if stamp[best_q] == epoch else 0.0
-                sigma_p = sigma[p] + (-w_self - eta * (w_ext - w_p) + eta_minus_one * w_p)
-                sigma[p] = sigma_p
-                lam_hat_p = lam_hat[p] - half
-                lam_hat[p] = lam_hat_p
-                sigma_q = sigma[best_q] + (w_self + eta * (w_ext - w_q) + one_minus_eta * w_q)
-                sigma[best_q] = sigma_q
-                lam_hat_q = lam_hat[best_q] + half
-                lam_hat[best_q] = lam_hat_q
-                if sigma_p <= lam or sigma_p == 0.0:
-                    thpt[p] = lam_hat_p
-                else:
-                    thpt[p] = lam / sigma_p * lam_hat_p
-                if sigma_q <= lam or sigma_q == 0.0:
-                    thpt[best_q] = lam_hat_q
-                else:
-                    thpt[best_q] = lam / sigma_q * lam_hat_q
-                comm[i] = best_q
-                counts[p] -= 1
-                counts[best_q] += 1
-                sweep_gain += best_gain
-                moves += 1
-                for j, _w in row:
-                    if not in_next[j]:
-                        in_next[j] = 1
-                        next_ids.append(j)
-        if sweep_gain < epsilon or not next_ids:
-            break
-        next_ids.sort()
-        for j in next_ids:
-            in_next[j] = 0
-        current = next_ids
     flat.epoch = epoch
     return sweeps, moves
 

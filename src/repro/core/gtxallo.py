@@ -80,10 +80,6 @@ def g_txallo(
     (:mod:`repro.core.engine`), ``"reference"`` the dict-based
     implementation in this module — byte-identical allocations, caches
     and sweep/move counts, pinned by ``tests/test_engine_parity.py``.
-    ``"turbo"`` (warm-started Louvain + work-skipping sweeps) may land
-    on a different local optimum, gated within
-    :data:`repro.core.engine.WARM_OBJECTIVE_TOLERANCE` of the fast
-    objective (see the engine module docstring for the full contract).
     """
     if backend is None:
         backend = params.backend

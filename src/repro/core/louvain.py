@@ -50,11 +50,6 @@ def louvain_partition(
     (:mod:`repro.core.engine`) and is bit-identical to ``"reference"``,
     the dict-based implementation below (``tests/test_engine_parity.py``
     pins it).
-    ``"turbo"`` warm-starts level-0 local moving from the previous
-    snapshot's partition (:func:`repro.core.engine.louvain_flat_warm`)
-    and may return a *different* (still deterministic) partition — the
-    allocation built on top is gated on the TxAllo objective instead of
-    partition equality.
     """
     spec = backends.get_backend(backend)
     return spec.louvain_kernel(graph, max_levels, resolution)

@@ -21,12 +21,7 @@ One implementation knob rides along:
   (:mod:`repro.core.engine`); ``"reference"`` runs the dict-based
   executable specification — the two produce byte-identical allocations
   (pinned by the engine parity tests), so the switch only trades speed
-  for readability/debuggability.  ``"turbo"`` (warm-started Louvain +
-  work-skipping sweeps) may produce a *different* (still deterministic)
-  allocation, whose TxAllo objective is gated within
-  :data:`repro.core.engine.WARM_OBJECTIVE_TOLERANCE` of the
-  fast/reference result — see :mod:`repro.core.engine` for the exact
-  contract.
+  for readability/debuggability.
 """
 
 from __future__ import annotations

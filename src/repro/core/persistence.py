@@ -14,8 +14,8 @@ Two operational needs around the paper's determinism argument
 Checkpoints record ``params.backend`` verbatim — any name in the engine
 backend registry (:mod:`repro.core.backends`) round-trips.  A checkpoint
 naming a backend this build does *not* register — including a retired
-tier such as ``parallel`` or ``vector`` — fails parameter validation
-inside :func:`load_allocation` and therefore surfaces as
+tier such as ``parallel``, ``vector`` or ``turbo`` — fails parameter
+validation inside :func:`load_allocation` and therefore surfaces as
 :class:`~repro.errors.DataError` (malformed checkpoint), the same as any
 other bad field.
 """

@@ -264,9 +264,7 @@ def sweep(
     (:mod:`repro.core.backends`); with ``"fast"`` the whole grid shares
     one frozen CSR graph and one memoised Louvain partition, which is
     where most of the engine's end-to-end win comes from.
-    ``"reference"`` is byte-identical to ``"fast"``; ``"turbo"`` may
-    shift TxAllo's cells within the registry's documented objective
-    tolerance.
+    ``"reference"`` is byte-identical to ``"fast"``.
 
     ``workers > 1`` fans the independent cells out to a process pool
     (:func:`repro.core.parallel.run_grid`) with the shared freeze,
@@ -769,6 +767,26 @@ class LiveComparison:
         return title + "\n\n" + table
 
 
+def live_cadence(
+    live_blocks: int, tau1: Optional[int] = None, tau2: Optional[int] = None
+) -> Tuple[int, int]:
+    """The ``(tau1, tau2)`` update cadence of a live run over ``live_blocks``.
+
+    ``None`` derives a period from the stream: τ₁ = ``live_blocks // 25``
+    (at least 1) and τ₂ = 10·τ₁.  A derived τ₁ is clamped to an explicit
+    τ₂; an explicit τ₁ is kept as given, so τ₁ > τ₂ still fails
+    :class:`TxAlloParams` validation.  :func:`live_compare` and the
+    scenario matrix both resolve their cadence here.
+    """
+    if tau1 is None:
+        tau1 = max(1, live_blocks // 25)
+        if tau2 is not None:
+            tau1 = min(tau1, tau2)
+    if tau2 is None:
+        tau2 = 10 * tau1
+    return tau1, tau2
+
+
 def live_compare(
     workload: Workload,
     k: int = 8,
@@ -807,10 +825,7 @@ def live_compare(
     if lam is None:
         mean_block = live_stream.num_transactions / len(live_blocks)
         lam = max(1.0, capacity_factor * mean_block / k)
-    if tau1 is None:
-        tau1 = max(1, len(live_blocks) // 25)
-    if tau2 is None:
-        tau2 = 10 * tau1
+    tau1, tau2 = live_cadence(len(live_blocks), tau1, tau2)
     params = TxAlloParams(
         k=k,
         eta=eta,

@@ -47,13 +47,14 @@ from repro import allocators
 from repro.chain.faults import FaultPlan, resolve_fault_plan
 from repro.chain.live import LiveShardedNetwork, TickStats
 from repro.core.allocator import OnlineAllocator
+from repro.core.backends import get_backend
 from repro.core.graph import TransactionGraph
 from repro.core.parallel import effective_workers, fork_available
 from repro.core.params import TxAlloParams
 from repro.core.resilience import ResilientAllocator
 from repro.data.synthetic import get_workload_entry
 from repro.errors import ParameterError
-from repro.eval.experiments import Workload, build_workload
+from repro.eval.experiments import Workload, build_workload, live_cadence
 from repro.eval.reporting import format_table
 
 #: Columns of ``run_table.csv``, in order.  The runtime columns come
@@ -144,6 +145,8 @@ class MatrixSpec:
             get_workload_entry(topology)  # raises with the available names
         for name in self.allocators:
             allocators.get_entry(name)
+        for name in self.backends:
+            get_backend(name)
         for scale in self.scales:
             if scale <= 0:
                 raise ParameterError(f"scales must be positive, got {scale!r}")
@@ -432,9 +435,7 @@ def run_cell(cell: MatrixCell) -> CellResult:
 
     mean_block = live_stream.num_transactions / len(live_blocks)
     lam = max(1.0, cell.capacity_factor * mean_block / cell.k)
-    tau1 = cell.tau1 if cell.tau1 > 0 else max(1, len(live_blocks) // 25)
-    tau2 = cell.tau2 if cell.tau2 > 0 else 10 * tau1
-    tau1 = min(tau1, tau2)
+    tau1, tau2 = live_cadence(len(live_blocks), cell.tau1 or None, cell.tau2 or None)
     params = TxAlloParams(
         k=cell.k,
         eta=cell.eta,

@@ -4,9 +4,9 @@ Covers the registry's jobs end to end: the one canonical
 unknown-backend error shared by every dispatch surface (retired tiers
 included), checkpoint round-trips carrying backend names (unregistered
 ones degrading to DataError), extensibility (a throwaway extra tier
-dispatching through the same public entry points), the parity contract
-each tier declares, and the stdlib-only runtime contract every built-in
-tier keeps.
+dispatching through the same public entry points), the byte-identical
+parity every tier keeps against ``fast``, and the stdlib-only runtime
+contract every built-in tier keeps.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from repro.errors import DataError, ParameterError
 from tests.conftest import make_random_graph
 
 #: Tiers this build no longer registers; their names must stay unknown.
-RETIRED_TIERS = ("parallel", "vector")
+RETIRED_TIERS = ("parallel", "vector", "turbo")
 
 SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -45,9 +45,11 @@ def _canonical_unknown(name):
 
 
 def test_built_in_tiers_in_registration_order():
-    assert backends.names() == ("fast", "reference", "turbo")
+    assert backends.names() == ("fast", "reference")
     fields = {f.name for f in dataclasses.fields(TxAlloParams)}
     assert "workers" not in fields
+    spec_fields = {f.name for f in dataclasses.fields(backends.BackendSpec)}
+    assert spec_fields.isdisjoint({"parity", "tolerance", "warm_louvain"})
 
 
 class TestCanonicalUnknownBackendError:
@@ -85,6 +87,21 @@ class TestCanonicalUnknownBackendError:
             backends.get_backend(name)
         with pytest.raises(ParameterError, match=_canonical_unknown(name)):
             TxAlloParams(k=2, backend=name)
+
+    @pytest.mark.parametrize("name", RETIRED_TIERS)
+    def test_retired_tier_rejected_by_cli(self, name, capsys):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["fig2", "--backend", name])
+        assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", RETIRED_TIERS)
+    def test_retired_tier_rejected_by_matrix_spec(self, name):
+        from repro.eval.matrix import MatrixSpec
+
+        with pytest.raises(ParameterError, match=_canonical_unknown(name)):
+            MatrixSpec(backends=("fast", name))
 
 
 class TestPersistenceRoundTrip:
@@ -158,7 +175,6 @@ class TestRegistryExtensibility:
         backends.register_backend(backends.BackendSpec(
             name="dummy",
             description="fast kernels behind a call counter (test tier)",
-            parity=backends.BYTE_IDENTICAL,
             louvain_kernel=louvain,
             gtxallo_kernel=gtxallo,
             atxallo_kernel=atxallo,
@@ -190,21 +206,10 @@ class TestRegistryExtensibility:
         with pytest.raises(ParameterError, match="already registered"):
             backends.register_backend(backends.get_backend("dummy"))
 
-    def test_bad_parity_rejected(self):
-        with pytest.raises(ParameterError, match="parity"):
-            backends.register_backend(backends.BackendSpec(
-                name="sloppy",
-                description="",
-                parity="vibes",
-                louvain_kernel=lambda *a: None,
-                gtxallo_kernel=lambda *a: None,
-                atxallo_kernel=lambda *a: None,
-            ))
 
 
 def _refresh_after_ingest(backend, seed, k, eta):
-    """A cold G-TxAllo, a small ingest, then the refresh under test (on
-    ``turbo`` it runs warm when the ingest frontier is small enough)."""
+    """A cold G-TxAllo, a small ingest, then the refresh under test."""
     graph = make_random_graph(num_accounts=150, num_transactions=900, seed=seed)
     params = TxAlloParams.with_capacity_for(900, k=k, eta=eta, backend=backend)
     g_txallo(graph, params)
@@ -218,26 +223,20 @@ def _refresh_after_ingest(backend, seed, k, eta):
 
 
 class TestDeclaredContracts:
-    """Every registered tier keeps the parity contract its spec declares,
-    measured against ``fast`` on an identical history."""
+    """Every registered tier is byte-identical to ``fast`` on an
+    identical history."""
 
     @pytest.mark.parametrize("seed", (3, 8, 11, 21))
     @pytest.mark.parametrize("k,eta", ((2, 2.0), (4, 2.0), (6, 6.0)))
     @pytest.mark.parametrize("name", [n for n in backends.names() if n != "fast"])
     def test_refresh_meets_declared_parity(self, name, k, eta, seed):
-        spec = backends.get_backend(name)
         tier = _refresh_after_ingest(name, seed, k, eta)
         fast = _refresh_after_ingest("fast", seed, k, eta)
         tier.allocation.validate(check_caches=True)
-        if spec.parity == backends.BYTE_IDENTICAL:
-            assert tier.allocation.mapping() == fast.allocation.mapping()
-            assert tier.allocation.sigma == fast.allocation.sigma
-            assert tier.allocation.lam_hat == fast.allocation.lam_hat
-            assert (tier.sweeps, tier.moves) == (fast.sweeps, fast.moves)
-        else:
-            assert tier.allocation.total_throughput() >= (
-                (1.0 - spec.tolerance) * fast.allocation.total_throughput()
-            )
+        assert tier.allocation.mapping() == fast.allocation.mapping()
+        assert tier.allocation.sigma == fast.allocation.sigma
+        assert tier.allocation.lam_hat == fast.allocation.lam_hat
+        assert (tier.sweeps, tier.moves) == (fast.sweeps, fast.moves)
 
     @pytest.mark.parametrize("name", backends.names())
     def test_deterministic_with_exact_caches(self, name):

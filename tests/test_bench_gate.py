@@ -2,10 +2,7 @@
 
 ``benchmarks/BENCH_engine.json`` records the Fig. 8 evaluation-grid
 speedup of the flat-array CSR engine over the reference implementation
-(standing gate >= 3x); ``benchmarks/BENCH_louvain.json`` records the
-turbo warm-started τ₂ refresh against the cold fast-backend refresh
-(standing gates: >= 2x, objective within the pinned tolerance);
-``benchmarks/BENCH_adaptive.json`` records the adaptive-workspace
+(standing gate >= 3x); ``benchmarks/BENCH_adaptive.json`` records the adaptive-workspace
 Fig. 9 block-loop against the snapshot-per-run fast path (standing
 gates: >= 1.3x end-to-end, byte-identical, workspace actually extends
 across windows); ``benchmarks/BENCH_resilience.json`` records the
@@ -31,7 +28,6 @@ import pytest
 
 BENCH_DIR = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
 BENCH_PATH = BENCH_DIR / "BENCH_engine.json"
-LOUVAIN_PATH = BENCH_DIR / "BENCH_louvain.json"
 ADAPTIVE_PATH = BENCH_DIR / "BENCH_adaptive.json"
 RESILIENCE_PATH = BENCH_DIR / "BENCH_resilience.json"
 PARALLEL_PATH = BENCH_DIR / "BENCH_parallel.json"
@@ -39,7 +35,6 @@ PARALLEL_SCALE2_PATH = BENCH_DIR / "BENCH_parallel.scale2.json"
 MATRIX_PATH = BENCH_DIR / "BENCH_matrix.json"
 
 GRID_SPEEDUP_GATE = 3.0
-WARM_REFRESH_GATE = 2.0
 ADAPTIVE_LOOP_GATE = 1.3
 TPS_RETENTION_GATE = 0.7
 PARALLEL_GRID_OVERHEAD_FLOOR = 0.8
@@ -55,15 +50,6 @@ def _load_payload():
             "benchmarks/bench_engine_speedup.py to regenerate"
         )
     return json.loads(BENCH_PATH.read_text())
-
-
-def _load_louvain():
-    if not LOUVAIN_PATH.exists():
-        pytest.skip(
-            "benchmarks/BENCH_louvain.json absent; run "
-            "benchmarks/bench_louvain_warm.py to regenerate"
-        )
-    return json.loads(LOUVAIN_PATH.read_text())
 
 
 def test_engine_grid_speedup_gate():
@@ -86,25 +72,6 @@ def test_engine_run_table_schema():
     ):
         assert key in payload, key
     assert payload["fast_seconds"] > 0.0
-
-
-def test_warm_refresh_speedup_gate():
-    payload = _load_louvain()
-    assert payload["refresh_speedup"] >= WARM_REFRESH_GATE, (
-        f"warm-started refresh speedup {payload['refresh_speedup']:.2f}x fell "
-        f"below the {WARM_REFRESH_GATE}x gate; rerun "
-        "benchmarks/bench_louvain_warm.py and investigate the regression"
-    )
-
-
-def test_warm_objective_within_tolerance():
-    payload = _load_louvain()
-    tolerance = payload["objective_tolerance"]
-    assert payload["objective_ratio"] >= 1.0 - tolerance, (
-        f"turbo objective ratio {payload['objective_ratio']:.4f} drifted more "
-        f"than {tolerance} below the cold fast-backend objective"
-    )
-    assert payload["warm_stats"]["warm"] > 0, "run table recorded no warm refresh"
 
 
 def _load_adaptive():
@@ -333,20 +300,3 @@ def test_matrix_run_table_schema():
         assert key in payload, key
     assert payload["matrix_seconds"] > 0.0
     assert len(payload["rows"]) == payload["cells"]
-
-
-def test_louvain_run_table_schema():
-    payload = _load_louvain()
-    for key in (
-        "scale",
-        "cold_refresh_seconds",
-        "warm_refresh_seconds",
-        "refresh_speedup",
-        "objective_ratio",
-        "objective_tolerance",
-        "warm_stats",
-        "cross_shard_fast",
-        "cross_shard_turbo",
-    ):
-        assert key in payload, key
-    assert payload["warm_refresh_seconds"] > 0.0

@@ -1,10 +1,9 @@
 """Fast smoke tests for the perf run-table plumbing.
 
-Runs ``benchmarks/bench_delta_freeze.py``,
-``benchmarks/bench_louvain_warm.py``, ``benchmarks/bench_adaptive.py``,
+Runs ``benchmarks/bench_delta_freeze.py``, ``benchmarks/bench_adaptive.py``,
 ``benchmarks/bench_resilience.py`` and ``benchmarks/bench_parallel.py``
 end-to-end at a small scale and asserts the run tables regenerate and the
-incremental/warm/batched/supervised/multi-core paths were actually
+incremental/batched/supervised/multi-core paths were actually
 exercised — so the
 benchmarks (and the ``BENCH_*.json`` trajectories later PRs gate
 against) cannot silently rot.  The speedup gates themselves only apply
@@ -17,7 +16,6 @@ from pathlib import Path
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
 BENCH_PATH = BENCH_DIR / "bench_delta_freeze.py"
-WARM_BENCH_PATH = BENCH_DIR / "bench_louvain_warm.py"
 ADAPTIVE_BENCH_PATH = BENCH_DIR / "bench_adaptive.py"
 RESILIENCE_BENCH_PATH = BENCH_DIR / "bench_resilience.py"
 PARALLEL_BENCH_PATH = BENCH_DIR / "bench_parallel.py"
@@ -75,50 +73,6 @@ def test_committed_run_table_is_current():
     payload = json.loads(committed.read_text())
     assert payload["speedup"] >= 2.0
     assert payload["delta_freeze_stats"]["delta"] > 0
-
-
-def test_bench_louvain_warm_regenerates_and_warm_starts(tmp_path):
-    """bench_louvain_warm end-to-end at the smallest scale whose stream
-    still schedules a τ₂ refresh with enough surviving labels to seed
-    (below ~0.3 the 50-block frontier swamps the whole account set and
-    the warm path correctly falls back cold)."""
-    bench = _load_module(WARM_BENCH_PATH)
-    out_path = tmp_path / "BENCH_louvain.json"
-    # run_bench itself asserts a scheduled refresh happened and that the
-    # warm path actually ran.
-    payload = bench.run_bench(scale=0.3, out_path=out_path)
-
-    assert out_path.exists()
-    assert json.loads(out_path.read_text()) == payload
-
-    for key in (
-        "scale",
-        "cold_refresh_seconds",
-        "warm_refresh_seconds",
-        "refresh_speedup",
-        "objective_ratio",
-        "objective_tolerance",
-        "warm_stats",
-        "throughput_fast",
-        "throughput_turbo",
-        "cross_shard_fast",
-        "cross_shard_turbo",
-    ):
-        assert key in payload, key
-
-    assert payload["warm_stats"]["warm"] > 0
-    assert payload["warm_refresh_seconds"] > 0
-    # The objective quality gate holds at any scale, unlike the timing one.
-    assert payload["objective_ratio"] >= 1.0 - payload["objective_tolerance"]
-
-
-def test_committed_louvain_run_table_is_current():
-    """The checked-in BENCH_louvain.json must satisfy the standing gates."""
-    committed = BENCH_DIR / "BENCH_louvain.json"
-    assert committed.exists(), "run benchmarks/bench_louvain_warm.py to regenerate"
-    bench = _load_module(WARM_BENCH_PATH)
-    payload = json.loads(committed.read_text())
-    assert bench.check_gates(payload) == []
 
 
 def test_bench_adaptive_regenerates_and_batches(tmp_path):

@@ -258,7 +258,7 @@ class TestAdaptiveExceptionSafety:
 #: ``workspace_stats`` of a controller without a workspace.
 WORKSPACE_OFF = {"rebuilds": 0, "reseats": 0, "extends": 0, "runs": 0}
 
-WORKSPACE_BACKENDS = ["fast", "turbo"]
+WORKSPACE_BACKENDS = ["fast"]
 
 
 class TestAdaptiveWorkspace:
@@ -311,10 +311,8 @@ class TestAdaptiveWorkspace:
     @pytest.mark.parametrize("backend", WORKSPACE_BACKENDS)
     def test_workspace_off_matches_workspace_on_exactly(self, backend, monkeypatch):
         params = TxAlloParams.with_capacity_for(520, k=4, tau1=1, tau2=5, backend=backend)
-        # Each refresh window touches well under half of the accounts.
         # The workspace freezes only at refreshes while the snapshot path
-        # freezes every window; turbo's warm seeds survive both cadences
-        # only below graph.REBUILD_SEED_CARRY_FRACTION of the nodes.
+        # freezes every window.
         seed = [tx for block in block_stream(12, seed=3) for tx in block]
         calls = count_g_txallo(monkeypatch)
         controllers = []
@@ -347,9 +345,6 @@ class TestAdaptiveWorkspace:
         assert stats["reseats"] == refreshes
         assert stats["extends"] > 0
         assert off.workspace_stats == WORKSPACE_OFF
-        assert on.warm_stats == off.warm_stats
-        if backend == "turbo":
-            assert on.warm_stats["warm"] == 3  # every refresh warm-started
 
 
 # ----------------------------------------------------------------------
@@ -474,14 +469,6 @@ class TestIdleRefreshReuse:
         assert after["rebuilds"] == before["rebuilds"]
         assert after["reseats"] == before["reseats"]
         assert after["runs"] == before["runs"] + 3
-
-    def test_reused_refresh_not_counted_as_warm_or_cold(self):
-        params = reuse_params("turbo")
-        controller = TxAlloController(params, seed_transactions=reuse_seed())
-        for block in reuse_stream():
-            controller.observe_block(block)
-        stats = controller.warm_stats
-        assert stats["warm"] + stats["cold"] == 3  # seed, 4 and 16 only
 
     def test_foreign_move_forces_a_rerun(self, monkeypatch):
         params = reuse_params()

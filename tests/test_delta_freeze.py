@@ -321,7 +321,7 @@ class TestWorkspacePoisonTriggers:
         return outcome, workspace
 
     @pytest.mark.parametrize("seed", (1, 2))
-    @pytest.mark.parametrize("backend", ("fast", "turbo"))
+    @pytest.mark.parametrize("backend", ("fast",))
     @pytest.mark.parametrize("trigger", TRIGGERS)
     def test_trigger_rebuilds_once_and_keeps_parity(self, monkeypatch, trigger, backend, seed):
         import repro.core.graph as graph_module

@@ -5,6 +5,9 @@ import json
 
 import pytest
 
+from repro.chain.live import LiveShardedNetwork
+from repro.eval import experiments
+from repro.eval.experiments import build_workload, live_cadence, live_compare
 from repro.eval.matrix import (
     RUN_TABLE_COLUMNS,
     RUNTIME_COLUMNS,
@@ -41,7 +44,7 @@ class TestSpec:
             topologies=("ethereum", "hotspot"),
             scales=(0.05, 0.1),
             allocators=("txallo",),
-            backends=("fast", "turbo"),
+            backends=("fast", "reference"),
             cadences=((0, 0), (2, 8)),
             faults=("none", "standard"),
             reps=3,
@@ -180,6 +183,42 @@ class TestRunMatrix:
         text = tiny_result.render()
         for res in tiny_result.results:
             assert res.cell_id in text
+
+
+# ----------------------------------------------------------------------
+# Cadence: one tau1/tau2 rule for live_compare and the matrix
+# ----------------------------------------------------------------------
+class TestCadence:
+    def test_derivation(self):
+        assert live_cadence(60) == (2, 20)
+        assert live_cadence(10) == (1, 10)  # tau1 floors at 1
+        assert live_cadence(60, tau1=3) == (3, 30)
+        assert live_cadence(300, tau2=5) == (5, 5)  # derived 12 clamped
+        assert live_cadence(60, tau1=3, tau2=1) == (3, 1)  # explicit kept
+
+    def test_live_compare_clamps_derived_tau1_like_run_cell(self, monkeypatch):
+        # 60 live blocks derive tau1 = 2, above the explicit tau2 = 1.
+        seen = []
+
+        class Recording(LiveShardedNetwork):
+            def __init__(self, params, *args, **kwargs):
+                seen.append((params.tau1, params.tau2))
+                super().__init__(params, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "LiveShardedNetwork", Recording)
+        live_compare(build_workload(0.25, seed=1), k=4, methods=("hash",), tau2=1)
+        cell = MatrixSpec(
+            topologies=("ethereum",), scales=(0.25,), allocators=("hash",),
+            cadences=((0, 1),), reps=1, base_seed=1, k=4,
+        ).cells()[0]
+        res = run_cell(cell)
+        assert seen == [(res.tau1, res.tau2)] == [(1, 1)]
+
+    def test_live_compare_rejects_explicit_tau1_above_tau2(self):
+        with pytest.raises(ParameterError, match="must not exceed"):
+            live_compare(
+                build_workload(0.02, seed=1), k=4, methods=("hash",), tau1=3, tau2=1
+            )
 
 
 # ----------------------------------------------------------------------
