@@ -1,33 +1,27 @@
-"""Delta-freeze run-table: the dynamic controller block-loop, full vs
-incremental CSR maintenance.
+"""Delta-freeze run-table: incremental CSR re-freeze vs a full lowering.
 
-The paper's dynamic setting (Section V-A, Figs. 9-10) runs A-TxAllo
-every ``τ₁`` blocks and G-TxAllo every ``τ₂`` blocks while blocks keep
-arriving.  Every one of those updates needs the graph's frozen CSR
-snapshot; before delta-freeze each snapshot was a from-scratch O(N + E)
-lowering even though a block only perturbs a small frontier.
+The paper's dynamic setting (Section V-A, Figs. 9-10) keeps ingesting
+blocks while G-TxAllo refreshes every ``τ₂`` blocks, and every refresh
+needs the graph's frozen CSR snapshot.  A block perturbs only a small
+frontier, so :meth:`TransactionGraph.freeze` extends the previous
+snapshot (:meth:`CSRGraph.extend`) instead of re-lowering the whole
+graph (:meth:`CSRGraph.from_graph`).
 
-This benchmark replays exactly that loop twice over the same Fig. 9-style
-block stream — once with ``TransactionGraph.delta_freeze_enabled = False``
-(every refresh re-lowers from scratch) and once with the default
-incremental path — asserts the two runs are **byte-identical** (same
-mapping, same caches, same update events), and writes
-``BENCH_delta.json`` next to this file:
+This benchmark ingests a Fig. 9-style transaction stream into one
+graph, freezes it, then times the steady state: the mean re-freeze after
+touching a frontier of ``f`` nodes, for growing ``f``, against one
+from-scratch lowering of the same graph.  Every re-freeze is asserted
+to take the incremental path.  It writes ``BENCH_delta.json`` next to
+this file:
 
-``{"scale", "blocks", "full_loop_seconds", "delta_loop_seconds",
-"speedup", "frontier_freeze_ms", "full_freeze_ms", ...}``
+``{"scale", "n_nodes", "n_edges", "transactions", "frontier_freeze_ms",
+"full_freeze_ms", "freeze_stats"}``
 
-``frontier_freeze_ms`` is the steady-state microbench: mean time to
-re-freeze after touching a frontier of ``f`` nodes, for growing ``f`` —
-the incremental cost tracks the frontier, while the full lowering pays
-N + E regardless.
-
-Both loops run with ``adaptive_workspace=False``: the adaptive workspace
-(PR 5) skips per-window freezes entirely, which would collapse the very
-difference this table measures.  The workspace's own block-loop gain is
-gated by ``benchmarks/bench_adaptive.py`` instead; the delta-freeze path
-stays the supported fallback (and what global refreshes ride), so this
-gate stands.
+The gate: an 8-node frontier re-freezes in under a quarter of a full
+lowering — the incremental cost tracks the frontier, while the full
+lowering pays N + E regardless.  The end-to-end effect on the live
+controller loop is measured by ``perfbench/`` (``graph.freeze_s``,
+``graph.freeze_delta``).
 
 Scale knob: ``--scale`` / the ``BENCH_SCALE`` env crank the workload
 (CI pins 0.5 for runner budget; ``benchmarks/run_table.py
@@ -55,57 +49,25 @@ from repro.core.parallel import pin_blas_threads
 # layer owns its parallelism -- see repro.core.parallel).
 pin_blas_threads()
 
-from repro.core.controller import TxAlloController
 from repro.core.csr import CSRGraph
-from repro.core.params import TxAlloParams
+from repro.core.graph import TransactionGraph
 from repro.data.synthetic import EthereumWorkloadGenerator, WorkloadConfig
 
 BENCH_SCALE = float(os.environ.get("BENCH_SCALE", "0.5"))
 
-#: Fig. 9 cadence: adaptive every block, global refresh every 50 blocks.
-TAU1 = 1
-TAU2 = 50
-#: Ethereum-sized blocks; the update frequency is what stresses freeze.
-BLOCK_SIZE = 100
-#: Loop timings are best-of-N to shave scheduler noise off the gate.
-TIMING_REPEATS = 3
-
 OUT_PATH = Path(__file__).resolve().parent / "BENCH_delta.json"
 
 
-def _block_stream(scale: float, seed: int = 2022):
+def _build_graph(scale: float, seed: int = 2022) -> TransactionGraph:
     config = WorkloadConfig(
         num_accounts=max(100, int(10_000 * scale)),
         num_transactions=max(1_000, int(60_000 * scale)),
-        block_size=BLOCK_SIZE,
         seed=seed,
     )
-    gen = EthereumWorkloadGenerator(config)
-    return [[tuple(tx.accounts) for tx in block.transactions] for block in gen.blocks()]
-
-
-def _run_loop(blocks, seed_blocks, delta_enabled: bool):
-    """One controller over the stream; returns (loop_seconds, controller)."""
-    params = TxAlloParams.with_capacity_for(
-        sum(len(b) for b in blocks) + sum(len(b) for b in seed_blocks),
-        k=16,
-        eta=2.0,
-        tau1=TAU1,
-        tau2=TAU2,
-    )
-    controller = TxAlloController(
-        params,
-        seed_transactions=[tx for block in seed_blocks for tx in block],
-        # Workspace off: this table isolates the delta-freeze machinery
-        # (see the module docstring); bench_adaptive.py owns the
-        # workspace gate.
-        adaptive_workspace=False,
-    )
-    controller.graph.delta_freeze_enabled = delta_enabled
-    t0 = time.perf_counter()
-    for block in blocks:
-        controller.observe_block(block)
-    return time.perf_counter() - t0, controller
+    graph = TransactionGraph()
+    for tx in EthereumWorkloadGenerator(config).transactions():
+        graph.add_transaction(tx.accounts)
+    return graph
 
 
 def _frontier_microbench(graph, repeats: int = 5):
@@ -133,54 +95,29 @@ def _frontier_microbench(graph, repeats: int = 5):
 
 
 def run_bench(scale: float = BENCH_SCALE, out_path: Path = OUT_PATH) -> dict:
-    blocks = _block_stream(scale)
-    # First half seeds the initial global allocation (history), second
-    # half is the live stream the controller loop is timed over.
-    split = len(blocks) // 2
-    seed_blocks, stream = blocks[:split], blocks[split:]
-
-    full_seconds = delta_seconds = float("inf")
-    for _ in range(TIMING_REPEATS):
-        seconds, full_ctrl = _run_loop(stream, seed_blocks, delta_enabled=False)
-        full_seconds = min(full_seconds, seconds)
-        seconds, delta_ctrl = _run_loop(stream, seed_blocks, delta_enabled=True)
-        delta_seconds = min(delta_seconds, seconds)
-
-    # Parity: delta-freeze is an optimisation, not a reinterpretation.
-    assert full_ctrl.allocation.mapping() == delta_ctrl.allocation.mapping()
-    assert full_ctrl.allocation.sigma == delta_ctrl.allocation.sigma
-    assert full_ctrl.allocation.lam_hat == delta_ctrl.allocation.lam_hat
-    assert [
-        (e.kind, e.block_height, e.moves, e.touched) for e in full_ctrl.events
-    ] == [(e.kind, e.block_height, e.moves, e.touched) for e in delta_ctrl.events]
-
-    delta_stats = delta_ctrl.freeze_stats
-    assert delta_stats["delta"] > 0, "delta-freeze path never ran"
+    graph = _build_graph(scale)
+    graph.freeze()
 
     # Counts first: the microbench ingests extra frontier transactions.
-    n_nodes = delta_ctrl.graph.num_nodes
-    n_edges = delta_ctrl.graph.num_edges
-    frontier_ms, full_freeze_ms = _frontier_microbench(delta_ctrl.graph)
+    n_nodes = graph.num_nodes
+    n_edges = graph.num_edges
+    n_transactions = graph.num_transactions
+    frontier_ms, full_freeze_ms = _frontier_microbench(graph)
+    freeze_stats = graph.freeze_stats
+    assert freeze_stats["full"] == 1, "a frontier re-freeze fell back to a full rebuild"
 
     payload = {
         "scale": scale,
         "n_nodes": n_nodes,
         "n_edges": n_edges,
-        "seed_blocks": split,
-        "stream_blocks": len(stream),
-        "tau1": TAU1,
-        "tau2": TAU2,
-        "full_loop_seconds": full_seconds,
-        "delta_loop_seconds": delta_seconds,
-        "speedup": full_seconds / delta_seconds if delta_seconds > 0 else float("inf"),
-        "full_freeze_stats": full_ctrl.freeze_stats,
-        "delta_freeze_stats": delta_stats,
+        "transactions": n_transactions,
         "frontier_freeze_ms": frontier_ms,
         "full_freeze_ms": full_freeze_ms,
+        "freeze_stats": freeze_stats,
     }
     out_path.write_text(json.dumps(payload, indent=2) + "\n")
     print()
-    print(f"== delta-freeze controller loop (scale={scale}) ==")
+    print(f"== delta-freeze frontier microbench (scale={scale}) ==")
     for key, value in payload.items():
         print(f"  {key}: {value}")
     return payload
@@ -196,12 +133,6 @@ def check_gates(payload: dict) -> list:
             "smallest-frontier re-freeze no longer tracks the frontier: "
             f"{payload['frontier_freeze_ms']['8']:.2f}ms vs full "
             f"{payload['full_freeze_ms']:.2f}ms"
-        )
-    # The standing gate: >= 2x on the controller block-loop at the
-    # default BENCH_SCALE=0.5 (margin for timer noise).
-    if payload["speedup"] < 2.0:
-        failures.append(
-            f"delta-freeze block-loop speedup regressed: {payload['speedup']:.2f}x < 2x"
         )
     return failures
 

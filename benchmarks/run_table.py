@@ -1,7 +1,7 @@
 """Emit one perf run-table row from the committed/regenerated BENCH files.
 
 ROADMAP's "track absolute seconds across PRs" item: every CI perf run
-appends one row — commit, scale, absolute grid/loop seconds, the
+appends one row — commit, scale, absolute grid seconds, the
 gated speedups and the resilience retention/recovery pair — to
 a tab-separated table uploaded as a build
 artifact, so the trajectory across PRs is a download away instead of an
@@ -44,12 +44,6 @@ COLUMNS = (
     "engine_grid_ref_s",
     "engine_grid_fast_s",
     "engine_grid_speedup",
-    "delta_loop_full_s",
-    "delta_loop_delta_s",
-    "delta_loop_speedup",
-    "adaptive_loop_base_s",
-    "adaptive_loop_ws_s",
-    "adaptive_loop_speedup",
     "resilience_tps_retention",
     "resilience_recovery_blocks",
     "parallel_grid_w1_s",
@@ -65,7 +59,6 @@ COLUMNS = (
 BENCHES = (
     ("bench_engine_speedup.py", "BENCH_engine"),
     ("bench_delta_freeze.py", "BENCH_delta"),
-    ("bench_adaptive.py", "BENCH_adaptive"),
     ("bench_resilience.py", "BENCH_resilience"),
     ("bench_parallel.py", "BENCH_parallel"),
     ("bench_matrix.py", "BENCH_matrix"),
@@ -90,23 +83,16 @@ def _fmt(value) -> str:
 def build_row(bench_dir: Path, commit: str, suffix: str = "") -> dict:
     engine = _load(bench_dir, f"BENCH_engine{suffix}.json")
     delta = _load(bench_dir, f"BENCH_delta{suffix}.json")
-    adaptive = _load(bench_dir, f"BENCH_adaptive{suffix}.json")
     resilience = _load(bench_dir, f"BENCH_resilience{suffix}.json")
     par = _load(bench_dir, f"BENCH_parallel{suffix}.json")
     matrix = _load(bench_dir, f"BENCH_matrix{suffix}.json")
-    scale = engine.get("scale", delta.get("scale", adaptive.get("scale")))
+    scale = engine.get("scale", delta.get("scale"))
     return {
         "commit": commit,
         "scale": scale,
         "engine_grid_ref_s": engine.get("ref_seconds"),
         "engine_grid_fast_s": engine.get("fast_seconds"),
         "engine_grid_speedup": engine.get("speedup"),
-        "delta_loop_full_s": delta.get("full_loop_seconds"),
-        "delta_loop_delta_s": delta.get("delta_loop_seconds"),
-        "delta_loop_speedup": delta.get("speedup"),
-        "adaptive_loop_base_s": adaptive.get("base_loop_seconds"),
-        "adaptive_loop_ws_s": adaptive.get("workspace_loop_seconds"),
-        "adaptive_loop_speedup": adaptive.get("speedup"),
         "resilience_tps_retention": resilience.get("tps_retention"),
         "resilience_recovery_blocks": resilience.get("recovery_blocks"),
         "parallel_grid_w1_s": (par.get("grid_seconds") or {}).get("1"),
@@ -190,7 +176,7 @@ def main(argv=None) -> int:
         existing = args.append.read_text() if args.append.exists() else ""
         fresh = not existing.strip()
         if not fresh and existing.splitlines()[0] != header:
-            # An old-schema table (e.g. pre-adaptive columns): appending
+            # An old-schema table (columns added or retired since): appending
             # would silently misalign every new row against its header.
             print(
                 f"error: {args.append} has a different column set; move it "

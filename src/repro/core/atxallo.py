@@ -68,18 +68,17 @@ def a_txallo(
 
     ``backend`` overrides ``alloc.params.backend`` and names a tier in
     the engine-backend registry (:mod:`repro.core.backends`):
-    ``"fast"`` snapshots the touched neighbourhoods into flat arrays
-    once — reading the rows from the graph's incrementally-maintained
-    frozen CSR form — and sweeps on those (:mod:`repro.core.engine`),
-    ``"reference"`` rescans the dict adjacency every sweep.  Both mutate
-    ``alloc`` byte-identically.
+    ``"fast"`` sweeps flat id-keyed views of the touched neighbourhoods
+    (:func:`repro.core.engine.a_txallo_flat`), ``"reference"`` rescans
+    the dict adjacency every sweep.  Both mutate ``alloc``
+    byte-identically.
 
-    ``workspace`` (an :class:`repro.core.engine.AdaptiveWorkspace`) makes
-    consecutive flat-backend runs share one persistent neighbourhood
-    view, kept current from the graph's mutation journal, instead of
-    re-freezing and re-snapshotting every run — the τ₁ block loop's
-    batched path.  Results stay byte-identical with or without it; the
-    reference backend ignores it (the dict scans *are* the live graph).
+    ``workspace`` (an :class:`repro.core.engine.AdaptiveWorkspace`) lets
+    consecutive flat-backend runs share one persistent set of views,
+    kept current from the graph's mutation journal — the controller's τ₁
+    block loop.  Without one, the flat kernel builds the views for this
+    run from one freeze and never touches the journal.  The reference
+    backend ignores it (the dict scans *are* the live graph).
     """
     t0 = time.perf_counter()
     if epsilon is None:

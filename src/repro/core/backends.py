@@ -5,9 +5,8 @@ registry maps allocator *names* to allocator factories, this one maps
 ``TxAlloParams.backend`` names to a :class:`BackendSpec` declaring, per
 tier, the three kernels the allocation stack dispatches to — Louvain,
 the G-TxAllo sweep, the A-TxAllo sweep.  ``louvain_partition``,
-``g_txallo``, ``a_txallo``, ``TxAlloParams`` validation, the
-controller's workspace decision, the CLI's ``--backend`` choices and
-the benchmarks all look backends up through :func:`get_backend` instead
+``g_txallo``, ``a_txallo``, ``TxAlloParams`` validation, the CLI's
+``--backend`` choices and the benchmarks all look backends up through :func:`get_backend` instead
 of string-switching, so a new tier (numba, a C extension, ...) is one :func:`register_backend`
 call, not a multi-file surgery.
 
@@ -51,19 +50,13 @@ from repro.errors import ParameterError
 
 @dataclasses.dataclass(frozen=True)
 class BackendSpec:
-    """One engine tier: its kernels.
-
-    ``uses_workspace`` tells the controller the tier's A-TxAllo kernel
-    runs on the flat engine and accepts an
-    :class:`~repro.core.engine.AdaptiveWorkspace`.
-    """
+    """One engine tier: its kernels."""
 
     name: str
     description: str
     louvain_kernel: Callable
     gtxallo_kernel: Callable
     atxallo_kernel: Callable
-    uses_workspace: bool = False
 
 
 _REGISTRY: Dict[str, BackendSpec] = {}
@@ -150,7 +143,6 @@ register_backend(BackendSpec(
     louvain_kernel=_louvain_fast,
     gtxallo_kernel=_gtxallo_fast,
     atxallo_kernel=_atxallo_flat,
-    uses_workspace=True,
 ))
 
 register_backend(BackendSpec(

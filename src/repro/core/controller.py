@@ -14,23 +14,23 @@ log with per-update wall-clock timings.
 On the fast backend the graph's frozen CSR snapshot is maintained
 *incrementally* across updates (delta-freeze, see
 :meth:`repro.core.graph.TransactionGraph.freeze`): each block perturbs a
-small frontier, so the periodic A-TxAllo snapshots and G-TxAllo refreshes
-extend the previous snapshot instead of re-lowering the whole graph.
+small frontier, so the periodic G-TxAllo refreshes (and the adaptive
+workspace's rebuilds) extend the previous snapshot instead of
+re-lowering the whole graph.
 :attr:`TxAlloController.freeze_stats` exposes the counters.
 
-Since the adaptive workspace
-(:class:`repro.core.engine.AdaptiveWorkspace`, owned by the controller
-and on by default for the flat backend) consecutive A-TxAllo runs go
-further: they share one persistent flat neighbourhood view kept current
-from the graph's mutation journal, so the τ₁ loop does not freeze the
-graph at all.  The workspace also survives G-TxAllo refreshes: its graph
-views do not depend on the allocation, so after a refresh it only
-re-reads the id→shard array from the new allocation (a *reseat*); a full
-rebuild happens only on the first run and after the graph poisons its
-journal (a competing journal on the same graph, a ``JOURNAL_EDGE_CAP``
-overflow).
-Results are byte-identical with the workspace on or off;
-:attr:`TxAlloController.workspace_stats` exposes its counters.
+With the adaptive workspace
+(:class:`repro.core.engine.AdaptiveWorkspace`, one per controller, used
+by the flat backend) consecutive A-TxAllo runs go further: they share
+one persistent flat neighbourhood view kept current from the graph's
+mutation journal, so the τ₁ loop does not freeze the graph at all.  The
+workspace also survives G-TxAllo refreshes: its graph views do not
+depend on the allocation, so after a refresh it only re-reads the
+id→shard array from the new allocation (a *reseat*); a full rebuild
+happens only on the first run and after the graph poisons its journal
+(a competing journal on the same graph, a ``JOURNAL_EDGE_CAP``
+overflow).  :attr:`TxAlloController.workspace_stats` exposes its
+counters.
 
 A scheduled G-TxAllo refresh whose inputs have not changed since the
 last installed G-TxAllo result is not re-run: when the graph's
@@ -51,7 +51,6 @@ import dataclasses
 import time
 from typing import Iterable, List, Optional, Sequence, Set
 
-from repro.core import backends
 from repro.core.allocation import Allocation
 from repro.core.allocator import OnlineAllocator, hash_fallback_shard
 from repro.core.atxallo import a_txallo
@@ -116,16 +115,13 @@ class TxAlloController(OnlineAllocator):
         *,
         graph: Optional[TransactionGraph] = None,
         initial_mapping: Optional[dict] = None,
-        adaptive_enabled: bool = True,
         global_enabled: bool = True,
-        adaptive_workspace: bool = True,
     ) -> None:
         self.params = params
         self.graph = graph if graph is not None else TransactionGraph()
         self.block_height = 0
         self.events: List[UpdateEvent] = []
         self._touched: Set[Node] = set()
-        self._adaptive_enabled = adaptive_enabled
         self._global_enabled = global_enabled
         # (graph.version, allocation.mutation_count) right after the last
         # installed G-TxAllo result, and that run's move count; None until
@@ -134,14 +130,9 @@ class TxAlloController(OnlineAllocator):
         self._global_moves = 0
         # The adaptive workspace batches consecutive A-TxAllo runs over
         # one persistent neighbourhood view (byte-identical results; see
-        # repro.core.engine).  The backend's registry spec declares
-        # whether its A-TxAllo kernel consumes one — the reference path
-        # scans the live dicts every sweep anyway.
-        self._workspace: Optional[AdaptiveWorkspace] = (
-            AdaptiveWorkspace()
-            if adaptive_workspace and backends.get_backend(params.backend).uses_workspace
-            else None
-        )
+        # repro.core.engine).  The reference kernel ignores it — its dict
+        # scans read the live graph every sweep anyway.
+        self._workspace = AdaptiveWorkspace()
         if seed_transactions is not None:
             for accounts in seed_transactions:
                 self.graph.add_transaction(accounts)
@@ -182,7 +173,7 @@ class TxAlloController(OnlineAllocator):
 
         if self._global_enabled and self.block_height % self.params.tau2 == 0:
             return self._run_global()
-        if self._adaptive_enabled and self.block_height % self.params.tau1 == 0:
+        if self.block_height % self.params.tau1 == 0:
             return self._run_adaptive()
         return None
 
@@ -285,8 +276,8 @@ class TxAlloController(OnlineAllocator):
     def freeze_stats(self) -> dict:
         """The graph's snapshot counters (full/delta/cached freezes).
 
-        On the fast backend both the global refreshes and the adaptive
-        neighbourhood snapshots run on the frozen CSR form, so this shows
+        On the fast backend the global refreshes and the adaptive
+        workspace's (re)builds run on the frozen CSR form, so this shows
         whether the controller is paying from-scratch lowerings or the
         incremental delta-freeze path.
         """
@@ -302,9 +293,7 @@ class TxAlloController(OnlineAllocator):
         idle refresh keeps the allocation, so none) or a foreign move,
         ``extends`` journal replays that carried the cached views across a
         τ₁ window, ``runs`` adaptive runs served through the workspace.
-        All zero when the workspace is disabled
-        (``adaptive_workspace=False`` or the reference backend).
+        All zero on the reference backend, whose kernel ignores the
+        workspace.
         """
-        if self._workspace is None:
-            return {"rebuilds": 0, "reseats": 0, "extends": 0, "runs": 0}
         return self._workspace.stats

@@ -25,9 +25,9 @@ reference    dict-based executable specification
 fast         this module; the default tier, byte-identical to reference
 ===========  =========================================
 
-The A-TxAllo kernel of the flat tier is :func:`a_txallo_flat` —
-adaptive sweeps touch O(|V̂|) nodes, where the flat engine is already
-optimal.
+The A-TxAllo kernel of the flat tier is :func:`a_txallo_flat`, the one
+flat Algorithm 2 body — adaptive sweeps touch O(|V̂|) nodes, where the
+flat engine is already optimal.
 
 Parity contract
 ---------------
@@ -62,31 +62,28 @@ across randomised workloads, shard counts and eta values.
 Adaptive workspace
 ------------------
 :class:`AdaptiveWorkspace` batches consecutive A-TxAllo runs: instead of
-re-freezing the graph and re-snapshotting the touched neighbourhoods
-from the CSR every τ₁ window, the workspace keeps the flat views alive
-*across* runs — id-keyed row maps mirroring the adjacency dicts, the
-self-loop vector, and a dense id→shard array — and keeps them current by
-replaying the graph's :class:`~repro.core.graph.MutationJournal` (new
-nodes, edge weight increments) in O(window delta) instead of
-O(frontier degree) re-lowering plus an incremental freeze per window.
-The workspace is a **cache, not a backend level**: it is not allowed to
-land on a different optimum — a workspace-backed run must produce
-byte-identical allocations, caches and sweep/move counts to the
-snapshot-per-run fast path (the row maps replay the same float
-accumulations in the same order the CSR rows would, and per-run ``w_ext``
-is re-summed in row order exactly as a lowering would), which
+re-freezing the graph and re-reading the touched neighbourhoods from the
+CSR every τ₁ window, the workspace keeps the flat views alive *across*
+runs — id-keyed row maps mirroring the adjacency dicts, the self-loop
+vector, and a dense id→shard array — and keeps them current by replaying
+the graph's :class:`~repro.core.graph.MutationJournal` (new nodes, edge
+weight increments) in O(window delta) instead of an incremental freeze
+per window.  The workspace is a **cache, not a backend level**: the row
+maps replay the same float accumulations in the same order the CSR rows
+would, so a workspace-backed run lands on the reference backend's
+allocation, caches and sweep/move counts byte for byte, which
 ``tests/test_engine_parity.py`` and ``tests/test_delta_freeze.py`` pin
-property-style.  The workspace survives global refreshes: its row maps,
-loop vector, id index and journal describe the graph alone, so when the
-allocation object is replaced (a G-TxAllo refresh) or the allocation's
-mutation watermark (``Allocation.mutation_count``) drifts from what the
-workspace last saw (an assign/move applied behind its back), it only
-rebuilds the id→shard array from the allocation — a *reseat*.  A full
-rebuild from a fresh frozen snapshot happens only for a different graph
-or a poisoned journal (a competing journal, a stopped journal, a
-``JOURNAL_EDGE_CAP`` overflow).
-``benchmarks/bench_adaptive.py`` gates the resulting Fig. 9 block-loop
-speedup (≥ 1.3x end-to-end at τ₁=1).
+property-style.  A call without a workspace builds the same views for
+the touched neighbourhoods from one freeze and discards them.  The
+workspace survives global refreshes: its row maps, loop vector, id index
+and journal describe the graph alone, so when the allocation object is
+replaced (a G-TxAllo refresh) or the allocation's mutation watermark
+(``Allocation.mutation_count``) drifts from what the workspace last saw
+(an assign/move applied behind its back), it only rebuilds the id→shard
+array from the allocation — a *reseat*.  A full rebuild from a fresh
+frozen snapshot happens only for a different graph or a poisoned journal
+(a competing journal, a stopped journal, a ``JOURNAL_EDGE_CAP``
+overflow).
 """
 
 from __future__ import annotations
@@ -758,251 +755,6 @@ def _optimise_flat(
 
 
 # ======================================================================
-# A-TxAllo on a snapshot of the touched neighbourhoods
-# ======================================================================
-def a_txallo_flat(
-    alloc: Allocation,
-    touched: Iterable[Node],
-    epsilon: float,
-    workspace: Optional["AdaptiveWorkspace"] = None,
-) -> Tuple[int, int, int, int, bool]:
-    """Algorithm 2 on flat snapshots, mutating ``alloc`` in place.
-
-    Returns ``(new_nodes, swept_nodes, sweeps, moves, converged)`` —
-    ``converged`` is ``False`` when the run exhausted the sweep cap
-    before the per-sweep gain dropped below ``epsilon``.
-
-    ``workspace`` switches to the batched path: the touched
-    neighbourhoods are read from the persistent
-    :class:`AdaptiveWorkspace` views (kept current via the graph's
-    mutation journal) instead of a fresh per-run snapshot of the frozen
-    CSR.  Byte-identical results either way — the workspace is a cache,
-    not a backend level (see the module docstring).
-
-    The graph does not change during a run, so each touched node's
-    neighbourhood is scanned **once** into flat arrays: per-neighbour
-    weight plus either the neighbour's fixed community (untouched nodes
-    cannot move) or an indirection slot into the touched set (touched
-    nodes can).  Sweeps then re-evaluate from the snapshot without ever
-    re-hashing an account string.  Assignments and moves are applied
-    through :meth:`Allocation.assign` / :meth:`Allocation.move` with the
-    accumulated weights, so the cache arithmetic is the reference's own.
-
-    The per-node rows come from the graph's frozen CSR form, which
-    :meth:`TransactionGraph.freeze` maintains *incrementally* between
-    runs (delta-freeze): on the controller path, where each block only
-    perturbs a small frontier, refreshing the snapshot costs work
-    proportional to that frontier instead of a from-scratch O(N + E)
-    lowering.  CSR rows replay the adjacency-dict iteration order and
-    ``loop``/``ext`` are the same accumulated floats, so the run stays
-    byte-identical to the reference backend.
-    """
-    if workspace is not None:
-        return _a_txallo_workspace(alloc, touched, epsilon, workspace)
-    graph = alloc.graph
-    params = alloc.params
-    k = params.k
-    eta = params.eta
-    lam = params.lam
-    num_comms = alloc.num_communities
-    shard_of = alloc._shard_of
-
-    csr = graph.freeze()
-    index_of = csr.index_of
-    csr_nodes = csr.nodes
-    csr_pairs = csr.pairs
-
-    hat_v: List[Node] = sorted(set(touched))
-    nv = len(hat_v)
-    ids: List[int] = []
-    for v in hat_v:
-        try:
-            ids.append(index_of[v])
-        except KeyError:
-            raise GraphError(f"unknown node {v!r}") from None
-    local_slot = {i: s for s, i in enumerate(ids)}
-    local_shard = [shard_of.get(v, -1) for v in hat_v]
-
-    # --- one-time neighbourhood snapshot --------------------------------
-    # Per neighbour entry ``(code, w)``: ``code >= 0`` is the fixed
-    # community of an untouched assigned neighbour; ``code < 0`` is
-    # ``~slot`` of a touched neighbour (community read through
-    # ``local_shard`` at evaluation time).  Untouched *unassigned*
-    # neighbours are dropped — they never contribute shard weight and
-    # ``w_ext`` comes precomputed from the frozen form (``csr.ext`` sums
-    # the same floats in the same row order as a dict scan would).
-    snap: List[List[Tuple[int, float]]] = []
-    self_w = [0.0] * nv
-    ext_w = [0.0] * nv
-    for s, i in enumerate(ids):
-        entries: List[Tuple[int, float]] = []
-        for j, w in csr_pairs[i]:
-            slot = local_slot.get(j)
-            if slot is not None:
-                entries.append((~slot, w))
-            else:
-                c = shard_of.get(csr_nodes[j])
-                if c is not None:
-                    entries.append((c, w))
-        self_w[s] = csr.loop[i]
-        ext_w[s] = csr.ext[i]
-        snap.append(entries)
-
-    acc = [0.0] * num_comms
-    stamp = [0] * num_comms
-    epoch = 0
-
-    def scan(s: int) -> List[int]:
-        nonlocal epoch
-        epoch += 1
-        touched_comms: List[int] = []
-        for code, w in snap[s]:
-            c = code if code >= 0 else local_shard[~code]
-            if c < 0:
-                continue  # touched neighbour still unassigned
-            if stamp[c] == epoch:
-                acc[c] += w
-            else:
-                stamp[c] = epoch
-                acc[c] = w
-                touched_comms.append(c)
-        return touched_comms
-
-    def weights_triple(s: int, touched_comms: List[int]):
-        by_shard = {c: acc[c] for c in touched_comms}
-        return by_shard, self_w[s], ext_w[s]
-
-    def join_gain(q: int, w_q: float, w_self: float, w_ext: float) -> float:
-        sigma_q = alloc.sigma[q]
-        lam_hat_q = alloc.lam_hat[q]
-        sigma_new = sigma_q + w_self + eta * (w_ext - w_q) + (1.0 - eta) * w_q
-        lam_hat_new = lam_hat_q + w_self + w_ext / 2.0
-        if sigma_q <= lam or sigma_q == 0.0:
-            before = lam_hat_q
-        else:
-            before = lam / sigma_q * lam_hat_q
-        if sigma_new <= lam or sigma_new == 0.0:
-            after = lam_hat_new
-        else:
-            after = lam / sigma_new * lam_hat_new
-        return after - before
-
-    # --- Phase 1: brand-new accounts (Algorithm 2, lines 1-8) -----------
-    new_slots = [s for s in range(nv) if local_shard[s] < 0]
-    for s in new_slots:
-        touched_comms = scan(s)
-        w_self = self_w[s]
-        w_ext = ext_w[s]
-        candidates: Iterable[int] = sorted(
-            c for c in touched_comms if c < k and acc[c] > 0.0
-        )
-        if not candidates:
-            candidates = range(k)
-        best_q = -1
-        best_gain = -float("inf")
-        for q in candidates:
-            w_q = acc[q] if stamp[q] == epoch else 0.0
-            gain = join_gain(q, w_q, w_self, w_ext)
-            if gain > best_gain:
-                best_gain = gain
-                best_q = q
-        alloc.assign(hat_v[s], best_q, weights=weights_triple(s, touched_comms))
-        local_shard[s] = best_q
-
-    # --- Phase 2: optimise the touched set (lines 9-17) -----------------
-    # Inlined like _optimise_flat: arrays in locals, per-community capped
-    # throughput cached (a pure function of sigma/lam_hat, refreshed on
-    # the communities each assign/move touches — bit-identical reads).
-    sigma = alloc.sigma
-    lam_hat = alloc.lam_hat
-    one_minus_eta = 1.0 - eta
-    eta_minus_one = eta - 1.0
-    neg_inf = -float("inf")
-    thpt = [0.0] * num_comms
-    for c in range(num_comms):
-        sigma_c = sigma[c]
-        if sigma_c <= lam or sigma_c == 0.0:
-            thpt[c] = lam_hat[c]
-        else:
-            thpt[c] = lam / sigma_c * lam_hat[c]
-
-    touched_comms: List[int] = []
-    sweeps = 0
-    moves = 0
-    converged = False
-    while sweeps < _ADAPTIVE_MAX_SWEEPS:
-        sweeps += 1
-        sweep_gain = 0.0
-        for s in range(nv):
-            p = local_shard[s]
-            epoch += 1
-            del touched_comms[:]
-            append = touched_comms.append
-            for code, w in snap[s]:
-                c = code if code >= 0 else local_shard[~code]
-                if c < 0:
-                    continue  # touched neighbour still unassigned
-                if stamp[c] == epoch:
-                    acc[c] += w
-                else:
-                    stamp[c] = epoch
-                    acc[c] = w
-                    append(c)
-            if not touched_comms or (
-                len(touched_comms) == 1 and touched_comms[0] == p
-            ):
-                continue
-            touched_comms.sort()
-            w_self = self_w[s]
-            w_ext = ext_w[s]
-            half_ext = w_ext / 2.0
-            w_p = acc[p] if stamp[p] == epoch else 0.0
-            sigma_new = sigma[p] - w_self - eta * (w_ext - w_p) + eta_minus_one * w_p
-            lam_hat_new = lam_hat[p] - w_self - half_ext
-            if sigma_new <= lam or sigma_new == 0.0:
-                after = lam_hat_new
-            else:
-                after = lam / sigma_new * lam_hat_new
-            leave = after - thpt[p]
-            best_q = -1
-            best_gain = neg_inf
-            for q in touched_comms:
-                if q == p:
-                    continue
-                w_q = acc[q]
-                sigma_new = sigma[q] + w_self + eta * (w_ext - w_q) + one_minus_eta * w_q
-                lam_hat_new = lam_hat[q] + w_self + half_ext
-                if sigma_new <= lam or sigma_new == 0.0:
-                    join_after = lam_hat_new
-                else:
-                    join_after = lam / sigma_new * lam_hat_new
-                gain = leave + (join_after - thpt[q])
-                if gain > best_gain:
-                    best_gain = gain
-                    best_q = q
-            if best_q >= 0 and best_gain > 0.0:
-                alloc.move(hat_v[s], best_q, weights=weights_triple(s, touched_comms))
-                local_shard[s] = best_q
-                sigma_p = sigma[p]
-                if sigma_p <= lam or sigma_p == 0.0:
-                    thpt[p] = lam_hat[p]
-                else:
-                    thpt[p] = lam / sigma_p * lam_hat[p]
-                sigma_q = sigma[best_q]
-                if sigma_q <= lam or sigma_q == 0.0:
-                    thpt[best_q] = lam_hat[best_q]
-                else:
-                    thpt[best_q] = lam / sigma_q * lam_hat[best_q]
-                sweep_gain += best_gain
-                moves += 1
-        if sweep_gain < epsilon:
-            converged = True
-            break
-
-    return len(new_slots), nv, sweeps, moves, converged
-
-
-# ======================================================================
 # Adaptive workspace — batched A-TxAllo across τ₁ windows
 # ======================================================================
 class AdaptiveWorkspace:
@@ -1034,8 +786,8 @@ class AdaptiveWorkspace:
     a ``JOURNAL_EDGE_CAP`` overflow).
 
     The workspace is a cache, not a backend level — runs through it are
-    byte-identical to the snapshot-per-run fast path (module docstring
-    has the argument; the parity suites pin it).
+    byte-identical to the reference backend (module docstring has the
+    argument; the parity suites pin it).
     """
 
     __slots__ = (
@@ -1168,46 +920,78 @@ class AdaptiveWorkspace:
         self._counts["runs"] += 1
 
 
-def _a_txallo_workspace(
-    alloc: Allocation,
-    touched: Iterable[Node],
-    epsilon: float,
-    workspace: AdaptiveWorkspace,
-) -> Tuple[int, int, int, int, bool]:
-    """Algorithm 2 against the persistent workspace views.
+# ======================================================================
+# A-TxAllo (Algorithm 2) on flat id-keyed views
+# ======================================================================
+def _kernel_views(
+    alloc: Allocation, hat_v: List[Node], workspace: Optional[AdaptiveWorkspace]
+):
+    """``(ids, rows, loop, shard)`` — the views :func:`a_txallo_flat` sweeps.
 
-    Structurally the same two phases as the snapshot path in
-    :func:`a_txallo_flat`, but the per-run snapshot build (and the freeze
-    behind it) is replaced by :meth:`AdaptiveWorkspace.sync`.  Per-node
-    ``w_ext`` is re-summed from the row map in row order — the identical
-    float sequence a CSR lowering would produce — and neighbour
-    communities are read live through the dense ``shard`` array, which
-    the applied assigns/moves keep in lockstep with ``alloc``.  Scan
-    accumulation order matches the snapshot path entry for entry, so the
-    two paths are byte-identical.
+    With a workspace these are its persistent dense views, synced first.
+    Without one they are built for this run only from the graph's frozen
+    CSR: id-keyed dicts holding the rows and loops of the touched ids and
+    the shard of every touched id and neighbour.  That one-off path never
+    starts, stops or reads a mutation journal, so it cannot disturb a
+    workspace subscribed to the same graph.
     """
-    workspace.sync(alloc)
-    params = alloc.params
-    k = params.k
-    eta = params.eta
-    lam = params.lam
-    num_comms = alloc.num_communities
-    index_of = workspace._index_of
-    rows = workspace._rows
-    loop = workspace._loop
-    shard = workspace._shard
-
-    hat_v: List[Node] = sorted(set(touched))
-    nv = len(hat_v)
+    if workspace is not None:
+        workspace.sync(alloc)
+        index_of = workspace._index_of
+    else:
+        csr = alloc.graph.freeze()
+        index_of = csr.index_of
     ids: List[int] = []
     for v in hat_v:
         try:
             ids.append(index_of[v])
         except KeyError:
             raise GraphError(f"unknown node {v!r}") from None
+    if workspace is not None:
+        return ids, workspace._rows, workspace._loop, workspace._shard
+    rows = {i: dict(csr.pairs[i]) for i in ids}
+    shard_of = alloc._shard_of
+    nodes = csr.nodes
+    shard = {j: shard_of.get(nodes[j], -1) for i in ids for j in (i, *rows[i])}
+    return ids, rows, csr.loop, shard
 
-    # The row maps are read in place (the graph cannot mutate during a
-    # run).  w_self / w_ext are re-derived per run: loop is maintained
+
+def a_txallo_flat(
+    alloc: Allocation,
+    touched: Iterable[Node],
+    epsilon: float,
+    workspace: Optional[AdaptiveWorkspace] = None,
+) -> Tuple[int, int, int, int, bool]:
+    """Algorithm 2 on flat id-keyed views, mutating ``alloc`` in place.
+
+    Returns ``(new_nodes, swept_nodes, sweeps, moves, converged)`` —
+    ``converged`` is ``False`` when the run exhausted the sweep cap
+    before the per-sweep gain dropped below ``epsilon``.
+
+    ``workspace`` (the controller's :class:`AdaptiveWorkspace`) supplies
+    persistent views kept current from the graph's mutation journal;
+    without one the views are built for this run from the frozen CSR
+    (:func:`_kernel_views`).  Either way the graph cannot change during
+    a run, so rows are read in place: per-node ``w_ext`` is re-summed
+    from the row map in row order — the identical float sequence a CSR
+    lowering produces — and neighbour communities are read through the
+    ``shard`` view, which the applied assigns/moves keep in lockstep
+    with ``alloc``.  Assignments and moves go through
+    :meth:`Allocation.assign` / :meth:`Allocation.move` with the
+    accumulated weights, so the cache arithmetic is the reference's own
+    and the run is byte-identical to ``backend="reference"``.
+    """
+    params = alloc.params
+    k = params.k
+    eta = params.eta
+    lam = params.lam
+    num_comms = alloc.num_communities
+
+    hat_v: List[Node] = sorted(set(touched))
+    nv = len(hat_v)
+    ids, rows, loop, shard = _kernel_views(alloc, hat_v, workspace)
+
+    # w_self / w_ext are re-derived per run: loop is maintained
     # bit-exactly, and sum() over the row map adds the same floats
     # left-to-right in iteration order — exactly the lowering's
     # accumulation of csr.ext.
@@ -1238,7 +1022,7 @@ def _a_txallo_workspace(
     # and destination communities are ever read (``by_shard.get(p)`` /
     # ``.get(q)``), and the values are the same stamped accumulator reads
     # the full per-community dict would carry, so the cache arithmetic is
-    # bit-identical to the snapshot path's ``weights_triple``.
+    # bit-identical to the reference's ``neighbour_shard_weights``.
     def join_gain(q: int, w_q: float, w_self: float, w_ext: float) -> float:
         sigma_q = alloc.sigma[q]
         lam_hat_q = alloc.lam_hat[q]
@@ -1369,5 +1153,6 @@ def _a_txallo_workspace(
             converged = True
             break
 
-    workspace._note_run(alloc)
+    if workspace is not None:
+        workspace._note_run(alloc)
     return len(new_slots), nv, sweeps, moves, converged

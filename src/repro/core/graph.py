@@ -32,10 +32,10 @@ whose adjacency rows changed.  When the next ``freeze()`` finds the delta
 small and monotone, it extends the cached snapshot incrementally
 (:meth:`repro.core.csr.CSRGraph.extend`) instead of re-lowering the whole
 graph, so the dynamic controller's periodic refreshes cost work
-proportional to the block frontier rather than to N + E.  Oversized
-deltas, and a log invalidated by toggling ``delta_freeze_enabled``, fall
-back to a full rebuild; either way the resulting snapshot is
-element-identical to a cold ``CSRGraph.from_graph``.
+proportional to the block frontier rather than to N + E.  The first
+freeze, the first freeze of a copy and oversized deltas fall back to a
+full rebuild; either way the resulting snapshot is element-identical to
+a cold ``CSRGraph.from_graph``.
 
 Independently of the freeze-relative delta log, a consumer may subscribe
 to a :class:`MutationJournal` (``start_mutation_journal``): an
@@ -148,8 +148,6 @@ class TransactionGraph:
         "_frozen",
         "_delta_nodes",
         "_delta_touched",
-        "_delta_full",
-        "_delta_enabled",
         "_freeze_counts",
         "_journal",
     )
@@ -166,12 +164,9 @@ class TransactionGraph:
         self._version: int = 0
         self._frozen: Optional[Tuple[int, "CSRGraph"]] = None
         # Delta log since the cached snapshot: nodes added (insertion
-        # order), nodes whose rows changed, and whether the log no longer
-        # describes the change (delta-freeze toggled -> full rebuild).
+        # order) and nodes whose rows changed.
         self._delta_nodes: List[Node] = []
         self._delta_touched: set = set()
-        self._delta_full: bool = False
-        self._delta_enabled: bool = True
         self._freeze_counts: Dict[str, int] = {"full": 0, "delta": 0, "cached": 0}
         # Optional mutation journal (adaptive-workspace consumer).
         self._journal: Optional[MutationJournal] = None
@@ -184,7 +179,7 @@ class TransactionGraph:
         if v not in self._adj:
             self._adj[v] = {}
             self._version += 1
-            if self._delta_enabled and not self._delta_full and self._frozen is not None:
+            if self._frozen is not None:
                 self._delta_nodes.append(v)
             journal = self._journal
             if journal is not None:
@@ -212,7 +207,7 @@ class TransactionGraph:
             self._num_edges += 1
         self._total_weight += weight
         self._version += 1
-        if self._delta_enabled and not self._delta_full and self._frozen is not None:
+        if self._frozen is not None:
             self._delta_touched.add(u)
             self._delta_touched.add(v)
         journal = self._journal
@@ -381,9 +376,8 @@ class TransactionGraph:
         monotone, the previous snapshot is extended incrementally
         (:meth:`repro.core.csr.CSRGraph.extend`): untouched rows are
         reused wholesale and only the mutated frontier is re-lowered.
-        Deltas touching more than ``DELTA_REBUILD_FRACTION`` of the nodes,
-        and the first freeze after ``delta_freeze_enabled`` is toggled,
-        rebuild from scratch.
+        The first freeze (of a graph or of a copy) and deltas touching more
+        than ``DELTA_REBUILD_FRACTION`` of the nodes rebuild from scratch.
         Either path yields an element-identical snapshot;
         :attr:`freeze_stats` counts which one ran.
 
@@ -397,10 +391,7 @@ class TransactionGraph:
             self._freeze_counts["cached"] += 1
             return frozen[1]
         csr = None
-        log_intact = (
-            frozen is not None and self._delta_enabled and not self._delta_full
-        )
-        if log_intact:
+        if frozen is not None:
             # Union, not sum: a brand-new connected node sits in both the
             # node log (via add_node) and the touched set (via add_edge).
             frontier = len(self._delta_touched.union(self._delta_nodes))
@@ -415,24 +406,7 @@ class TransactionGraph:
         self._frozen = (self._version, csr)
         self._delta_nodes = []
         self._delta_touched.clear()
-        self._delta_full = False
         return csr
-
-    @property
-    def delta_freeze_enabled(self) -> bool:
-        """Whether :meth:`freeze` may extend snapshots incrementally."""
-        return self._delta_enabled
-
-    @delta_freeze_enabled.setter
-    def delta_freeze_enabled(self, enabled: bool) -> None:
-        self._delta_enabled = bool(enabled)
-        # Toggling in either direction poisons the log: mutations made
-        # while disabled are unlogged, so an extend after re-enabling
-        # would silently produce a stale snapshot.  The next freeze()
-        # rebuilds from scratch and restarts the log.
-        self._delta_full = True
-        self._delta_nodes = []
-        self._delta_touched.clear()
 
     @property
     def freeze_stats(self) -> Dict[str, int]:

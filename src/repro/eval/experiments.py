@@ -787,6 +787,70 @@ def live_cadence(
     return tau1, tau2
 
 
+@dataclasses.dataclass
+class LiveSetup:
+    """The shared start of a live run, derived once from its workload."""
+
+    params: TxAlloParams
+    #: Sorted account tuples of the seed history, in chain order.
+    seed_sets: List[Tuple[str, ...]]
+    #: The transaction graph of ``seed_sets``.
+    seed_graph: TransactionGraph
+    seed_blocks: int
+    live_blocks: List[list]
+
+
+def live_setup(
+    workload: Workload,
+    *,
+    k: int,
+    eta: float,
+    seed_fraction: float,
+    capacity_factor: float,
+    no_live_blocks: str,
+    lam: Optional[float] = None,
+    tau1: Optional[int] = None,
+    tau2: Optional[int] = None,
+    backend: str = "fast",
+) -> LiveSetup:
+    """Split ``workload`` into seed history and live blocks, derive params.
+
+    ``lam`` defaults to ``max(1, capacity_factor · mean live block / k)``,
+    the cadence comes from :func:`live_cadence` and ε scales with the
+    workload's transaction count.  Raises :class:`ParameterError` with
+    the message ``no_live_blocks`` when the split leaves no live block.
+    :func:`live_compare` and the scenario matrix both start here.
+    """
+    seed_stream, live_stream = workload.blocks.split(seed_fraction)
+    live_blocks = [list(block) for block in live_stream]
+    if not live_blocks:
+        raise ParameterError(no_live_blocks)
+    if lam is None:
+        mean_block = live_stream.num_transactions / len(live_blocks)
+        lam = max(1.0, capacity_factor * mean_block / k)
+    tau1, tau2 = live_cadence(len(live_blocks), tau1, tau2)
+    params = TxAlloParams(
+        k=k,
+        eta=eta,
+        lam=lam,
+        epsilon=1e-5 * max(1, workload.num_transactions),
+        tau1=tau1,
+        tau2=tau2,
+        backend=backend,
+    )
+    seed_sets = seed_stream.account_sets()
+    seed_graph = TransactionGraph()
+    for accounts in seed_sets:
+        seed_graph.add_transaction(accounts)
+    return LiveSetup(
+        params=params,
+        seed_sets=seed_sets,
+        seed_graph=seed_graph,
+        seed_blocks=len(seed_stream),
+        live_blocks=live_blocks,
+    )
+
+
 def live_compare(
     workload: Workload,
     k: int = 8,
@@ -817,27 +881,19 @@ def live_compare(
     in a :class:`~repro.core.resilience.ResilientAllocator` so injected
     allocator failures degrade throughput instead of crashing the run.
     """
-    seed_stream, live_stream = workload.blocks.split(seed_fraction)
-    seed_sets = seed_stream.account_sets()
-    live_blocks = [list(block) for block in live_stream]
-    if not live_blocks:
-        raise ParameterError("live_compare needs at least one live block")
-    if lam is None:
-        mean_block = live_stream.num_transactions / len(live_blocks)
-        lam = max(1.0, capacity_factor * mean_block / k)
-    tau1, tau2 = live_cadence(len(live_blocks), tau1, tau2)
-    params = TxAlloParams(
+    setup = live_setup(
+        workload,
         k=k,
         eta=eta,
+        seed_fraction=seed_fraction,
+        capacity_factor=capacity_factor,
+        no_live_blocks="live_compare needs at least one live block",
         lam=lam,
-        epsilon=1e-5 * max(1, workload.num_transactions),
         tau1=tau1,
         tau2=tau2,
     )
-
-    seed_graph = TransactionGraph()
-    for accounts in seed_sets:
-        seed_graph.add_transaction(accounts)
+    params = setup.params
+    live_blocks = setup.live_blocks
 
     plan: Optional[FaultPlan] = None
     if faults:
@@ -849,7 +905,7 @@ def live_compare(
     reports: Dict[str, LiveReport] = {}
     for method in methods:
         allocator = allocators.get_online(
-            method, params, seed_transactions=seed_sets, seed_graph=seed_graph
+            method, params, seed_transactions=setup.seed_sets, seed_graph=setup.seed_graph
         )
         if plan is not None and not isinstance(allocator, ResilientAllocator):
             allocator = ResilientAllocator(allocator)
@@ -858,8 +914,8 @@ def live_compare(
     return LiveComparison(
         k=k,
         eta=eta,
-        lam=lam,
-        seed_blocks=len(seed_stream),
+        lam=params.lam,
+        seed_blocks=setup.seed_blocks,
         live_blocks=len(live_blocks),
         reports=reports,
         fault_plan=plan,

@@ -48,13 +48,11 @@ from repro.chain.faults import FaultPlan, resolve_fault_plan
 from repro.chain.live import LiveShardedNetwork, TickStats
 from repro.core.allocator import OnlineAllocator
 from repro.core.backends import get_backend
-from repro.core.graph import TransactionGraph
 from repro.core.parallel import effective_workers, fork_available
-from repro.core.params import TxAlloParams
 from repro.core.resilience import ResilientAllocator
 from repro.data.synthetic import get_workload_entry
 from repro.errors import ParameterError
-from repro.eval.experiments import Workload, build_workload, live_cadence
+from repro.eval.experiments import Workload, build_workload, live_setup
 from repro.eval.reporting import format_table
 
 #: Columns of ``run_table.csv``, in order.  The runtime columns come
@@ -419,42 +417,33 @@ def _memo_workload(topology: str, scale: float, seed: int) -> Workload:
 def run_cell(cell: MatrixCell) -> CellResult:
     """Execute one grid cell through the live sharded network.
 
-    Mirrors ``experiments.live_compare``'s derivations (seed/live split,
-    λ from the mean live block, τ cadence, ε) so matrix rows and the
-    live-comparison report agree wherever they overlap, then layers the
-    cell's factors on top: zoo topology, backend tier, explicit cadence,
-    fault plan.
+    Starts from ``experiments.live_setup``, the derivations
+    ``live_compare`` uses too (seed/live split, λ from the mean live
+    block, τ cadence, ε), so matrix rows and the live-comparison report
+    agree wherever they overlap, then layers the cell's factors on top:
+    zoo topology, backend tier, explicit cadence, fault plan.
     """
     t_start = time.perf_counter()
     workload = _memo_workload(cell.topology, cell.scale, cell.seed)
-    seed_stream, live_stream = workload.blocks.split(cell.seed_fraction)
-    seed_sets = seed_stream.account_sets()
-    live_blocks = [list(block) for block in live_stream]
-    if not live_blocks:
-        raise ParameterError(f"cell {cell.cell_id} has no live blocks")
-
-    mean_block = live_stream.num_transactions / len(live_blocks)
-    lam = max(1.0, cell.capacity_factor * mean_block / cell.k)
-    tau1, tau2 = live_cadence(len(live_blocks), cell.tau1 or None, cell.tau2 or None)
-    params = TxAlloParams(
+    setup = live_setup(
+        workload,
         k=cell.k,
         eta=cell.eta,
-        lam=lam,
-        epsilon=1e-5 * max(1, workload.num_transactions),
-        tau1=tau1,
-        tau2=tau2,
+        seed_fraction=cell.seed_fraction,
+        capacity_factor=cell.capacity_factor,
+        no_live_blocks=f"cell {cell.cell_id} has no live blocks",
+        tau1=cell.tau1 or None,
+        tau2=cell.tau2 or None,
         backend=cell.backend,
     )
-
-    seed_graph = TransactionGraph()
-    for accounts in seed_sets:
-        seed_graph.add_transaction(accounts)
+    params = setup.params
+    live_blocks = setup.live_blocks
 
     plan: Optional[FaultPlan] = resolve_fault_plan(
-        cell.fault, ticks=len(live_blocks), k=cell.k, tau2=tau2
+        cell.fault, ticks=len(live_blocks), k=cell.k, tau2=params.tau2
     )
     allocator = allocators.get_online(
-        cell.allocator, params, seed_transactions=seed_sets, seed_graph=seed_graph
+        cell.allocator, params, seed_transactions=setup.seed_sets, seed_graph=setup.seed_graph
     )
     if isinstance(allocator, ResilientAllocator):
         # Supervised method (e.g. txallo_resilient): time *inside* the
@@ -477,14 +466,14 @@ def run_cell(cell: MatrixCell) -> CellResult:
         scale=cell.scale,
         allocator=cell.allocator,
         backend=cell.backend,
-        tau1=tau1,
-        tau2=tau2,
+        tau1=params.tau1,
+        tau2=params.tau2,
         fault=cell.fault,
         rep=cell.rep,
         seed=cell.seed,
         k=cell.k,
         eta=cell.eta,
-        lam=lam,
+        lam=params.lam,
         ticks=len(report.ticks),
         arrived=report.arrived,
         committed=report.committed,

@@ -2,10 +2,7 @@
 
 ``benchmarks/BENCH_engine.json`` records the Fig. 8 evaluation-grid
 speedup of the flat-array CSR engine over the reference implementation
-(standing gate >= 3x); ``benchmarks/BENCH_adaptive.json`` records the adaptive-workspace
-Fig. 9 block-loop against the snapshot-per-run fast path (standing
-gates: >= 1.3x end-to-end, byte-identical, workspace actually extends
-across windows); ``benchmarks/BENCH_resilience.json`` records the
+(standing gate >= 3x); ``benchmarks/BENCH_resilience.json`` records the
 supervised TxAllo controller under the standard fault plan against the
 fault-free baseline (standing gates: committed TPS retention >= 0.7,
 circuit tripped and re-closed, no transaction lost);
@@ -28,14 +25,12 @@ import pytest
 
 BENCH_DIR = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
 BENCH_PATH = BENCH_DIR / "BENCH_engine.json"
-ADAPTIVE_PATH = BENCH_DIR / "BENCH_adaptive.json"
 RESILIENCE_PATH = BENCH_DIR / "BENCH_resilience.json"
 PARALLEL_PATH = BENCH_DIR / "BENCH_parallel.json"
 PARALLEL_SCALE2_PATH = BENCH_DIR / "BENCH_parallel.scale2.json"
 MATRIX_PATH = BENCH_DIR / "BENCH_matrix.json"
 
 GRID_SPEEDUP_GATE = 3.0
-ADAPTIVE_LOOP_GATE = 1.3
 TPS_RETENTION_GATE = 0.7
 PARALLEL_GRID_OVERHEAD_FLOOR = 0.8
 PARALLEL_GRID_GATE = 2.5
@@ -72,49 +67,6 @@ def test_engine_run_table_schema():
     ):
         assert key in payload, key
     assert payload["fast_seconds"] > 0.0
-
-
-def _load_adaptive():
-    if not ADAPTIVE_PATH.exists():
-        pytest.skip(
-            "benchmarks/BENCH_adaptive.json absent; run "
-            "benchmarks/bench_adaptive.py to regenerate"
-        )
-    return json.loads(ADAPTIVE_PATH.read_text())
-
-
-def test_adaptive_loop_speedup_gate():
-    payload = _load_adaptive()
-    assert payload["speedup"] >= ADAPTIVE_LOOP_GATE, (
-        f"adaptive-workspace block-loop speedup {payload['speedup']:.2f}x fell "
-        f"below the {ADAPTIVE_LOOP_GATE}x gate; rerun "
-        "benchmarks/bench_adaptive.py and investigate the regression"
-    )
-
-
-def test_adaptive_loop_byte_identical_and_batched():
-    payload = _load_adaptive()
-    assert payload["byte_identical"] is True
-    assert payload["workspace_stats"]["extends"] > 0, (
-        "run table recorded no cross-window workspace extend"
-    )
-
-
-def test_adaptive_run_table_schema():
-    payload = _load_adaptive()
-    for key in (
-        "scale",
-        "base_loop_seconds",
-        "workspace_loop_seconds",
-        "speedup",
-        "adaptive_base_ms",
-        "adaptive_workspace_ms",
-        "adaptive_speedup",
-        "workspace_stats",
-        "byte_identical",
-    ):
-        assert key in payload, key
-    assert payload["workspace_loop_seconds"] > 0.0
 
 
 def _load_resilience():

@@ -124,18 +124,17 @@ class TestStateIntegrity:
         assert first.allocation.lam_hat == second.allocation.lam_hat  # exact
 
     def test_incremental_freezes_on_the_block_loop(self):
-        """The non-workspace controller path must ride the delta-freeze:
-        after the seeded global run, scheduled updates extend the
-        snapshot.  (With the adaptive workspace — the default — the τ₁
-        loop does not freeze at all; see TestAdaptiveWorkspace.)"""
-        params = TxAlloParams(k=4, eta=2.0, lam=1000.0, tau1=1, tau2=50)
+        """Scheduled global refreshes must ride the delta-freeze: after
+        the seeded global run, each refresh extends the snapshot.  (The
+        τ₁ loop itself does not freeze at all; see TestAdaptiveWorkspace.)"""
+        params = TxAlloParams(k=4, eta=2.0, lam=1000.0, tau1=1, tau2=2)
         controller = TxAlloController(
             params,
             seed_transactions=[b for blk in block_stream(12) for b in blk],
-            adaptive_workspace=False,
         )
         for block in block_stream(8, block_size=10, seed=10):
             controller.observe_block(block)
+        assert len(controller.global_events) == 5  # the seed run + 4 refreshes
         stats = controller.freeze_stats
         assert stats["delta"] > 0
         assert stats["delta"] >= stats["full"]
@@ -148,14 +147,6 @@ class TestStateIntegrity:
         seed_event = controller.events[0]
         assert seed_event.kind == "global"
         assert seed_event.seconds > 0.0
-
-    def test_adaptive_disabled(self):
-        params = TxAlloParams(k=2, eta=2.0, lam=1000.0, tau1=1, tau2=100)
-        controller = TxAlloController(
-            params, seed_transactions=[("a", "b")], adaptive_enabled=False
-        )
-        events = [controller.observe_block(b) for b in block_stream(4)]
-        assert all(e is None for e in events)
 
 
 class TestScheduleEdgeCases:
@@ -255,7 +246,7 @@ class TestAdaptiveExceptionSafety:
         assert len(controller.events) == num_events
 
 
-#: ``workspace_stats`` of a controller without a workspace.
+#: ``workspace_stats`` of a controller whose kernel ignores its workspace.
 WORKSPACE_OFF = {"rebuilds": 0, "reseats": 0, "extends": 0, "runs": 0}
 
 WORKSPACE_BACKENDS = ["fast"]
@@ -309,42 +300,38 @@ class TestAdaptiveWorkspace:
         controller.allocation.validate()
 
     @pytest.mark.parametrize("backend", WORKSPACE_BACKENDS)
-    def test_workspace_off_matches_workspace_on_exactly(self, backend, monkeypatch):
-        params = TxAlloParams.with_capacity_for(520, k=4, tau1=1, tau2=5, backend=backend)
-        # The workspace freezes only at refreshes while the snapshot path
-        # freezes every window.
+    def test_workspace_matches_reference_exactly(self, backend, monkeypatch):
+        params = TxAlloParams.with_capacity_for(520, k=4, tau1=1, tau2=5)
         seed = [tx for block in block_stream(12, seed=3) for tx in block]
         calls = count_g_txallo(monkeypatch)
         controllers = []
-        for workspace in (False, True):
+        for tier in ("reference", backend):
             calls[0] = 0
-            controller = TxAlloController(
-                params, seed_transactions=seed, adaptive_workspace=workspace
-            )
+            controller = TxAlloController(params.replace(backend=tier), seed_transactions=seed)
             for block in block_stream(16, block_size=10, seed=53):
                 controller.observe_block(block)
             controller.force_adaptive()
             controllers.append(controller)
-        off, on = controllers
-        assert off.allocation.mapping() == on.allocation.mapping()
-        assert off.allocation.sigma == on.allocation.sigma      # exact floats
-        assert off.allocation.lam_hat == on.allocation.lam_hat  # exact floats
+        ref, batched = controllers
+        assert ref.allocation.mapping() == batched.allocation.mapping()
+        assert ref.allocation.sigma == batched.allocation.sigma      # exact floats
+        assert ref.allocation.lam_hat == batched.allocation.lam_hat  # exact floats
         assert [
             (e.kind, e.block_height, e.moves, e.touched, e.converged)
-            for e in off.events
+            for e in ref.events
         ] == [
             (e.kind, e.block_height, e.moves, e.touched, e.converged)
-            for e in on.events
+            for e in batched.events
         ]
         # Every block carries transactions, so the refreshes at 5, 10 and
         # 15 all re-ran G-TxAllo; each was followed by an adaptive run.
         refreshes = calls[0] - 1  # minus the seed run
         assert refreshes == 3
-        stats = on.workspace_stats
+        stats = batched.workspace_stats
         assert stats["rebuilds"] == 1
         assert stats["reseats"] == refreshes
         assert stats["extends"] > 0
-        assert off.workspace_stats == WORKSPACE_OFF
+        assert ref.workspace_stats == WORKSPACE_OFF
 
 
 # ----------------------------------------------------------------------

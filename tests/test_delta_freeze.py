@@ -19,6 +19,7 @@ from repro.core.csr import CSRGraph
 from repro.core.graph import DELTA_REBUILD_FRACTION, TransactionGraph
 from repro.core.gtxallo import g_txallo
 from repro.core.params import TxAlloParams
+from repro.data import WorkloadConfig, make_workload_generator, workload_names
 from repro.errors import GraphError
 
 SEEDS = (1, 2, 3, 4, 5)
@@ -128,29 +129,6 @@ class TestDeltaBookkeeping:
         assert "zzz_new" not in base.index_of
         assert base.num_edges == g.num_edges - 1
 
-    def test_delta_freeze_can_be_disabled(self):
-        g, accounts = self.big_graph()
-        g.delta_freeze_enabled = False
-        assert not g.delta_freeze_enabled
-        g.freeze()
-        g.add_transaction((accounts[0], accounts[1]))
-        assert_csr_identical(g.freeze(), CSRGraph.from_graph(g))
-        assert g.freeze_stats["delta"] == 0
-        assert g.freeze_stats["full"] == 2
-
-    def test_reenabling_delta_freeze_never_serves_stale_snapshots(self):
-        """Regression: mutations made while delta-freeze is disabled are
-        unlogged, so re-enabling must poison the log — extending the old
-        base with an empty delta would cache a snapshot missing them."""
-        g, accounts = self.big_graph()
-        g.freeze()
-        g.delta_freeze_enabled = False
-        g.add_transaction(("zz_disabled_era", accounts[0]))
-        g.delta_freeze_enabled = True
-        csr = g.freeze()
-        assert "zz_disabled_era" in csr.index_of
-        assert_csr_identical(csr, CSRGraph.from_graph(g))
-
     def test_copy_starts_with_cold_cache_and_fresh_counters(self):
         g, accounts = self.big_graph()
         g.freeze()
@@ -168,26 +146,23 @@ class TestDeltaBookkeeping:
             a_txallo(alloc, ["never-ingested"])
 
 
-class TestAdaptiveWorkspaceInterleavings:
-    """Workspace-vs-snapshot byte-parity across the full controller
-    lifecycle: block ingest, scheduled adaptive runs, scheduled and
-    forced global refreshes, forced adaptives and a competing journal on
-    the same graph (which poisons the workspace's journal and must force
-    a rebuild)."""
+#: The interleavings below run on uniform random traffic and on every
+#: registered zoo topology.
+TOPOLOGIES = ("uniform", *workload_names())
 
-    def _drive(self, seed, workspace_enabled, poison_journal):
-        from repro.core.controller import TxAlloController
 
-        rng = random.Random(seed)
+def interleaving_traffic(topology, seed):
+    """900 seed transactions and 20 live blocks of ``topology`` traffic.
+
+    ``uniform`` samples 180 accounts uniformly and mixes brand-new
+    accounts into the live blocks; a zoo topology draws a small stream
+    (180 accounts, 5-transaction blocks) from its registered generator.
+    """
+    rng = random.Random(seed)
+    if topology == "uniform":
         accounts = [f"acc{i:03d}" for i in range(180)]
-        graph = TransactionGraph()
-        seed_graph(rng, graph, accounts, 900)
-        params = TxAlloParams.with_capacity_for(
-            900, k=4, eta=2.0, tau1=1, tau2=7
-        )
-        controller = TxAlloController(
-            params, graph=graph, adaptive_workspace=workspace_enabled
-        )
+        history = [rng.sample(accounts, rng.choice([1, 2, 2, 2, 3])) for _ in range(900)]
+        blocks = []
         for step in range(20):
             block = []
             for _ in range(rng.randrange(2, 8)):
@@ -195,28 +170,59 @@ class TestAdaptiveWorkspaceInterleavings:
                 if rng.random() < 0.25:
                     accs.append(f"fresh{seed}_{step}_{rng.randrange(2)}")
                 block.append(tuple(accs))
+            blocks.append(block)
+        return history, blocks
+    config = WorkloadConfig(num_accounts=180, num_transactions=1000, seed=seed)
+    txs = [tx.accounts for tx in make_workload_generator(topology, config).transactions()]
+    return txs[:900], [txs[i : i + 5] for i in range(900, 1000, 5)]
+
+
+class TestAdaptiveWorkspaceInterleavings:
+    """Workspace-backed ``fast`` runs against the ``reference`` oracle,
+    byte for byte, across the full controller lifecycle: block ingest,
+    scheduled adaptive runs, scheduled and forced global refreshes,
+    forced adaptives and a competing journal on the same graph (which
+    poisons the workspace's journal and must force a rebuild)."""
+
+    #: Steps after which the competing journal is started.
+    POISON_STEPS = (5, 12)
+
+    def _drive(self, topology, seed, backend, poison_journal):
+        from repro.core.controller import TxAlloController
+
+        history, blocks = interleaving_traffic(topology, seed)
+        graph = TransactionGraph()
+        for accounts in history:
+            graph.add_transaction(accounts)
+        params = TxAlloParams.with_capacity_for(
+            900, k=4, eta=2.0, tau1=1, tau2=7, backend=backend
+        )
+        controller = TxAlloController(params, graph=graph)
+        rng = random.Random(seed + 1)
+        for step, block in enumerate(blocks):
             controller.observe_block(block)
-            roll = rng.random()
-            if poison_journal and roll < 0.15:
+            if poison_journal and step in self.POISON_STEPS:
                 graph.start_mutation_journal()
-            elif roll < 0.25:
+            roll = rng.random()
+            if roll < 0.1:
                 controller.force_adaptive()
-            elif roll < 0.3:
+            elif roll < 0.15:
                 controller.force_global()
         controller.force_adaptive()
         return controller
 
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
     @pytest.mark.parametrize("seed", SEEDS[:3])
     @pytest.mark.parametrize("poison_journal", (False, True))
-    def test_workspace_byte_identical_across_lifecycle(self, seed, poison_journal):
-        base = self._drive(seed, workspace_enabled=False, poison_journal=poison_journal)
-        batched = self._drive(seed, workspace_enabled=True, poison_journal=poison_journal)
-        assert base.allocation.mapping() == batched.allocation.mapping()
-        assert base.allocation.sigma == batched.allocation.sigma        # exact
-        assert base.allocation.lam_hat == batched.allocation.lam_hat    # exact
+    def test_workspace_byte_identical_across_lifecycle(self, topology, seed, poison_journal):
+        oracle = self._drive(topology, seed, "reference", poison_journal)
+        batched = self._drive(topology, seed, "fast", poison_journal)
+        assert oracle.allocation.mapping() == batched.allocation.mapping()
+        assert oracle.allocation.sigma == batched.allocation.sigma        # exact
+        assert oracle.allocation.lam_hat == batched.allocation.lam_hat    # exact
         assert [
             (e.kind, e.block_height, e.moves, e.touched, e.converged)
-            for e in base.events
+            for e in oracle.events
         ] == [
             (e.kind, e.block_height, e.moves, e.touched, e.converged)
             for e in batched.events
@@ -225,10 +231,10 @@ class TestAdaptiveWorkspaceInterleavings:
         assert stats["runs"] > 0
         assert stats["extends"] > 0, "workspace never carried across a window"
         if poison_journal:
-            # The competing journal poisons the workspace's: at least one
-            # rebuild beyond the first adaptive run (global refreshes
-            # only reseat).
-            assert stats["rebuilds"] >= 2
+            # Each competing journal poisons the workspace's: one rebuild
+            # per poisoning beyond the first adaptive run (global
+            # refreshes only reseat).
+            assert stats["rebuilds"] == 1 + len(self.POISON_STEPS)
         else:
             assert stats["rebuilds"] == 1
             assert stats["reseats"] > 0
@@ -271,7 +277,7 @@ class TestAdaptiveWorkspaceInterleavings:
 class TestWorkspacePoisonTriggers:
     """Each surviving way to poison the workspace's journal between two
     runs forces exactly one extra rebuild, and the runs stay byte-identical
-    to the snapshot-per-run path on every workspace-backed tier.
+    to workspace-less runs on every workspace-backed tier.
 
     ``none`` is the control: the journal carries every window, one rebuild.
     """
@@ -284,7 +290,7 @@ class TestWorkspacePoisonTriggers:
         if trigger == "competing_journal":
             g.start_mutation_journal()
         elif trigger == "stopped_journal":
-            if g._journal is not None:  # the snapshot path never subscribes
+            if g._journal is not None:  # a workspace-less run never subscribes
                 g.stop_mutation_journal(g._journal)
         elif trigger == "edge_cap_overflow":
             # 15 window edges plus these 10 pass the patched cap of 20.

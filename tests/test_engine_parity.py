@@ -14,6 +14,7 @@ import random
 
 import pytest
 
+from repro.core.allocation import Allocation
 from repro.core.atxallo import a_txallo
 from repro.core.graph import TransactionGraph
 from repro.core.gtxallo import g_txallo
@@ -255,6 +256,29 @@ class TestATxAlloParity:
         alloc, _ = _atxallo_state(7, 4, "fast", rounds=6)
         alloc.validate(check_caches=True)
 
+    @pytest.mark.parametrize("new_account", (False, True))
+    @pytest.mark.parametrize("backend", ("reference", "fast"))
+    def test_equal_gains_break_toward_smaller_shard(self, backend, new_account):
+        """``v`` ties between shards 1 and 2 (mirror-image neighbourhoods,
+        shard 2 inserted first): both phases pick shard 1, as the
+        reference's ascending strict-improvement scan does."""
+        g = TransactionGraph()
+        history = [("c", "d"), ("a", "b"), ("x", "y"), ("x", "y")]
+        late = [("v", "c"), ("v", "a")]
+        for accounts in history if new_account else history + late:
+            g.add_transaction(accounts)
+        mapping = {"a": 1, "b": 1, "c": 2, "d": 2, "x": 0, "y": 0}
+        if not new_account:
+            mapping["v"] = 0
+        params = TxAlloParams(k=3, eta=2.0, lam=2.0, backend=backend)
+        alloc = Allocation.from_partition(g, params, mapping)
+        if new_account:
+            _ingest(g, alloc, late)
+        result = a_txallo(alloc, ["v"])
+        assert (result.new_nodes, result.moves) == ((1, 0) if new_account else (0, 1))
+        assert alloc.shard_of("v") == 1
+        alloc.validate(check_caches=True)
+
     def test_empty_touched_set(self):
         g = make_random_graph(seed=3)
         params = TxAlloParams.with_capacity_for(400, k=4, backend="fast")
@@ -319,17 +343,17 @@ def _atxallo_workspace_state(seed, k, rounds=3):
 
 class TestAdaptiveWorkspaceParity:
     """The workspace is a cache, not a backend level: batched runs must be
-    byte-identical to snapshot-per-run fast (and hence reference) runs."""
+    byte-identical to reference runs."""
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("k", (2, 6))
-    def test_evolving_allocation_matches_snapshot_path(self, seed, k):
-        snap_alloc, snap_stats = _atxallo_state(seed, k, "fast")
+    def test_evolving_allocation_matches_reference(self, seed, k):
+        ref_alloc, ref_stats = _atxallo_state(seed, k, "reference")
         ws_alloc, ws_stats, workspace = _atxallo_workspace_state(seed, k)
-        assert snap_stats == ws_stats
-        assert snap_alloc.mapping() == ws_alloc.mapping()
-        assert snap_alloc.sigma == ws_alloc.sigma          # exact floats
-        assert snap_alloc.lam_hat == ws_alloc.lam_hat      # exact floats
+        assert ref_stats == ws_stats
+        assert ref_alloc.mapping() == ws_alloc.mapping()
+        assert ref_alloc.sigma == ws_alloc.sigma          # exact floats
+        assert ref_alloc.lam_hat == ws_alloc.lam_hat      # exact floats
         counters = workspace.stats
         assert counters["rebuilds"] == 1
         assert counters["extends"] == 2  # rounds 2 and 3 rode the journal
@@ -375,9 +399,9 @@ class TestAdaptiveWorkspaceParity:
             twin.ingest_transaction(accounts)
             touched.update(accounts)
         result_ws = a_txallo(refreshed, touched, workspace=workspace)
-        result_snap = a_txallo(twin, touched)
-        assert result_ws.moves == result_snap.moves
-        assert result_ws.sweeps == result_snap.sweeps
+        result_ref = a_txallo(twin, touched, backend="reference")
+        assert result_ws.moves == result_ref.moves
+        assert result_ws.sweeps == result_ref.sweeps
         assert refreshed.mapping() == twin.mapping()
         assert refreshed.sigma == twin.sigma
         assert refreshed.lam_hat == twin.lam_hat
