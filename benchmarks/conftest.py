@@ -40,12 +40,9 @@ BENCH_ETAS = (2.0, 6.0, 10.0)
 
 
 def pytest_addoption(parser):
-    """``--scale`` mirrors the run-table scripts' flag (beats the env).
+    """``--scale`` mirrors ``benchmarks/contracts.py``'s flag (beats the env).
 
-    Consumed via the ``bench_scale`` fixture by the figure benchmarks
-    *and* the ``test_*_run_table`` gate tests — note the latter then
-    rewrite their committed ``BENCH_*.json`` at that scale, exactly as
-    the env var always did.
+    Consumed via the ``bench_scale`` fixture by the figure benchmarks.
     """
     parser.addoption(
         "--scale", action="store", type=float, default=None,

@@ -22,7 +22,7 @@ Artifacts follow the declared-factors run-table convention::
 Determinism contract: every column except the trailing runtime columns
 (:data:`RUNTIME_COLUMNS`) is a pure function of the spec — re-running
 the same spec produces a byte-identical ``run_table.csv`` modulo those
-columns.  ``tests/test_matrix.py`` and ``benchmarks/bench_matrix.py``
+columns.  ``tests/test_matrix.py`` and ``benchmarks/contracts.py``
 gate this.
 
 Cell-level fan-out reuses the fork-pool idiom of
@@ -256,7 +256,7 @@ def load_spec(path) -> MatrixSpec:
 
 
 def smoke_spec() -> MatrixSpec:
-    """The small spec behind the CLI default and ``BENCH_matrix.json``.
+    """The small spec behind the CLI default and ``benchmarks/contracts.py``.
 
     2 topologies × 2 allocators × 2 seeded repetitions at scale 0.1 —
     the smallest grid that still exercises the zoo, the registry and the
