@@ -53,14 +53,18 @@ def test_bench_gtxallo_runtime(workload, benchmark):
     from repro.core.params import TxAlloParams
 
     params = TxAlloParams.with_capacity_for(workload.num_transactions, k=20, eta=2.0)
-    benchmark.pedantic(g_txallo, args=(workload.graph, params), rounds=2, iterations=1)
+    # A fresh copy per round: no round reads a freeze or memo an earlier
+    # round (or the shared sweep) filled.
+    benchmark.pedantic(
+        g_txallo, setup=lambda: ((workload.graph.copy(), params), {}), rounds=2, iterations=1
+    )
 
 
 def test_bench_metis_runtime(workload, benchmark):
     from repro.baselines.metis import metis_partition
 
     benchmark.pedantic(
-        metis_partition, args=(workload.graph, 20), rounds=2, iterations=1
+        metis_partition, setup=lambda: ((workload.graph.copy(), 20), {}), rounds=2, iterations=1
     )
 
 

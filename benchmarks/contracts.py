@@ -183,13 +183,18 @@ def engine_grid(workload) -> dict:
 
 
 def worker_grid(workload) -> dict:
-    """The txallo/METIS Fig. 8 sweep at 1, 2 and 4 workers, cold graph."""
-    workload = dataclasses.replace(workload, graph=workload.graph.copy())
+    """The txallo/METIS Fig. 8 sweep at 1, 2 and 4 workers, cold graph.
+
+    Each worker count gets its own ``graph.copy()``: a shared copy would
+    hand the later counts the freeze, Louvain memo and METIS memo the
+    first one filled.
+    """
     seconds, canon = {}, {}
     for workers in WORKERS:
+        cold = dataclasses.replace(workload, graph=workload.graph.copy())
         t0 = time.perf_counter()
         records = experiments.sweep(
-            workload, ks=GRID_KS, etas=GRID_ETAS, methods=GRID_METHODS, workers=workers
+            cold, ks=GRID_KS, etas=GRID_ETAS, methods=GRID_METHODS, workers=workers
         )
         seconds[workers] = time.perf_counter() - t0
         canon[workers] = parallel.canonical_records(records)

@@ -25,15 +25,26 @@ Node weights default to each account's weighted degree — its share of
 transaction activity — matching how prior work weights the allocation
 graph.  The implementation is deterministic: nodes are visited in index
 order and every tie breaks explicitly toward the smaller identifier.
+
+Phase 1 does not depend on ``k`` except through where it stops: the
+coarsening chain for a larger ``k`` is a prefix of the chain for a
+smaller one.  So the lowered graph and its chain are memoised on the
+frozen snapshot (``CSRGraph.metis_memo``, next to the Louvain memo
+G-TxAllo shares the same way): a sweep over several ``k`` lowers and
+coarsens each snapshot once, at its deepest target, and every other
+``k`` walks a prefix of the same levels.  Calls with explicit
+``node_weights`` run the same code on a private hierarchy.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import heapq
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
+from repro.core.csr import CSRGraph
 from repro.core.graph import Node, TransactionGraph
+from repro.core.metrics import ordered_sum
 from repro.errors import ParameterError
 
 #: Stop coarsening once the graph has at most ``_COARSEN_TARGET_FACTOR * k``
@@ -64,82 +75,116 @@ def metis_partition(
 
     ``imbalance`` is METIS's load-imbalance tolerance: every part's node
     weight must stay below ``imbalance * total_weight / k``.
+
+    With the default node weights the lowered graph and its coarsening
+    chain are memoised on the frozen snapshot (``csr.metis_memo``), so
+    calls at several ``k`` over one snapshot lower and coarsen it once.
     """
     if k < 1:
         raise ParameterError(f"number of parts k must be positive, got {k!r}")
-    nodes = graph.nodes_sorted()
-    n = len(nodes)
-    if n == 0:
+    csr = graph.freeze()
+    nodes = csr.nodes
+    order = csr.sorted_order
+    if not nodes:
         return MetisResult({}, 0.0, 0.0, 0)
     if k == 1:
-        return MetisResult({v: 0 for v in nodes}, 0.0, 0.0, 0)
+        return MetisResult({nodes[i]: 0 for i in order}, 0.0, 0.0, 0)
 
-    index_of = {v: i for i, v in enumerate(nodes)}
-    adj: List[Dict[int, float]] = [dict() for _ in range(n)]
-    for i, v in enumerate(nodes):
-        for u, w in graph.neighbours(v).items():
-            if u != v:
-                adj[i][index_of[u]] = w
     if node_weights is None:
-        weights = [graph.strength(v) for v in nodes]
+        levels = csr.metis_memo
+        if levels is None:
+            levels = csr.metis_memo = _Hierarchy(*_lower(csr, None))
     else:
-        weights = [float(node_weights[v]) for v in nodes]
+        levels = _Hierarchy(*_lower(csr, node_weights))
+    top = levels.level_for(max(_COARSEN_TARGET_FACTOR * k, 100))
+    adjs, weights = levels.adjs, levels.weights
+
+    max_part_weight = imbalance * ordered_sum(weights[0]) / k
+    part = _initial_partition(adjs[top], weights[top], k)
+    part = _refine(adjs[top], weights[top], part, k, max_part_weight, refinement_passes)
+    for level in range(top - 1, -1, -1):
+        coarse_of = levels.maps[level]
+        part = [part[c] for c in coarse_of]
+        part = _refine(adjs[level], weights[level], part, k, max_part_weight, refinement_passes)
+
+    mapping = {nodes[i]: part[r] for r, i in enumerate(order)}
+    cut = _edge_cut(adjs[0], part)
+    imbal = _imbalance(weights[0], part, k)
+    return MetisResult(mapping, cut, imbal, top + 1)
+
+
+# ----------------------------------------------------------------------
+# Lowering + multilevel hierarchy
+# ----------------------------------------------------------------------
+def _lower(
+    csr: CSRGraph,
+    node_weights: Optional[Dict[Node, float]],
+) -> Tuple[List[Dict[int, float]], List[float]]:
+    """Index-keyed adjacency rows and node weights of a snapshot.
+
+    Node ``r`` is the ``r``-th account of ``csr.sorted_order``; its row
+    keeps the CSR row order with the self-loop dropped.  Its default
+    weight is the row's left-to-right sum, self-loop included (what
+    ``TransactionGraph.strength`` returns on Python <= 3.11).
+    """
+    order = csr.sorted_order
+    rank = csr.sorted_rank.tolist()  # shared int objects as dict keys
+    pairs = csr.pairs
+    adj = [{rank[j]: w for j, w in pairs[i]} for i in order]
+    if node_weights is None:
+        indptr, row_weights = csr.indptr, csr.weights
+        weights = []
+        for i in order:
+            s = 0.0
+            for w in row_weights[indptr[i] : indptr[i + 1]]:
+                s += w
+            weights.append(s)
+    else:
+        nodes = csr.nodes
+        weights = [float(node_weights[nodes[i]]) for i in order]
     # Isolated zero-weight nodes still need a home; give them unit weight
     # so the balance constraint treats them sensibly.
-    weights = [w if w > 0 else 1.0 for w in weights]
-
-    levels = _Hierarchy(adj, weights)
-    target = max(_COARSEN_TARGET_FACTOR * k, 100)
-    while levels.current_size() > target:
-        if not levels.coarsen_once():
-            break
-    depth = levels.num_levels()
-
-    part = _initial_partition(levels.top_adj(), levels.top_weights(), k)
-    max_part_weight = imbalance * sum(weights) / k
-    part = _refine(levels.top_adj(), levels.top_weights(), part, k,
-                   max_part_weight, refinement_passes)
-
-    while levels.has_finer():
-        part = levels.project(part)
-        part = _refine(levels.top_adj(), levels.top_weights(), part, k,
-                       max_part_weight, refinement_passes)
-
-    mapping = {v: part[index_of[v]] for v in nodes}
-    cut = _edge_cut(adj, part)
-    imbal = _imbalance(weights, part, k)
-    return MetisResult(mapping, cut, imbal, depth)
+    return adj, [w if w > 0 else 1.0 for w in weights]
 
 
-# ----------------------------------------------------------------------
-# Multilevel hierarchy
-# ----------------------------------------------------------------------
 class _Hierarchy:
-    """Stack of coarsened graphs plus the projection maps between them."""
+    """A lowered graph (level 0) plus its heavy-edge coarsening chain.
+
+    ``maps[l]`` sends level ``l`` to level ``l + 1``.  Levels are only
+    appended, never mutated, so one chain serves every ``k``: a larger
+    ``k`` stops on a prefix of the levels a smaller ``k`` walks, and a
+    stalled chain is never retried.
+    """
+
+    __slots__ = ("adjs", "weights", "maps", "stalled")
 
     def __init__(self, adj: List[Dict[int, float]], weights: List[float]) -> None:
-        self._adjs = [adj]
-        self._weights = [weights]
-        self._maps: List[List[int]] = []  # fine index -> coarse index
+        self.adjs = [adj]
+        self.weights = [weights]
+        self.maps: List[List[int]] = []  # fine index -> coarse index
+        # True once a round failed to shrink the last level by 10 %.
+        self.stalled = False
 
-    def current_size(self) -> int:
-        return len(self._weights[-1])
+    def level_for(self, target: int) -> int:
+        """Index of the first level with at most ``target`` nodes.
 
-    def num_levels(self) -> int:
-        return len(self._adjs)
-
-    def top_adj(self) -> List[Dict[int, float]]:
-        return self._adjs[-1]
-
-    def top_weights(self) -> List[float]:
-        return self._weights[-1]
-
-    def has_finer(self) -> bool:
-        return bool(self._maps)
+        Walks the chain built so far and coarsens past its end only when
+        needed; a stalled chain stops at its last level.
+        """
+        level = 0
+        while len(self.weights[level]) > target:
+            if level + 1 == len(self.adjs) and (self.stalled or not self.coarsen_once()):
+                break
+            level += 1
+        return level
 
     def coarsen_once(self) -> bool:
-        """One heavy-edge-matching round.  Returns False when stuck."""
-        adj = self._adjs[-1]
+        """One heavy-edge-matching round on the last level.
+
+        Returns False, and marks the chain stalled, when the round would
+        shrink the level by less than 10 %.
+        """
+        adj = self.adjs[-1]
         n = len(adj)
         match = [-1] * n
         # Visit nodes in index order; match to the unmatched neighbour with
@@ -173,8 +218,9 @@ class _Hierarchy:
                 coarse_of[j] = next_id
             next_id += 1
         if next_id > n * _MIN_SHRINK:
+            self.stalled = True
             return False
-        weights = self._weights[-1]
+        weights = self.weights[-1]
         new_weights = [0.0] * next_id
         new_adj: List[Dict[int, float]] = [dict() for _ in range(next_id)]
         for i in range(n):
@@ -185,17 +231,10 @@ class _Hierarchy:
                 cj = coarse_of[j]
                 if ci != cj:
                     row[cj] = row.get(cj, 0.0) + w
-        self._adjs.append(new_adj)
-        self._weights.append(new_weights)
-        self._maps.append(coarse_of)
+        self.adjs.append(new_adj)
+        self.weights.append(new_weights)
+        self.maps.append(coarse_of)
         return True
-
-    def project(self, part: List[int]) -> List[int]:
-        """Project a partition one level down (coarse -> finer)."""
-        coarse_of = self._maps.pop()
-        self._adjs.pop()
-        self._weights.pop()
-        return [part[coarse_of[i]] for i in range(len(coarse_of))]
 
 
 # ----------------------------------------------------------------------
@@ -308,7 +347,7 @@ def _imbalance(weights: List[float], part: List[int], k: int) -> float:
     loads = [0.0] * k
     for i, w in enumerate(weights):
         loads[part[i]] += w
-    avg = sum(loads) / k
+    avg = ordered_sum(loads) / k
     if avg == 0:
         return 0.0
     return max(loads) / avg

@@ -80,6 +80,7 @@ class CSRGraph:
         "total_weight",
         "louvain_memo",
         "intra_cut_memo",
+        "metis_memo",
         "_sorted_order",
         "_sorted_rank",
     )
@@ -118,6 +119,11 @@ class CSRGraph:
         self.intra_cut_memo: Dict[
             Tuple[int, float], Tuple[List[float], List[float]]
         ] = {}
+        # The METIS baseline's lowered graph and heavy-edge coarsening
+        # chain (repro.baselines.metis._Hierarchy); k independent, so a
+        # sweep over several k lowers and coarsens this snapshot once.
+        # Only default-weight calls read or extend it.
+        self.metis_memo: Optional[object] = None
         # Lazy ascending-identifier permutation; only the global sweeps
         # need it, so the adaptive path never pays the O(N log N) sort.
         self._sorted_order: Optional[array] = None

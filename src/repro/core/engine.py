@@ -992,11 +992,16 @@ def a_txallo_flat(
     ids, rows, loop, shard = _kernel_views(alloc, hat_v, workspace)
 
     # w_self / w_ext are re-derived per run: loop is maintained
-    # bit-exactly, and sum() over the row map adds the same floats
+    # bit-exactly, and the explicit loop adds the row map's floats
     # left-to-right in iteration order — exactly the lowering's
-    # accumulation of csr.ext.
+    # accumulation of csr.ext (sum() rounds differently from 3.12 on).
     self_w = [loop[i] for i in ids]
-    ext_w = [sum(rows[i].values()) for i in ids]
+    ext_w = []
+    for i in ids:
+        e = 0.0
+        for w in rows[i].values():
+            e += w
+        ext_w.append(e)
 
     acc = [0.0] * num_comms
     stamp = [0] * num_comms

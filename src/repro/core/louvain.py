@@ -111,11 +111,14 @@ def _one_level(
     k = [0.0] * n
     m = 0.0
     for i in range(n):
-        k[i] = sum(adj[i].values()) + 2.0 * loops[i]
+        # Explicit in-order totals: sum() rounds differently from 3.12 on.
+        s = 0.0
         m += loops[i]
         for j, w in adj[i].items():
+            s += w
             if j > i:
                 m += w
+        k[i] = s + 2.0 * loops[i]
     if m <= 0.0:
         return list(range(n)), False
 

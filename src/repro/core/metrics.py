@@ -49,6 +49,19 @@ def _as_mapping(allocation) -> Mapping:
     return allocation
 
 
+def ordered_sum(values: Iterable[float]) -> float:
+    """Left-to-right float sum.
+
+    ``sum()`` of floats uses compensated summation from Python 3.12 on;
+    the figures and goldens are defined by plain in-order accumulation,
+    so every total that feeds them goes through this loop instead.
+    """
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 # ----------------------------------------------------------------------
 # Per-transaction quantities
 # ----------------------------------------------------------------------
@@ -145,7 +158,7 @@ def evaluate_allocation(
                     lam_hat[i] += share
     except KeyError as exc:
         raise AllocationError(f"account {exc.args[0]!r} is not allocated") from None
-    throughput = sum(
+    throughput = ordered_sum(
         capped_throughput(s, lh, lam) for s, lh in zip(sigma, lam_hat)
     )
     return MetricsReport(
@@ -174,8 +187,8 @@ def workload_balance(sigmas: Sequence[float], lam: float = 1.0) -> float:
     k = len(sigmas)
     if k == 0:
         return 0.0
-    mean = sum(sigmas) / k
-    var = sum((s - mean) ** 2 for s in sigmas) / k
+    mean = ordered_sum(sigmas) / k
+    var = ordered_sum((s - mean) ** 2 for s in sigmas) / k
     dev = math.sqrt(var)
     if lam in (0.0, math.inf):
         return dev
@@ -207,7 +220,7 @@ def average_latency(sigmas: Sequence[float], lam: float) -> float:
     """``ζ``: mean of the per-shard latencies (paper Section III-B)."""
     if not sigmas:
         return 0.0
-    return sum(shard_latency(s, lam) for s in sigmas) / len(sigmas)
+    return ordered_sum(shard_latency(s, lam) for s in sigmas) / len(sigmas)
 
 
 def worst_case_latency(sigmas: Sequence[float], lam: float) -> float:
@@ -288,4 +301,4 @@ def graph_throughput(
             sigma[iv] += eta * w
             lam_hat[iu] += w / 2.0
             lam_hat[iv] += w / 2.0
-    return sum(capped_throughput(s, lh, lam) for s, lh in zip(sigma, lam_hat))
+    return ordered_sum(capped_throughput(s, lh, lam) for s, lh in zip(sigma, lam_hat))

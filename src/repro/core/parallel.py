@@ -11,9 +11,9 @@ The Fig. 8 evaluation grid — every ``(method, k, eta)`` cell of
 :func:`repro.eval.experiments.sweep` / ``figure4`` — is embarrassingly
 parallel once the shared state exists.  :func:`run_grid` computes that
 state **once in the parent** (the frozen CSR snapshot, the memoised
-Louvain partition, and every eta-independent static mapping — see
-:func:`warm_grid_state`), then fans the cells out to a
-``ProcessPoolExecutor`` using the ``fork`` start method, so workers
+Louvain partition, the METIS coarsening chain, and every eta-independent
+static mapping — see :func:`warm_grid_state`), then fans the cells out
+to a ``ProcessPoolExecutor`` using the ``fork`` start method, so workers
 inherit the warmed workload copy-on-write instead of re-deriving or
 unpickling it.  Task descriptors are tiny ``(method, k, eta)`` tuples
 and results come back in canonical cell order, so ``workers=N`` produces
@@ -116,7 +116,9 @@ def warm_grid_state(workload, cells: Sequence[Tuple[str, int, float]], backend: 
     * computes every eta-independent static mapping (hash, prefix,
       METIS) exactly once per ``(method, k)`` into ``cache`` —
       per-process memoisation would otherwise recompute them in every
-      worker.
+      worker.  The METIS cells share one lowered graph and coarsening
+      chain on the snapshot (``csr.metis_memo``), so METIS coarsens
+      once for every k.
     """
     from repro import allocators
     from repro.core.louvain import louvain_partition
@@ -164,9 +166,9 @@ def run_grid(
 ) -> List:
     """Evaluate ``cells`` on a ``workers``-process pool, in canonical order.
 
-    The shared freeze + Louvain memo + eta-independent mappings are
-    computed once in the parent (:func:`warm_grid_state`); the forked
-    pool inherits that state copy-on-write.  Callers run the grid inline
+    The shared freeze + Louvain memo + METIS memo + eta-independent
+    mappings are computed once in the parent (:func:`warm_grid_state`);
+    the forked pool inherits that state copy-on-write.  Callers run the grid inline
     instead when :func:`effective_workers` leaves one worker or
     :func:`fork_available` is False.  The returned records are identical
     to the inline loop's up to ``runtime_seconds`` (compare through

@@ -264,13 +264,15 @@ def sweep(
     (:mod:`repro.core.backends`); with ``"fast"`` the whole grid shares
     one frozen CSR graph and one memoised Louvain partition, which is
     where most of the engine's end-to-end win comes from.
-    ``"reference"`` is byte-identical to ``"fast"``.
+    ``"reference"`` is byte-identical to ``"fast"``.  Every backend
+    shares the METIS memo on that snapshot: METIS lowers and coarsens
+    the graph once, and each k refines from a prefix of the same chain.
 
     ``workers > 1`` fans the independent cells out to a process pool
     (:func:`repro.core.parallel.run_grid`) with the shared freeze,
-    Louvain memo and eta-independent mappings computed once in the
-    parent.  Records come back in the same canonical (eta, k, method)
-    order and are identical to a ``workers=1`` run up to the
+    Louvain memo, METIS memo and eta-independent mappings computed once
+    in the parent.  Records come back in the same canonical (eta, k,
+    method) order and are identical to a ``workers=1`` run up to the
     ``runtime_seconds`` timing field; platforms without ``fork`` fall
     back to the sequential path.
     """

@@ -7,13 +7,36 @@ mutating.
 
 from __future__ import annotations
 
+import builtins
+import math
 import random
 
 import pytest
 
+from repro.baselines import metis
+from repro.core import engine, louvain, metrics
 from repro.core.graph import TransactionGraph
 from repro.core.params import TxAlloParams
 from repro.data.synthetic import EthereumWorkloadGenerator, WorkloadConfig, account_sets
+
+
+#: Modules whose float totals feed a golden digest or a fast == reference
+#: parity contract.  Each must accumulate in explicit left-to-right loops.
+SUM_SENSITIVE_MODULES = (engine, louvain, metrics, metis)
+
+
+@pytest.fixture(params=[builtins.sum, math.fsum], ids=["sum", "fsum"])
+def any_sum(request, monkeypatch):
+    """Shadow ``sum`` in :data:`SUM_SENSITIVE_MODULES` with each variant.
+
+    From Python 3.12 ``sum()`` of floats is compensated; ``math.fsum``
+    (correctly rounded) stands in for it on any interpreter, so a test
+    taking this fixture proves its figures do not hang on how ``sum()``
+    rounds.
+    """
+    for module in SUM_SENSITIVE_MODULES:
+        monkeypatch.setattr(module, "sum", request.param, raising=False)
+    return request.param
 
 
 @pytest.fixture

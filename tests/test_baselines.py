@@ -244,12 +244,18 @@ def _random_adj(seed, n=150, *, equal_edges=False, equal_nodes=False):
     return adj, weights
 
 
-def _metis_digest(seed, k):
-    graph = make_random_graph(num_accounts=400, num_transactions=3000, seed=seed, groups=8)
-    result = metis_partition(graph, k)
+def _golden_graph(seed):
+    return make_random_graph(num_accounts=400, num_transactions=3000, seed=seed, groups=8)
+
+
+def _result_digest(result):
     cut, imbalance = result.edge_cut.hex(), result.node_weight_imbalance.hex()
     payload = repr((sorted(result.mapping.items()), cut, imbalance))
     return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def _metis_digest(seed, k):
+    return _result_digest(metis_partition(_golden_graph(seed), k))
 
 
 #: sha256 of (mapping, edge_cut, node_weight_imbalance), recorded with the
@@ -283,7 +289,7 @@ class TestMetisExactness:
         coarse_of = _coarse_ids(_oracle_match(adj))
         assert coarsened == (max(coarse_of) + 1 <= len(adj) * 0.9)
         if coarsened:
-            assert levels._maps[-1] == coarse_of
+            assert levels.maps[-1] == coarse_of
 
     @pytest.mark.parametrize("shape", GRAPHS)
     @pytest.mark.parametrize("k", [2, 3, 8])
@@ -318,8 +324,91 @@ class TestMetisExactness:
         assert _refine(adj, weights, start[:], 4, 1.02 * sum(weights) / 4, 4) == tight
 
     @pytest.mark.parametrize("seed,k", sorted(METIS_GOLDEN))
-    def test_partition_golden(self, seed, k):
+    def test_partition_golden(self, seed, k, any_sum):
         assert _metis_digest(seed, k) == METIS_GOLDEN[(seed, k)]
+
+
+def _stalling_graph():
+    """A golden graph plus a 200-leaf star: heavy-edge matching pairs the
+    hub with one leaf per round, so the chain 601 > 404 > 302 > 250 > 224
+    stalls before reaching the 100-node target of k = 2."""
+    graph = _golden_graph(3)
+    for i in range(200):
+        graph.add_transaction(("hub", f"leaf{i:03d}"))
+    return graph
+
+
+def _same_result(got, want):
+    return (
+        got.mapping == want.mapping
+        and got.edge_cut.hex() == want.edge_cut.hex()
+        and got.node_weight_imbalance.hex() == want.node_weight_imbalance.hex()
+        and got.levels == want.levels
+    )
+
+
+class TestMetisMemo:
+    """One lowered graph and coarsening chain per snapshot serves every k."""
+
+    @pytest.mark.parametrize(
+        "ks",
+        [(2, 4, 8), (8, 4, 2), (4, 4, 2, 8, 2)],
+        ids=["ascending", "descending", "repeated"],
+    )
+    @pytest.mark.parametrize("seed", sorted({seed for seed, _ in METIS_GOLDEN}))
+    def test_shared_graph_matches_golden_and_cold_calls(self, seed, ks):
+        graph = _golden_graph(seed)
+        for k in ks:
+            result = metis_partition(graph, k)
+            assert _result_digest(result) == METIS_GOLDEN[(seed, k)]
+            assert result.levels == metis_partition(graph.copy(), k).levels
+        assert graph.freeze().metis_memo is not None
+
+    def test_stalled_round_is_not_retried(self, monkeypatch):
+        rounds = []
+        real = _Hierarchy.coarsen_once
+
+        def counted(self):
+            rounds.append(len(self.weights[-1]))
+            return real(self)
+
+        monkeypatch.setattr(_Hierarchy, "coarsen_once", counted)
+        graph = _stalling_graph()
+        for k in (10, 2, 4, 2):
+            result = metis_partition(graph, k)
+            assert _same_result(result, metis_partition(graph.copy(), k))
+        memo = graph.freeze().metis_memo
+        assert memo.stalled
+        assert [len(w) for w in memo.weights] == [601, 404, 302, 250, 224]
+        # The shared graph runs each of its 5 rounds once, the stalled one
+        # included; the cold copies run 3 + 5 + 5 + 5.
+        assert rounds.count(224) == 1 + 3
+        assert len(rounds) == 5 + (3 + 5 + 5 + 5)
+
+    def test_node_weights_call_leaves_memo_untouched(self):
+        graph = _golden_graph(3)
+        weights = {v: 1.0 for v in graph.nodes()}
+        cold = metis_partition(graph.copy(), 4, node_weights=weights)
+        assert _same_result(metis_partition(graph, 4, node_weights=weights), cold)
+        assert graph.freeze().metis_memo is None
+        metis_partition(graph, 8)
+        memo = graph.freeze().metis_memo
+        depth = len(memo.adjs)
+        assert _same_result(metis_partition(graph, 4, node_weights=weights), cold)
+        assert graph.freeze().metis_memo is memo
+        assert len(memo.adjs) == depth
+
+    def test_grown_graph_matches_cold_copy(self):
+        graph = _golden_graph(29)
+        metis_partition(graph, 2)
+        first = graph.freeze()
+        rng = random.Random(29)
+        accounts = sorted(graph.nodes()) + [f"new{i:02d}" for i in range(40)]
+        for _ in range(300):
+            graph.add_transaction(set(rng.sample(accounts, rng.choice([1, 2, 3]))))
+        for k in (4, 2):
+            assert _same_result(metis_partition(graph, k), metis_partition(graph.copy(), k))
+        assert graph.freeze() is not first
 
 
 class TestShardScheduler:

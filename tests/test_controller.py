@@ -300,7 +300,7 @@ class TestAdaptiveWorkspace:
         controller.allocation.validate()
 
     @pytest.mark.parametrize("backend", WORKSPACE_BACKENDS)
-    def test_workspace_matches_reference_exactly(self, backend, monkeypatch):
+    def test_workspace_matches_reference_exactly(self, backend, monkeypatch, any_sum):
         params = TxAlloParams.with_capacity_for(520, k=4, tau1=1, tau2=5)
         seed = [tx for block in block_stream(12, seed=3) for tx in block]
         calls = count_g_txallo(monkeypatch)

@@ -214,7 +214,9 @@ class TestAdaptiveWorkspaceInterleavings:
     @pytest.mark.parametrize("topology", TOPOLOGIES)
     @pytest.mark.parametrize("seed", SEEDS[:3])
     @pytest.mark.parametrize("poison_journal", (False, True))
-    def test_workspace_byte_identical_across_lifecycle(self, topology, seed, poison_journal):
+    def test_workspace_byte_identical_across_lifecycle(
+        self, topology, seed, poison_journal, any_sum
+    ):
         oracle = self._drive(topology, seed, "reference", poison_journal)
         batched = self._drive(topology, seed, "fast", poison_journal)
         assert oracle.allocation.mapping() == batched.allocation.mapping()

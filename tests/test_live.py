@@ -344,7 +344,7 @@ class TestGoldenLiveDigest:
     depend on ``PYTHONHASHSEED``.
     """
 
-    def test_live_reports_match_the_golden_digest(self):
+    def test_live_reports_match_the_golden_digest(self, any_sum):
         digest = hashlib.sha256()
         for seed in (1, 2):
             workload = build_workload(scale=0.05, seed=seed)

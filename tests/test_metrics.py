@@ -205,7 +205,7 @@ class TestEvaluateExactness:
         assert str(got.value) == str(want.value)
         assert "zzz" in str(got.value)
 
-    def test_sweep_golden(self):
+    def test_sweep_golden(self, any_sum):
         workload = build_workload(scale=0.05, seed=13)
         methods = ("txallo", "hash", "metis", "shard_scheduler")
         records = sweep(workload, ks=(2, 8), etas=(1.5, 3.0), methods=methods)
