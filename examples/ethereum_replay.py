@@ -22,6 +22,7 @@ from repro.data import (
     EthereumWorkloadGenerator,
     WorkloadConfig,
     account_sets,
+    card_from_sets,
     load_transactions_csv,
 )
 from repro.eval.reporting import format_table
@@ -41,7 +42,7 @@ def load_workload(args):
     )
     generator = EthereumWorkloadGenerator(config)
     sets_ = account_sets(generator.generate())
-    card = generator.dataset_card()
+    card = card_from_sets(sets_)
     print(
         f"synthetic workload: {card.num_transactions} txs, "
         f"{card.num_accounts} accounts, hub share {card.top_account_share:.1%}"

@@ -17,6 +17,8 @@ from repro.data.synthetic import (
     WorkloadConfig,
     WorkloadEntry,
     account_sets,
+    card_from_sets,
+    chunk_blocks,
     get_workload_entry,
     make_workload_generator,
     register_workload,
@@ -35,6 +37,8 @@ __all__ = [
     "WorkloadConfig",
     "WorkloadEntry",
     "account_sets",
+    "card_from_sets",
+    "chunk_blocks",
     "get_workload_entry",
     "group_into_blocks",
     "load_transactions_csv",

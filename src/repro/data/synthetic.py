@@ -25,12 +25,14 @@ configs produce byte-identical workloads.
 from __future__ import annotations
 
 import bisect
+import collections
 import dataclasses
 import itertools
 import random
-from typing import Callable, Dict, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.chain.types import Address, Block, Transaction, address_from_int
+from repro.data.loader import group_into_blocks
 from repro.errors import ParameterError
 
 
@@ -249,54 +251,43 @@ class EthereumWorkloadGenerator:
         return list(self.transactions())
 
     def blocks(self) -> Iterator[Block]:
-        """The stream chunked into blocks with linked parent hashes."""
-        parent = ""
-        height = 0
-        batch: List[Transaction] = []
-        for tx in self.transactions():
-            batch.append(tx)
-            if len(batch) == self.config.block_size:
-                block = Block(height=height, transactions=tuple(batch), parent_hash=parent)
-                yield block
-                parent = block.block_hash
-                height += 1
-                batch = []
-        if batch:
-            yield Block(height=height, transactions=tuple(batch), parent_hash=parent)
+        """The stream, regenerated on first use and chunked into linked blocks."""
+        yield from chunk_blocks(self.transactions(), self.config.block_size)
 
     # ------------------------------------------------------------------
-    def dataset_card(self, transactions: Sequence[Transaction] = None) -> DatasetCard:
+    def dataset_card(self, transactions: Optional[Sequence[Transaction]] = None) -> DatasetCard:
         """Summarise a generated stream (defaults to a fresh generation)."""
-        txs = list(transactions) if transactions is not None else self.generate()
-        counts: Dict[Address, int] = {}
-        self_loops = 0
-        multi_io = 0
-        accounts_per_tx = 0
-        for tx in txs:
-            accs = tx.accounts
-            accounts_per_tx += len(accs)
-            if tx.is_self_loop:
-                self_loops += 1
-            if len(accs) > 2:
-                multi_io += 1
-            for a in accs:
-                counts[a] = counts.get(a, 0) + 1
-        total = len(txs)
-        ranked = sorted(counts.values(), reverse=True)
-        return DatasetCard(
-            num_transactions=total,
-            num_accounts=len(counts),
-            top_account_share=(ranked[0] / total) if ranked else 0.0,
-            top10_account_share=(sum(ranked[:10]) / total) if ranked else 0.0,
-            self_loop_ratio=self_loops / total if total else 0.0,
-            multi_io_ratio=multi_io / total if total else 0.0,
-            mean_accounts_per_tx=accounts_per_tx / total if total else 0.0,
-        )
+        txs = self.generate() if transactions is None else transactions
+        return card_from_sets(account_sets(txs))
 
 
 def account_sets(transactions: Sequence[Transaction]) -> List[Tuple[Address, ...]]:
     """Project transactions to sorted account tuples (metric/graph input)."""
     return [tuple(sorted(tx.accounts)) for tx in transactions]
+
+
+def chunk_blocks(transactions: Iterable[Transaction], block_size: int) -> List[Block]:
+    """Chunk a transaction stream into linked blocks of ``block_size``
+    transactions (the last one may be short)."""
+    return group_into_blocks((i // block_size, tx) for i, tx in enumerate(transactions))
+
+
+def card_from_sets(sets_: Sequence[Tuple[Address, ...]]) -> DatasetCard:
+    """The :class:`DatasetCard` of a stream given as its account sets (a set
+    of length 1 is a self-loop, one longer than 2 a multi-I/O transaction)."""
+    total = len(sets_)
+    sizes = [len(s) for s in sets_]
+    counts = collections.Counter(itertools.chain.from_iterable(sets_))
+    ranked = sorted(counts.values(), reverse=True)
+    return DatasetCard(
+        num_transactions=total,
+        num_accounts=len(counts),
+        top_account_share=(ranked[0] / total) if ranked else 0.0,
+        top10_account_share=(sum(ranked[:10]) / total) if ranked else 0.0,
+        self_loop_ratio=sizes.count(1) / total if total else 0.0,
+        multi_io_ratio=sum(n > 2 for n in sizes) / total if total else 0.0,
+        mean_accounts_per_tx=sum(sizes) / total if total else 0.0,
+    )
 
 
 # ======================================================================

@@ -43,6 +43,8 @@ from repro.data.synthetic import (
     EthereumWorkloadGenerator,
     WorkloadConfig,
     account_sets,
+    card_from_sets,
+    chunk_blocks,
     make_workload_generator,
 )
 from repro.errors import ParameterError
@@ -77,7 +79,11 @@ DEFAULT_ETAS = (2.0, 4.0, 6.0, 8.0, 10.0)
 # ----------------------------------------------------------------------
 @dataclasses.dataclass
 class Workload:
-    """A materialised workload: transactions plus derived views."""
+    """A materialised workload: transactions plus derived views.
+
+    Every view derives from one generation pass, in chain order:
+    ``account_sets[i]`` is the i-th transaction of ``blocks``.
+    """
 
     config: WorkloadConfig
     generator: EthereumWorkloadGenerator
@@ -121,17 +127,14 @@ def build_workload(
     transactions = generator.generate()
     sets_ = account_sets(transactions)
     graph = TransactionGraph()
-    for s in sets_:
-        graph.add_transaction(s)
-    blocks = BlockStream(list(generator.blocks()))
-    card = generator.dataset_card(transactions)
+    graph.add_transactions(sets_)
     return Workload(
         config=config,
         generator=generator,
         account_sets=sets_,
         graph=graph,
-        blocks=blocks,
-        card=card,
+        blocks=BlockStream(chunk_blocks(transactions, config.block_size)),
+        card=card_from_sets(sets_),
         topology=topology,
     )
 
@@ -625,8 +628,7 @@ def figure9(
         train.num_transactions, k=k, eta=eta, backend=backend
     )
     train_graph = TransactionGraph()
-    for s in train.account_sets():
-        train_graph.add_transaction(s)
+    train_graph.add_transactions(workload.account_sets[: train.num_transactions])
     base_mapping = g_txallo(train_graph, params).allocation.mapping()
 
     runs: Dict[str, AdaptiveRun] = {}
@@ -840,10 +842,9 @@ def live_setup(
         tau2=tau2,
         backend=backend,
     )
-    seed_sets = seed_stream.account_sets()
+    seed_sets = workload.account_sets[: seed_stream.num_transactions]
     seed_graph = TransactionGraph()
-    for accounts in seed_sets:
-        seed_graph.add_transaction(accounts)
+    seed_graph.add_transactions(seed_sets)
     return LiveSetup(
         params=params,
         seed_sets=seed_sets,

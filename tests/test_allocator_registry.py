@@ -23,7 +23,7 @@ from repro.core.allocator import (
 )
 from repro.core.controller import TxAlloController
 from repro.core.params import TxAlloParams
-from repro.data.synthetic import EthereumWorkloadGenerator, WorkloadConfig
+from repro.data.synthetic import EthereumWorkloadGenerator, WorkloadConfig, chunk_blocks
 from repro.errors import AllocationError, ParameterError
 
 BUILTINS = (
@@ -45,7 +45,7 @@ def shared_workload():
     )
     generator = EthereumWorkloadGenerator(config)
     transactions = generator.generate()
-    blocks = [list(b) for b in generator.blocks()]
+    blocks = [list(b) for b in chunk_blocks(transactions, config.block_size)]
     seed_blocks, live_blocks = blocks[:30], blocks[30:]
     seed_sets = [tuple(sorted(t.accounts)) for b in seed_blocks for t in b]
     live_sets = [tuple(sorted(t.accounts)) for b in live_blocks for t in b]

@@ -23,6 +23,7 @@ from repro.core.gtxallo import g_txallo
 from repro.core.metrics import evaluate_allocation
 from repro.core.params import TxAlloParams
 from repro.data.stream import BlockStream
+from repro.data.synthetic import chunk_blocks
 
 
 @pytest.fixture(scope="module")
@@ -87,9 +88,14 @@ class TestFullPipeline:
         )
 
 
+def generated_blocks(workload) -> BlockStream:
+    """The fixture's materialised stream, chunked into linked blocks."""
+    return BlockStream(chunk_blocks(workload["transactions"], workload["config"].block_size))
+
+
 class TestDynamicPipeline:
     def test_controller_over_generated_blocks(self, small_workload):
-        blocks = BlockStream(list(small_workload["generator"].blocks()))
+        blocks = generated_blocks(small_workload)
         train, evaluation = blocks.split(0.8)
         params = TxAlloParams(
             k=6, eta=2.0, lam=len(small_workload["sets"]) / 6, tau1=2, tau2=8
@@ -108,7 +114,7 @@ class TestDynamicPipeline:
         assert report.cross_shard_ratio < 0.6
 
     def test_adaptive_tracks_global_quality(self, small_workload):
-        blocks = BlockStream(list(small_workload["generator"].blocks()))
+        blocks = generated_blocks(small_workload)
         train, evaluation = blocks.split(0.8)
         params = TxAlloParams(
             k=6, eta=2.0, lam=len(small_workload["sets"]) / 6, tau1=1, tau2=10_000

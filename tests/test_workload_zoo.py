@@ -1,6 +1,9 @@
 """Tests for the workload zoo: registry round-trip, per-generator
 determinism, and the shape invariants each topology exists to provide."""
 
+import dataclasses
+import hashlib
+
 import pytest
 
 from repro.data.synthetic import (
@@ -18,6 +21,7 @@ from repro.data.synthetic import (
     workload_names,
 )
 from repro.errors import ParameterError
+from repro.eval.experiments import build_workload, live_setup
 
 
 def small_config(**overrides):
@@ -115,7 +119,7 @@ class TestDeterminism:
     @pytest.mark.parametrize("name", ZOO)
     def test_reiteration_byte_identical(self, name):
         """One generator instance must restart its stream identically —
-        build_workload iterates it twice (transactions, then blocks)."""
+        ``blocks()`` and ``dataset_card()`` regenerate it for direct callers."""
         generator = make_workload_generator(name, small_config())
         first = list(generator.transactions())
         second = list(generator.transactions())
@@ -149,6 +153,52 @@ class TestDeterminism:
         assert total == 4000
         flat = [tx for block in blocks for tx in block.transactions]
         assert flat == list(generator.transactions())
+
+
+#: sha256 per (topology, seed) of ``build_workload(scale=0.05)``: every
+#: block hash, every account set and every dataset-card field.  Any
+#: change to generation, block chunking or the derived views moves it;
+#: a pure refactor of the build must not.
+GOLDEN_WORKLOAD_DIGESTS = {
+    ("adversarial", 1): "47ed5e982fa9b5c07864f4fd410e277c19dcd2815a5ed7a19bb406011ae3def2",
+    ("adversarial", 2022): "2780ee787fe7500c11172af93e5da0a8bb5c94002512d31d240ff83aefe7ea14",
+    ("community_drift", 1): "ec243fe230b95aba30d8a8f8a7e4a06643307f131fd201e896f2e16e33f0bd94",
+    ("community_drift", 2022): "01ae0017ab3944300e426c24fd964bb287219cb43f552c07a820763bca31d2a3",
+    ("ethereum", 1): "c28ce38d105a55eaf23b51a42ed607a371fe685c042946de839d036b89e8d361",
+    ("ethereum", 2022): "1f2ca6857b2b060fb87253407371ce16c8f42900ebdc93f41a44c9e57dcef0cc",
+    ("exchange_hub", 1): "1e940792315cbab52802db46c2a81677b3b465bb546d19ee8bee5060919ea9aa",
+    ("exchange_hub", 2022): "1b18ca150d3522b616183cd75dde4b06f809fe7e2183a508ad8648dd2cf97326",
+    ("hotspot", 1): "a4efd479d4275e89c63d673b402da55b02d367aec0e97a9464cf08740e6e8503",
+    ("hotspot", 2022): "3db1636e006c842d29fafbaad3e9a8d90bc3914ffd92fd83b48423a730c6c86f",
+    ("mint_burst", 1): "2467c626d780715f43d22797877647647276be2d92a9b0c8fe6ffa5cdbc8ab63",
+    ("mint_burst", 2022): "eddd7c4ff104e41a9aa5ffc31dfe0d7d6d5965cf927e54e7474ac95f63d8d149",
+}
+
+
+class TestWorkloadGolden:
+    @pytest.mark.parametrize("seed", (1, 2022))
+    @pytest.mark.parametrize("name", ZOO)
+    def test_workload_bytes_match_the_golden_digest(self, name, seed):
+        workload = build_workload(scale=0.05, seed=seed, topology=name)
+        digest = hashlib.sha256()
+        for block in workload.blocks:
+            digest.update(block.block_hash.encode())
+        for accounts in workload.account_sets:
+            digest.update(repr(accounts).encode())
+        digest.update(repr(dataclasses.astuple(workload.card)).encode())
+        assert digest.hexdigest() == GOLDEN_WORKLOAD_DIGESTS[name, seed]
+
+        # The live seed history is the chain-order prefix of account_sets.
+        setup = live_setup(
+            workload,
+            k=4,
+            eta=2.0,
+            seed_fraction=0.4,
+            capacity_factor=1.5,
+            no_live_blocks="no live blocks",
+        )
+        seed_stream, _ = workload.blocks.split(0.4)
+        assert setup.seed_sets == seed_stream.account_sets()
 
 
 # ----------------------------------------------------------------------
