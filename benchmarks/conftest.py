@@ -32,9 +32,6 @@ pin_blas_threads()
 from repro.eval import experiments  # noqa: E402
 
 BENCH_SCALE = float(os.environ.get("BENCH_SCALE", "0.5"))
-#: TxAllo engine backend for the whole suite ("fast"/"reference" are
-#: byte-identical, so figures cannot depend on that choice).
-BENCH_BACKEND = os.environ.get("BENCH_BACKEND", "fast")
 BENCH_KS = (2, 10, 20, 40, 60)
 BENCH_ETAS = (2.0, 6.0, 10.0)
 
@@ -78,6 +75,4 @@ def workload(bench_scale):
 @pytest.fixture(scope="session")
 def sweep_records(workload):
     """The shared (method x k x eta) grid behind Figs. 2,3,5,6,7,8."""
-    return experiments.sweep(
-        workload, ks=BENCH_KS, etas=BENCH_ETAS, backend=BENCH_BACKEND
-    )
+    return experiments.sweep(workload, ks=BENCH_KS, etas=BENCH_ETAS)

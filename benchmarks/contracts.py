@@ -52,7 +52,7 @@ from repro.chain.live import LiveShardedNetwork
 from repro.core import parallel
 from repro.core.controller import TxAlloController
 from repro.core.csr import CSRGraph
-from repro.core.gtxallo import g_txallo
+from repro.core.gtxallo import g_txallo, g_txallo_reference
 from repro.core.params import TxAlloParams
 from repro.core.resilience import ResilientAllocator
 from repro.data.synthetic import workload_names
@@ -139,27 +139,22 @@ CONTRACTS = {
 
 
 def engine_grid(workload) -> dict:
-    """Reference vs fast ``g_txallo`` over the Fig. 8 grid.
+    """``g_txallo_reference`` vs the engine's ``g_txallo`` over the Fig. 8 grid.
 
-    Each backend starts from its own copy of the graph, so neither warms
-    the other's freeze or Louvain memo; fast legitimately amortises them
-    across the grid, as ``experiments.sweep`` does.
+    Each side starts from its own copy of the graph, so neither warms
+    the other's freeze or Louvain memo; the engine legitimately amortises
+    them across the grid, as ``experiments.sweep`` does.
     """
     seconds, results = {}, {}
-    for backend in ("reference", "fast"):
+    for tier, run in (("reference", g_txallo_reference), ("fast", g_txallo)):
         graph = workload.graph.copy()
         t0 = time.perf_counter()
-        results[backend] = [
-            g_txallo(
-                graph,
-                TxAlloParams.with_capacity_for(
-                    workload.num_transactions, k=k, eta=eta, backend=backend
-                ),
-            )
+        results[tier] = [
+            run(graph, TxAlloParams.with_capacity_for(workload.num_transactions, k=k, eta=eta))
             for eta in GRID_ETAS
             for k in GRID_KS
         ]
-        seconds[backend] = time.perf_counter() - t0
+        seconds[tier] = time.perf_counter() - t0
 
     def signature(result):
         allocation = result.allocation

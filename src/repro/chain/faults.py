@@ -351,31 +351,45 @@ def with_faults(allocator: OnlineAllocator, plan: FaultPlan) -> OnlineAllocator:
     return FaultyAllocator(allocator, plan)
 
 
+def parse_fault_name(name: str) -> Tuple[str, Optional[int]]:
+    """Split a matrix-spec fault-plan name into ``(kind, seed)``.
+
+    The spec vocabulary: ``"none"`` and ``"standard"`` (seed ``None``)
+    and ``"seeded:<int>"`` (kind ``"seeded"``).  Anything else raises
+    :class:`ParameterError`; :class:`~repro.eval.matrix.MatrixSpec`
+    validates its names here, so a spec accepts exactly the names
+    :func:`resolve_fault_plan` can resolve.
+    """
+    if name in ("none", "standard"):
+        return name, None
+    if name.startswith("seeded:"):
+        try:
+            return "seeded", int(name.split(":", 1)[1])
+        except ValueError:
+            raise ParameterError(
+                f"bad seeded fault plan {name!r}; expected 'seeded:<int>'"
+            ) from None
+    raise ParameterError(
+        f"unknown fault plan {name!r}; expected 'none', 'standard' or 'seeded:<int>'"
+    )
+
+
 def resolve_fault_plan(
     name: str, *, ticks: int, k: int, tau2: int
 ) -> Optional[FaultPlan]:
     """Resolve a matrix-spec fault-plan name to a :class:`FaultPlan`.
 
-    The spec vocabulary: ``"none"`` (no plan), ``"standard"``
-    (:meth:`FaultPlan.standard` at the run's ``tau2``), and
-    ``"seeded:<int>"`` (:meth:`FaultPlan.seeded` over the run's
-    ``ticks``/``k``).  Anything else raises :class:`ParameterError`.
+    ``"none"`` is no plan, ``"standard"`` is :meth:`FaultPlan.standard`
+    at the run's ``tau2`` and ``"seeded:<int>"`` is
+    :meth:`FaultPlan.seeded` over the run's ``ticks``/``k``; other names
+    raise :class:`ParameterError` (see :func:`parse_fault_name`).
     """
-    if name == "none":
+    kind, seed = parse_fault_name(name)
+    if kind == "none":
         return None
-    if name == "standard":
+    if kind == "standard":
         return FaultPlan.standard(tau2)
-    if name.startswith("seeded:"):
-        try:
-            seed = int(name.split(":", 1)[1])
-        except ValueError:
-            raise ParameterError(
-                f"bad seeded fault plan {name!r}; expected 'seeded:<int>'"
-            ) from None
-        return FaultPlan.seeded(seed, ticks=ticks, k=k)
-    raise ParameterError(
-        f"unknown fault plan {name!r}; expected 'none', 'standard' or 'seeded:<int>'"
-    )
+    return FaultPlan.seeded(seed, ticks=ticks, k=k)
 
 
 __all__ = [
@@ -385,6 +399,7 @@ __all__ = [
     "FaultyAllocator",
     "MalformedDelivery",
     "ShardStall",
+    "parse_fault_name",
     "resolve_fault_plan",
     "with_faults",
 ]

@@ -27,7 +27,6 @@ import sys
 from typing import List, Optional, Sequence
 
 from repro import allocators
-from repro.core import backends
 from repro.errors import ParameterError
 from repro.eval import experiments
 
@@ -76,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--spec", default=None,
         help="matrix only: JSON experiment spec (factors over workload "
-             "topology, scale, allocator, backend, tau cadence, fault "
+             "topology, scale, allocator, tau cadence, fault "
              "plan, plus reps/base_seed/k/eta; default: the built-in "
              "smoke spec)",
     )
@@ -139,14 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
              "standard one",
     )
     parser.add_argument(
-        "--backend", choices=list(backends.names()), default="fast",
-        help="TxAllo engine backend, looked up in the strategy "
-             "registry (repro.core.backends): 'fast' (flat-array CSR "
-             "sweep engine) and 'reference' (dict-based executable "
-             "spec) are byte-identical (default fast); live-compare "
-             "always runs fast",
-    )
-    parser.add_argument(
         "--workers", type=_positive_int, default=1,
         help="process count for the evaluation grid: >1 fans the "
              "sweep/fig4 grid and the matrix cells out to a process pool "
@@ -201,7 +192,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(
                 experiments.figure4(
                     workload, k=args.k, eta=args.eta, methods=methods,
-                    backend=args.backend, workers=args.workers,
+                    workers=args.workers,
                 ).render()
             )
         elif figure == "fig9":
@@ -209,21 +200,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 experiments.figure9(
                     workload, k=args.k, eta=args.eta,
                     gaps=args.gaps, max_steps=args.steps,
-                    backend=args.backend,
                 ).render()
             )
         elif figure == "fig10":
             print(
                 experiments.figure10(
                     workload, k=args.k, eta=args.eta, max_steps=args.steps,
-                    backend=args.backend,
                 ).render()
             )
         else:
             if records is None:
                 records = experiments.sweep(
                     workload, ks=ks, etas=etas, methods=methods,
-                    backend=args.backend, workers=args.workers,
+                    workers=args.workers,
                 )
             print(_SWEEP_FIGURES[figure](records).render())
         print()

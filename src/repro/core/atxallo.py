@@ -17,6 +17,10 @@ Two phases, mirroring Algorithm 2:
    they connect to none;
 2. all of ``V̂`` is swept with the full move gain (Eq. 8) until the summed
    per-sweep gain falls below ``ε``.
+
+:func:`a_txallo` runs the flat engine (:mod:`repro.core.engine`);
+:func:`a_txallo_reference` is the dict-based executable specification it
+must match byte for byte.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ import dataclasses
 import time
 from typing import Iterable, List, Optional
 
-from repro.core import backends
 from repro.core.allocation import Allocation
 from repro.core.graph import Node
 from repro.core.objective import GainComputer
@@ -57,7 +60,6 @@ def a_txallo(
     touched: Iterable[Node],
     *,
     epsilon: Optional[float] = None,
-    backend: Optional[str] = None,
     workspace=None,
 ) -> ATxAlloResult:
     """Run Algorithm 2 in place on ``alloc`` for the touched node set ``V̂``.
@@ -66,50 +68,42 @@ def a_txallo(
     blocks; unknown accounts among them are allocated first.  ``epsilon``
     defaults to the allocation's configured threshold.
 
-    ``backend`` overrides ``alloc.params.backend`` and names a tier in
-    the engine-backend registry (:mod:`repro.core.backends`):
-    ``"fast"`` sweeps flat id-keyed views of the touched neighbourhoods
-    (:func:`repro.core.engine.a_txallo_flat`), ``"reference"`` rescans
-    the dict adjacency every sweep.  Both mutate ``alloc``
-    byte-identically.
+    Sweeps flat id-keyed views of the touched neighbourhoods
+    (:func:`repro.core.engine.a_txallo_flat`) and mutates ``alloc``
+    exactly as :func:`a_txallo_reference` would.
 
     ``workspace`` (an :class:`repro.core.engine.AdaptiveWorkspace`) lets
-    consecutive flat-backend runs share one persistent set of views,
-    kept current from the graph's mutation journal — the controller's τ₁
-    block loop.  Without one, the flat kernel builds the views for this
-    run from one freeze and never touches the journal.  The reference
-    backend ignores it (the dict scans *are* the live graph).
+    consecutive runs share one persistent set of views, kept current
+    from the graph's mutation journal — the controller's τ₁ block loop.
+    Without one, the kernel builds the views for this run from one
+    freeze and never touches the journal.
+    """
+    # Imported here: the engine imports this module's MAX_SWEEPS.
+    from repro.core.engine import a_txallo_flat
+
+    t0 = time.perf_counter()
+    if epsilon is None:
+        epsilon = alloc.params.epsilon
+    new_nodes, swept, sweeps, moves, converged = a_txallo_flat(
+        alloc, touched, epsilon, workspace=workspace
+    )
+    seconds = time.perf_counter() - t0
+    return ATxAlloResult(alloc, new_nodes, swept, sweeps, moves, seconds, converged)
+
+
+def a_txallo_reference(
+    alloc: Allocation,
+    touched: Iterable[Node],
+    *,
+    epsilon: Optional[float] = None,
+) -> ATxAlloResult:
+    """The dict-based executable specification of :func:`a_txallo`.
+
+    Rescans the dict adjacency every sweep, so it takes no workspace.
     """
     t0 = time.perf_counter()
     if epsilon is None:
         epsilon = alloc.params.epsilon
-    if backend is None:
-        backend = alloc.params.backend
-    spec = backends.get_backend(backend)
-    new_nodes, swept, sweeps, moves, converged = spec.atxallo_kernel(
-        alloc, touched, epsilon, workspace
-    )
-    return ATxAlloResult(
-        allocation=alloc,
-        new_nodes=new_nodes,
-        swept_nodes=swept,
-        sweeps=sweeps,
-        moves=moves,
-        seconds=time.perf_counter() - t0,
-        converged=converged,
-    )
-
-
-def _a_txallo_reference(
-    alloc: Allocation,
-    touched: Iterable[Node],
-    epsilon: float,
-) -> tuple:
-    """The dict-based Algorithm 2 (``backend="reference"``).
-
-    Returns the registry kernel tuple ``(new_nodes, swept_nodes, sweeps,
-    moves, converged)``; mutates ``alloc`` in place like every backend.
-    """
     k = alloc.params.k
     gains = GainComputer(alloc)
 
@@ -147,4 +141,5 @@ def _a_txallo_reference(
             converged = True
             break
 
-    return len(new_nodes), len(hat_v), sweeps, moves, converged
+    seconds = time.perf_counter() - t0
+    return ATxAlloResult(alloc, len(new_nodes), len(hat_v), sweeps, moves, seconds, converged)

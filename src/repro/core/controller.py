@@ -11,18 +11,17 @@ transaction an iterable of account identifiers.  It owns the transaction
 graph, the current :class:`~repro.core.allocation.Allocation` and an update
 log with per-update wall-clock timings.
 
-On the fast backend the graph's frozen CSR snapshot is maintained
-*incrementally* across updates (delta-freeze, see
-:meth:`repro.core.graph.TransactionGraph.freeze`): each block perturbs a
-small frontier, so the periodic G-TxAllo refreshes (and the adaptive
-workspace's rebuilds) extend the previous snapshot instead of
-re-lowering the whole graph.
+The graph's frozen CSR snapshot is maintained *incrementally* across
+updates (delta-freeze, see :meth:`repro.core.graph.TransactionGraph.freeze`):
+each block perturbs a small frontier, so the periodic G-TxAllo refreshes
+(and the adaptive workspace's rebuilds) extend the previous snapshot
+instead of re-lowering the whole graph.
 :attr:`TxAlloController.freeze_stats` exposes the counters.
 
 With the adaptive workspace
-(:class:`repro.core.engine.AdaptiveWorkspace`, one per controller, used
-by the flat backend) consecutive A-TxAllo runs go further: they share
-one persistent flat neighbourhood view kept current from the graph's
+(:class:`repro.core.engine.AdaptiveWorkspace`, one per controller)
+consecutive A-TxAllo runs go further: they share one persistent flat
+neighbourhood view kept current from the graph's
 mutation journal, so the τ₁ loop does not freeze the graph at all.  The
 workspace also survives G-TxAllo refreshes: its graph views do not
 depend on the allocation, so after a refresh it only re-reads the
@@ -38,11 +37,11 @@ last installed G-TxAllo result is not re-run: when the graph's
 :attr:`~repro.core.allocation.Allocation.mutation_count` both still
 match what that result left behind, the controller keeps the current
 allocation and still records the refresh as a ``"global"`` event.  This
-is exact, not an approximation: G-TxAllo is deterministic in the graph on
-every backend tier, so a re-run would rebuild the very allocation
-already installed.  Long runs of empty blocks (a live network draining its
-backlog) thus cost nothing at the τ₂ ticks, and the adaptive workspace
-does not even reseat.
+is exact, not an approximation: G-TxAllo is deterministic in the graph,
+so a re-run would rebuild the very allocation already installed.  Long
+runs of empty blocks (a live network draining its backlog) thus cost
+nothing at the τ₂ ticks, and the adaptive workspace does not even
+reseat.
 """
 
 from __future__ import annotations
@@ -130,8 +129,7 @@ class TxAlloController(OnlineAllocator):
         self._global_moves = 0
         # The adaptive workspace batches consecutive A-TxAllo runs over
         # one persistent neighbourhood view (byte-identical results; see
-        # repro.core.engine).  The reference kernel ignores it — its dict
-        # scans read the live graph every sweep anyway.
+        # repro.core.engine).
         self._workspace = AdaptiveWorkspace()
         if seed_transactions is not None:
             for accounts in seed_transactions:
@@ -276,10 +274,9 @@ class TxAlloController(OnlineAllocator):
     def freeze_stats(self) -> dict:
         """The graph's snapshot counters (full/delta/cached freezes).
 
-        On the fast backend the global refreshes and the adaptive
-        workspace's (re)builds run on the frozen CSR form, so this shows
-        whether the controller is paying from-scratch lowerings or the
-        incremental delta-freeze path.
+        The global refreshes and the adaptive workspace's (re)builds run
+        on the frozen CSR form, so this shows whether the controller is
+        paying from-scratch lowerings or the incremental delta-freeze path.
         """
         return self.graph.freeze_stats
 
@@ -293,7 +290,5 @@ class TxAlloController(OnlineAllocator):
         idle refresh keeps the allocation, so none) or a foreign move,
         ``extends`` journal replays that carried the cached views across a
         τ₁ window, ``runs`` adaptive runs served through the workspace.
-        All zero on the reference backend, whose kernel ignores the
-        workspace.
         """
         return self._workspace.stats

@@ -1,4 +1,4 @@
-"""Flat-array sweep engine — the ``backend="fast"`` allocation core.
+"""Flat-array sweep engine — the allocation core.
 
 This module reimplements the three allocation hot paths on top of the
 compiled CSR kernel (:mod:`repro.core.csr`):
@@ -13,27 +13,20 @@ compiled CSR kernel (:mod:`repro.core.csr`):
 3. :func:`g_txallo_flat` / :func:`a_txallo_flat` — Algorithm 1 / 2 sweeps
    consuming that state.
 
-Backend levels
---------------
-Dispatch goes through the engine-backend registry
-(:mod:`repro.core.backends`); the built-in tiers:
-
-===========  =========================================
-tier         notes
-===========  =========================================
-reference    dict-based executable specification
-fast         this module; the default tier, byte-identical to reference
-===========  =========================================
-
-The A-TxAllo kernel of the flat tier is :func:`a_txallo_flat`, the one
-flat Algorithm 2 body — adaptive sweeps touch O(|V̂|) nodes, where the
-flat engine is already optimal.
+Entry points
+------------
+:func:`repro.core.louvain.louvain_partition`,
+:func:`repro.core.gtxallo.g_txallo` and :func:`repro.core.atxallo.a_txallo`
+call this module's kernels; there is no other engine.  The dict-based
+``louvain_reference`` / ``g_txallo_reference`` / ``a_txallo_reference``
+beside them are the executable specification, run only by the parity
+tests and the engine rows of ``benchmarks/contracts.py``.
 
 Parity contract
 ---------------
 The engine is an *optimisation*, not a reinterpretation: for any input it
 must produce **byte-identical** allocations to the reference dict-based
-path (``backend="reference"``) — same ``mapping()``, same ``sigma`` /
+path — same ``mapping()``, same ``sigma`` /
 ``lam_hat`` floats, same sweep and move counts.  That is achieved by
 replaying the reference implementation's float accumulations in the exact
 same order:
@@ -68,9 +61,9 @@ runs — id-keyed row maps mirroring the adjacency dicts, the self-loop
 vector, and a dense id→shard array — and keeps them current by replaying
 the graph's :class:`~repro.core.graph.MutationJournal` (new nodes, edge
 weight increments) in O(window delta) instead of an incremental freeze
-per window.  The workspace is a **cache, not a backend level**: the row
+per window.  The workspace is a **cache, not a second engine**: the row
 maps replay the same float accumulations in the same order the CSR rows
-would, so a workspace-backed run lands on the reference backend's
+would, so a workspace-backed run lands on the reference's
 allocation, caches and sweep/move counts byte for byte, which
 ``tests/test_engine_parity.py`` and ``tests/test_delta_freeze.py`` pin
 property-style.  A call without a workspace builds the same views for
@@ -102,7 +95,8 @@ from repro.errors import AllocationError, GraphError
 
 # The sweep bounds and Louvain gain threshold are imported from the
 # reference modules (which import this engine only lazily, so there is
-# no cycle) — the backends cannot drift apart on convergence behaviour.
+# no cycle) — the engine and its oracle cannot drift apart on
+# convergence behaviour.
 
 
 # ======================================================================
@@ -113,7 +107,7 @@ def louvain_fast(
     max_levels: int = 32,
     resolution: float = 1.0,
 ) -> Dict[Node, int]:
-    """Fast-backend :func:`repro.core.louvain.louvain_partition`."""
+    """The kernel behind :func:`repro.core.louvain.louvain_partition`."""
     csr = graph.freeze()
     membership = louvain_flat(csr, max_levels=max_levels, resolution=resolution)
     return {v: membership[i] for i, v in enumerate(csr.nodes)}
@@ -785,8 +779,8 @@ class AdaptiveWorkspace:
     graph or a poisoned journal (a competing journal, a stopped journal,
     a ``JOURNAL_EDGE_CAP`` overflow).
 
-    The workspace is a cache, not a backend level — runs through it are
-    byte-identical to the reference backend (module docstring has the
+    The workspace is a cache, not a second engine — runs through it are
+    byte-identical to the reference (module docstring has the
     argument; the parity suites pin it).
     """
 
@@ -979,7 +973,7 @@ def a_txallo_flat(
     with ``alloc``.  Assignments and moves go through
     :meth:`Allocation.assign` / :meth:`Allocation.move` with the
     accumulated weights, so the cache arithmetic is the reference's own
-    and the run is byte-identical to ``backend="reference"``.
+    and the run is byte-identical to ``a_txallo_reference``.
     """
     params = alloc.params
     k = params.k

@@ -17,11 +17,11 @@ Two phases over the full transaction graph:
 Complexity: ``O(N log N)`` for the initialisation plus ``O(N k)`` per sweep
 (Section V-B).  Every step is deterministic given the graph content.
 
-This module holds the dict-based *reference* implementation — the
-executable specification.  The default ``backend="fast"`` dispatches to
-the flat-array sweep engine (:mod:`repro.core.engine`), which runs the
-same algorithm on the frozen CSR graph and is byte-identical by
-construction (pinned by ``tests/test_engine_parity.py``).
+:func:`g_txallo` runs the flat-array sweep engine
+(:mod:`repro.core.engine`) on the frozen CSR graph.  This module also
+holds :func:`g_txallo_reference`, the dict-based executable
+specification the engine must match byte for byte (pinned by
+``tests/test_engine_parity.py``).
 """
 
 from __future__ import annotations
@@ -30,10 +30,9 @@ import dataclasses
 import time
 from typing import Dict, List, Optional, Sequence
 
-from repro.core import backends
 from repro.core.allocation import Allocation
 from repro.core.graph import Node, TransactionGraph
-from repro.core.louvain import louvain_partition
+from repro.core.louvain import louvain_reference
 from repro.core.objective import GainComputer
 from repro.core.params import TxAlloParams
 
@@ -65,7 +64,6 @@ def g_txallo(
     *,
     initial_partition: Optional[Dict[Node, int]] = None,
     node_order: Optional[Sequence[Node]] = None,
-    backend: Optional[str] = None,
 ) -> GTxAlloResult:
     """Run Algorithm 1 and return the converged k-shard allocation.
 
@@ -74,45 +72,29 @@ def g_txallo(
     communities.  ``node_order`` fixes the sweep order; the default is the
     sorted account order, mirroring the paper's hash-derived ordering.
 
-    ``backend`` overrides ``params.backend`` and names a tier in the
-    engine-backend registry (:mod:`repro.core.backends`).  ``"fast"``
-    runs the flat-array sweep engine over the frozen CSR graph
-    (:mod:`repro.core.engine`), ``"reference"`` the dict-based
-    implementation in this module — byte-identical allocations, caches
-    and sweep/move counts, pinned by ``tests/test_engine_parity.py``.
+    Runs the flat-array sweep engine over the frozen CSR graph; the
+    allocation, caches and sweep/move counts equal
+    :func:`g_txallo_reference`'s.
     """
-    if backend is None:
-        backend = params.backend
-    spec = backends.get_backend(backend)
-    alloc, num_louvain, num_small, sweeps, moves, t_init, t_opt = spec.gtxallo_kernel(
-        graph, params, initial_partition, node_order
-    )
+    # Imported here: the engine imports this module's MAX_SWEEPS.
+    from repro.core.engine import g_txallo_flat
+
     return GTxAlloResult(
-        allocation=alloc,
-        louvain_communities=num_louvain,
-        small_nodes_absorbed=num_small,
-        sweeps=sweeps,
-        moves=moves,
-        init_seconds=t_init,
-        optimise_seconds=t_opt,
+        *g_txallo_flat(graph, params, initial_partition=initial_partition, node_order=node_order)
     )
 
 
-def _g_txallo_reference(
+def g_txallo_reference(
     graph: TransactionGraph,
     params: TxAlloParams,
+    *,
     initial_partition: Optional[Dict[Node, int]] = None,
     node_order: Optional[Sequence[Node]] = None,
-) -> tuple:
-    """The dict-based Algorithm 1 (``backend="reference"``).
-
-    Returns the registry kernel tuple ``(allocation,
-    louvain_communities, small_nodes_absorbed, sweeps, moves,
-    init_seconds, optimise_seconds)``.
-    """
+) -> GTxAlloResult:
+    """The dict-based executable specification of :func:`g_txallo`."""
     t0 = time.perf_counter()
     if initial_partition is None:
-        partition = louvain_partition(graph, backend="reference")
+        partition = louvain_reference(graph)
     else:
         partition = dict(initial_partition)
     alloc, num_small = _initialise(graph, params, partition)
@@ -123,7 +105,15 @@ def _g_txallo_reference(
     t2 = time.perf_counter()
 
     num_louvain = 1 + max(partition.values(), default=-1)
-    return alloc, num_louvain, num_small, sweeps, moves, t1 - t0, t2 - t1
+    return GTxAlloResult(
+        allocation=alloc,
+        louvain_communities=num_louvain,
+        small_nodes_absorbed=num_small,
+        sweeps=sweeps,
+        moves=moves,
+        init_seconds=t1 - t0,
+        optimise_seconds=t2 - t1,
+    )
 
 
 # ----------------------------------------------------------------------

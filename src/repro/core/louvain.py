@@ -14,6 +14,11 @@ therefore:
 Two identical inputs produce byte-identical partitions, which the test-suite
 asserts.
 
+:func:`louvain_partition` runs the flat-array engine
+(:mod:`repro.core.engine`); :func:`louvain_reference` is the dict-based
+executable specification it must match byte for byte
+(``tests/test_engine_parity.py`` pins it).
+
 Self-loops follow the usual convention: a loop of weight ``w`` contributes
 ``2w`` to its node's degree and ``w`` to the total weight ``m``.
 """
@@ -22,7 +27,6 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.core import backends
 from repro.core.graph import Node, TransactionGraph
 
 #: Moves whose modularity gain is below this are treated as no-ops.
@@ -33,7 +37,6 @@ def louvain_partition(
     graph: TransactionGraph,
     max_levels: int = 32,
     resolution: float = 1.0,
-    backend: str = "fast",
 ) -> Dict[Node, int]:
     """Partition ``graph`` into communities by modularity maximisation.
 
@@ -44,23 +47,21 @@ def louvain_partition(
     ``resolution`` is the standard resolution parameter (1.0 reproduces
     plain modularity); ``max_levels`` bounds the aggregation recursion.
 
-    ``backend`` names a tier in the engine-backend registry
-    (:mod:`repro.core.backends`).  ``"fast"`` (the default) runs the
-    flat-array implementation over the frozen CSR graph
-    (:mod:`repro.core.engine`) and is bit-identical to ``"reference"``,
-    the dict-based implementation below (``tests/test_engine_parity.py``
-    pins it).
+    Runs the flat-array implementation over the frozen CSR graph; the
+    result equals :func:`louvain_reference`'s.
     """
-    spec = backends.get_backend(backend)
-    return spec.louvain_kernel(graph, max_levels, resolution)
+    # Imported here: the engine imports this module's _MIN_GAIN.
+    from repro.core.engine import louvain_fast
+
+    return louvain_fast(graph, max_levels=max_levels, resolution=resolution)
 
 
-def _louvain_reference_kernel(
+def louvain_reference(
     graph: TransactionGraph,
     max_levels: int = 32,
     resolution: float = 1.0,
 ) -> Dict[Node, int]:
-    """The dict-based executable specification (``backend="reference"``)."""
+    """The dict-based executable specification of :func:`louvain_partition`."""
     nodes = graph.nodes_sorted()
     if not nodes:
         return {}

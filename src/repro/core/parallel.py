@@ -19,9 +19,9 @@ unpickling it.  Task descriptors are tiny ``(method, k, eta)`` tuples
 and results come back in canonical cell order, so ``workers=N`` produces
 records identical to ``workers=1`` up to wall-clock fields
 (:func:`canonical_records` strips those; ``tests/test_parallel.py`` pins
-the parity).  The callers decide pool vs. inline: with one effective
-worker, or on a platform without ``fork``, ``sweep``/``figure4`` run
-their own sequential loop and never reach :func:`run_grid`.
+the parity).  The caller decides pool vs. inline: with one effective
+worker, or on a platform without ``fork``, ``sweep`` runs its own
+sequential loop and never reaches :func:`run_grid`.
 
 BLAS/OpenMP pinning
 -------------------
@@ -90,7 +90,7 @@ def effective_workers(workers: int, tasks: int) -> int:
 # Process-parallel evaluation grid
 # ======================================================================
 #: Per-worker-process grid state installed by :func:`_grid_worker_init`
-#: (fork-inherited workload + backend + preloaded mapping cache).
+#: (fork-inherited workload + preloaded mapping cache).
 _GRID_STATE: Optional[tuple] = None
 
 
@@ -105,7 +105,7 @@ def canonical_records(records: Sequence) -> List:
     return [dataclasses.replace(r, runtime_seconds=0.0) for r in records]
 
 
-def warm_grid_state(workload, cells: Sequence[Tuple[str, int, float]], backend: str, cache):
+def warm_grid_state(workload, cells: Sequence[Tuple[str, int, float]], cache):
     """Compute the grid's shared state once, in the calling process.
 
     * freezes the transaction graph (the CSR snapshot every cell reads);
@@ -127,41 +127,36 @@ def warm_grid_state(workload, cells: Sequence[Tuple[str, int, float]], backend: 
     workload.graph.freeze()
     methods = {method for method, _, _ in cells}
     if methods & {"txallo", "txallo_online"}:
-        louvain_partition(workload.graph, backend=backend)
+        louvain_partition(workload.graph)
     for method, k, eta in cells:
         entry = allocators.get_entry(method)
         if entry.kind == "static" and entry.eta_independent:
-            params = TxAlloParams.with_capacity_for(
-                workload.num_transactions, k=k, eta=eta, backend=backend
-            )
+            params = TxAlloParams.with_capacity_for(workload.num_transactions, k=k, eta=eta)
             cache.mapping_for(entry, workload, params)
 
 
-def _grid_worker_init(workload, backend: str, preloaded: dict) -> None:
+def _grid_worker_init(workload, preloaded: dict) -> None:
     """Pool initializer: adopt the fork-inherited shared grid state."""
     global _GRID_STATE
     from repro.eval.experiments import _MappingCache
 
-    _GRID_STATE = (workload, backend, _MappingCache(preloaded=preloaded))
+    _GRID_STATE = (workload, _MappingCache(preloaded=preloaded))
 
 
 def _grid_cell(task: Tuple[str, int, float]):
     """Run one (method, k, eta) cell against the worker's grid state."""
     method, k, eta = task
-    workload, backend, cache = _GRID_STATE
+    workload, cache = _GRID_STATE
     from repro.core.params import TxAlloParams
     from repro.eval.experiments import run_method
 
-    params = TxAlloParams.with_capacity_for(
-        workload.num_transactions, k=k, eta=eta, backend=backend
-    )
+    params = TxAlloParams.with_capacity_for(workload.num_transactions, k=k, eta=eta)
     return run_method(method, workload, params, cache)
 
 
 def run_grid(
     workload,
     cells: Sequence[Tuple[str, int, float]],
-    backend: str,
     workers: int,
 ) -> List:
     """Evaluate ``cells`` on a ``workers``-process pool, in canonical order.
@@ -177,12 +172,12 @@ def run_grid(
     from repro.eval.experiments import _MappingCache
 
     cache = _MappingCache()
-    warm_grid_state(workload, cells, backend, cache)
+    warm_grid_state(workload, cells, cache)
     ctx = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(
         max_workers=workers,
         mp_context=ctx,
         initializer=_grid_worker_init,
-        initargs=(workload, backend, cache.export()),
+        initargs=(workload, cache.export()),
     ) as pool:
         return list(pool.map(_grid_cell, cells))

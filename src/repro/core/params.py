@@ -12,16 +12,6 @@ The paper exposes six hyperparameters:
   evaluation uses ``ε = 1e-5 * |T|``.
 * ``tau1``   — adaptive (A-TxAllo) update period, in blocks.
 * ``tau2``   — global (G-TxAllo) update period, in blocks (``tau1 < tau2``).
-
-One implementation knob rides along:
-
-* ``backend`` — any tier registered in the engine-backend registry
-  (:mod:`repro.core.backends`).  ``"fast"`` (default) runs the
-  allocators on the flat-array sweep engine over the frozen CSR graph
-  (:mod:`repro.core.engine`); ``"reference"`` runs the dict-based
-  executable specification — the two produce byte-identical allocations
-  (pinned by the engine parity tests), so the switch only trades speed
-  for readability/debuggability.
 """
 
 from __future__ import annotations
@@ -29,7 +19,6 @@ from __future__ import annotations
 import dataclasses
 import math
 
-from repro.core import backends as _backends
 from repro.errors import ParameterError
 
 #: Relative convergence threshold used by the paper: ``ε = 1e-5 * |T|``.
@@ -53,7 +42,6 @@ class TxAlloParams:
     epsilon: float = 1e-9
     tau1: int = 300
     tau2: int = 6000
-    backend: str = "fast"
 
     def __post_init__(self) -> None:
         if not isinstance(self.k, int) or self.k < 1:
@@ -75,9 +63,6 @@ class TxAlloParams:
                 f"adaptive period tau1 ({self.tau1}) must not exceed "
                 f"global period tau2 ({self.tau2})"
             )
-        # Registry lookup raises the canonical "unknown backend ...,
-        # available: [...]" ParameterError.
-        _backends.get_backend(self.backend)
 
     @classmethod
     def with_capacity_for(
@@ -87,7 +72,6 @@ class TxAlloParams:
         eta: float = 2.0,
         tau1: int = 300,
         tau2: int = 6000,
-        backend: str = "fast",
     ) -> "TxAlloParams":
         """Build parameters using the paper's evaluation conventions.
 
@@ -104,7 +88,6 @@ class TxAlloParams:
             epsilon=EPSILON_RATIO * num_transactions,
             tau1=tau1,
             tau2=tau2,
-            backend=backend,
         )
 
     def replace(self, **changes) -> "TxAlloParams":

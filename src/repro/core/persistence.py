@@ -11,13 +11,12 @@ Two operational needs around the paper's determinism argument
   :func:`allocation_digest` hashes the canonically ordered mapping, so
   equal allocations give equal digests on every machine.
 
-Checkpoints record ``params.backend`` verbatim — any name in the engine
-backend registry (:mod:`repro.core.backends`) round-trips.  A checkpoint
-naming a backend this build does *not* register — including a retired
-tier such as ``parallel``, ``vector`` or ``turbo`` — fails parameter
-validation inside :func:`load_allocation` and therefore surfaces as
-:class:`~repro.errors.DataError` (malformed checkpoint), the same as any
-other bad field.
+Older checkpoints carry a ``"backend"`` parameter naming the engine tier
+that wrote them.  The tiers were byte-identical, so :func:`load_allocation`
+accepts ``"fast"`` and ``"reference"`` (or no key) and ignores it; any
+other name — including a retired tier such as ``parallel``, ``vector``
+or ``turbo`` — is a :class:`~repro.errors.DataError` (malformed
+checkpoint), the same as any other bad field.
 """
 
 from __future__ import annotations
@@ -33,6 +32,9 @@ from repro.core.params import TxAlloParams
 from repro.errors import AllocationError, DataError
 
 _FORMAT = "txallo-allocation-v1"
+
+#: Engine tiers older checkpoints may name; all wrote identical allocations.
+_LEGACY_BACKENDS = ("fast", "reference")
 
 
 def allocation_digest(mapping: Dict[str, int]) -> str:
@@ -69,7 +71,6 @@ def save_allocation(
             "epsilon": params.epsilon,
             "tau1": params.tau1,
             "tau2": params.tau2,
-            "backend": params.backend,
         },
         "mapping": {str(a): int(s) for a, s in sorted(mapping.items())},
     }
@@ -99,10 +100,10 @@ def load_allocation(path) -> Tuple[Dict[str, int], TxAlloParams, int]:
             epsilon=float(raw["epsilon"]),
             tau1=int(raw["tau1"]),
             tau2=int(raw["tau2"]),
-            # Checkpoints written before the engine switch carry no
-            # backend; the result is the same either way, so default fast.
-            backend=str(raw.get("backend", "fast")),
         )
+        backend = raw.get("backend", "fast")
+        if backend not in _LEGACY_BACKENDS:
+            raise ValueError(f"unknown backend {backend!r}")
         height = int(payload.get("block_height", 0))
         recorded = payload["digest"]
     except (KeyError, TypeError, ValueError) as exc:

@@ -258,17 +258,13 @@ def sweep(
     ks: Sequence[int] = DEFAULT_KS,
     etas: Sequence[float] = DEFAULT_ETAS,
     methods: Sequence[str] = METHODS,
-    backend: str = "fast",
     workers: int = 1,
 ) -> List[MethodMetrics]:
     """The full (method x k x eta) grid behind Figs. 2, 3, 5, 6, 7, 8.
 
-    ``backend`` names a tier in the engine-backend registry
-    (:mod:`repro.core.backends`); with ``"fast"`` the whole grid shares
-    one frozen CSR graph and one memoised Louvain partition, which is
-    where most of the engine's end-to-end win comes from.
-    ``"reference"`` is byte-identical to ``"fast"``.  Every backend
-    shares the METIS memo on that snapshot: METIS lowers and coarsens
+    The whole grid shares one frozen CSR graph and one memoised Louvain
+    partition, which is where most of the engine's end-to-end win comes
+    from, and the METIS memo on that snapshot: METIS lowers and coarsens
     the graph once, and each k refines from a prefix of the same chain.
 
     ``workers > 1`` fans the independent cells out to a process pool
@@ -284,13 +280,11 @@ def sweep(
     ]
     workers = parallel.effective_workers(workers, len(cells))
     if workers > 1 and parallel.fork_available():
-        return parallel.run_grid(workload, cells, backend=backend, workers=workers)
+        return parallel.run_grid(workload, cells, workers=workers)
     cache = _MappingCache()
     records: List[MethodMetrics] = []
     for method, k, eta in cells:
-        params = TxAlloParams.with_capacity_for(
-            workload.num_transactions, k=k, eta=eta, backend=backend
-        )
+        params = TxAlloParams.with_capacity_for(workload.num_transactions, k=k, eta=eta)
         records.append(run_method(method, workload, params, cache))
     return records
 
@@ -471,27 +465,11 @@ def figure4(
     k: int = 20,
     eta: float = 2.0,
     methods: Sequence[str] = METHODS,
-    backend: str = "fast",
     workers: int = 1,
 ) -> Figure4Report:
-    """Fig. 4 case study; ``workers > 1`` runs the methods through the
-    process-parallel grid (identical distributions, wall-clock only)."""
-    workers = parallel.effective_workers(workers, len(methods))
-    if workers > 1 and parallel.fork_available():
-        cells = [(m, k, eta) for m in methods]
-        records = parallel.run_grid(workload, cells, backend=backend, workers=workers)
-        distributions = {
-            method_label(rec.method): rec.normalized_workloads for rec in records
-        }
-        return Figure4Report(k=k, eta=eta, distributions=distributions)
-    params = TxAlloParams.with_capacity_for(
-        workload.num_transactions, k=k, eta=eta, backend=backend
-    )
-    cache = _MappingCache()
-    distributions = {
-        method_label(m): run_method(m, workload, params, cache).normalized_workloads
-        for m in methods
-    }
+    """Fig. 4 case study: the one-cell :func:`sweep` at ``(k, eta)``."""
+    records = sweep(workload, ks=(k,), etas=(eta,), methods=methods, workers=workers)
+    distributions = {method_label(rec.method): rec.normalized_workloads for rec in records}
     return Figure4Report(k=k, eta=eta, distributions=distributions)
 
 
@@ -609,7 +587,6 @@ def figure9(
     window_blocks: int = 0,
     split_ratio: float = 0.9,
     max_steps: int = 0,
-    backend: str = "fast",
 ) -> Figure9Report:
     """Fig. 9: A-TxAllo throughput evolution for several global gaps.
 
@@ -624,9 +601,7 @@ def figure9(
     if max_steps > 0:
         windows = windows[:max_steps]
 
-    params = TxAlloParams.with_capacity_for(
-        train.num_transactions, k=k, eta=eta, backend=backend
-    )
+    params = TxAlloParams.with_capacity_for(train.num_transactions, k=k, eta=eta)
     train_graph = TransactionGraph()
     train_graph.add_transactions(workload.account_sets[: train.num_transactions])
     base_mapping = g_txallo(train_graph, params).allocation.mapping()
@@ -682,7 +657,6 @@ def figure10(
     window_blocks: int = 0,
     split_ratio: float = 0.9,
     max_steps: int = 0,
-    backend: str = "fast",
 ) -> Figure10Report:
     """Fig. 10: runtime of pure-global vs. hybrid updating (τ₂ = gap·τ₁)."""
     report = figure9(
@@ -693,7 +667,6 @@ def figure10(
         window_blocks=window_blocks,
         split_ratio=split_ratio,
         max_steps=max_steps,
-        backend=backend,
     )
     return Figure10Report(
         pure=report.runs["Global Method"],
@@ -815,7 +788,6 @@ def live_setup(
     lam: Optional[float] = None,
     tau1: Optional[int] = None,
     tau2: Optional[int] = None,
-    backend: str = "fast",
 ) -> LiveSetup:
     """Split ``workload`` into seed history and live blocks, derive params.
 
@@ -840,7 +812,6 @@ def live_setup(
         epsilon=1e-5 * max(1, workload.num_transactions),
         tau1=tau1,
         tau2=tau2,
-        backend=backend,
     )
     seed_sets = workload.account_sets[: seed_stream.num_transactions]
     seed_graph = TransactionGraph()

@@ -3,9 +3,9 @@
 A muBench-style declared-factors replication harness: a
 :class:`MatrixSpec` declares factor levels — workload topology (the
 registry in :mod:`repro.data.synthetic`), scale, allocator (the registry
-in :mod:`repro.allocators`), engine backend tier, τ₁/τ₂ update cadence
-and fault plan — and :func:`run_matrix` expands the full cross product
-with seeded repetitions, runs every cell through the tick-driven
+in :mod:`repro.allocators`), τ₁/τ₂ update cadence and fault plan — and
+:func:`run_matrix` expands the full cross product with seeded
+repetitions, runs every cell through the tick-driven
 :class:`~repro.chain.live.LiveShardedNetwork` (the same plumbing as
 ``experiments.live_compare``), and reports committed TPS, cross-shard
 ratio, latency distribution, allocation updates/migrations and allocator
@@ -44,10 +44,9 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro import allocators
-from repro.chain.faults import FaultPlan, resolve_fault_plan
+from repro.chain.faults import FaultPlan, parse_fault_name, resolve_fault_plan
 from repro.chain.live import LiveShardedNetwork, TickStats
 from repro.core.allocator import OnlineAllocator
-from repro.core.backends import get_backend
 from repro.core.parallel import effective_workers, fork_available
 from repro.core.resilience import ResilientAllocator
 from repro.data.synthetic import get_workload_entry
@@ -62,7 +61,6 @@ RUN_TABLE_COLUMNS: Tuple[str, ...] = (
     "topology",
     "scale",
     "allocator",
-    "backend",
     "tau1",
     "tau2",
     "fault",
@@ -94,18 +92,6 @@ RUN_TABLE_COLUMNS: Tuple[str, ...] = (
 RUNTIME_COLUMNS: Tuple[str, ...] = ("allocator_seconds", "runtime_seconds")
 
 
-def _valid_fault_name(name: str) -> bool:
-    if name in ("none", "standard"):
-        return True
-    if name.startswith("seeded:"):
-        try:
-            int(name.split(":", 1)[1])
-        except ValueError:
-            return False
-        return True
-    return False
-
-
 # ----------------------------------------------------------------------
 # Spec
 # ----------------------------------------------------------------------
@@ -119,13 +105,12 @@ class MatrixSpec:
     tau2)`` pairs where ``0`` means "derive from the live stream length"
     exactly as ``live_compare`` does.  ``faults`` names fault plans:
     ``"none"``, ``"standard"`` or ``"seeded:<int>"`` (see
-    :func:`repro.chain.faults.resolve_fault_plan`).
+    :func:`repro.chain.faults.parse_fault_name`).
     """
 
     topologies: Tuple[str, ...] = ("ethereum", "hotspot")
     scales: Tuple[float, ...] = (0.1,)
     allocators: Tuple[str, ...] = ("txallo", "hash")
-    backends: Tuple[str, ...] = ("fast",)
     cadences: Tuple[Tuple[int, int], ...] = ((0, 0),)
     faults: Tuple[str, ...] = ("none",)
     reps: int = 2
@@ -136,15 +121,13 @@ class MatrixSpec:
     capacity_factor: float = 1.5
 
     def __post_init__(self) -> None:
-        for field in ("topologies", "scales", "allocators", "backends", "cadences", "faults"):
+        for field in ("topologies", "scales", "allocators", "cadences", "faults"):
             if not getattr(self, field):
                 raise ParameterError(f"spec factor {field!r} must have at least one level")
         for topology in self.topologies:
             get_workload_entry(topology)  # raises with the available names
         for name in self.allocators:
             allocators.get_entry(name)
-        for name in self.backends:
-            get_backend(name)
         for scale in self.scales:
             if scale <= 0:
                 raise ParameterError(f"scales must be positive, got {scale!r}")
@@ -157,11 +140,7 @@ class MatrixSpec:
             if tau1 > 0 and tau2 > 0 and tau1 > tau2:
                 raise ParameterError(f"cadence tau1 must not exceed tau2, got {cadence!r}")
         for fault in self.faults:
-            if not _valid_fault_name(fault):
-                raise ParameterError(
-                    f"unknown fault plan {fault!r}; expected 'none', 'standard' "
-                    "or 'seeded:<int>'"
-                )
+            parse_fault_name(fault)
         if self.reps < 1:
             raise ParameterError(f"reps must be >= 1, got {self.reps!r}")
         if self.k < 1:
@@ -186,7 +165,7 @@ class MatrixSpec:
                 f"unknown spec keys {unknown}; known keys: {sorted(known)}"
             )
         kwargs = dict(data)
-        for name in ("topologies", "allocators", "backends", "faults"):
+        for name in ("topologies", "allocators", "faults"):
             if name in kwargs:
                 kwargs[name] = tuple(str(v) for v in kwargs[name])
         if "scales" in kwargs:
@@ -206,7 +185,7 @@ class MatrixSpec:
         """A JSON-serialisable mirror of :meth:`from_dict`."""
         data = dataclasses.asdict(self)
         data["cadences"] = [list(pair) for pair in self.cadences]
-        for name in ("topologies", "scales", "allocators", "backends", "faults"):
+        for name in ("topologies", "scales", "allocators", "faults"):
             data[name] = list(data[name])
         return data
 
@@ -214,11 +193,10 @@ class MatrixSpec:
     def cells(self) -> List["MatrixCell"]:
         """The expanded grid: cross product × seeded repetitions."""
         out: List[MatrixCell] = []
-        for topology, scale, allocator, backend, cadence, fault in itertools.product(
+        for topology, scale, allocator, cadence, fault in itertools.product(
             self.topologies,
             self.scales,
             self.allocators,
-            self.backends,
             self.cadences,
             self.faults,
         ):
@@ -228,7 +206,6 @@ class MatrixSpec:
                         topology=topology,
                         scale=scale,
                         allocator=allocator,
-                        backend=backend,
                         tau1=cadence[0],
                         tau2=cadence[1],
                         fault=fault,
@@ -276,7 +253,6 @@ class MatrixCell:
     topology: str
     scale: float
     allocator: str
-    backend: str
     tau1: int  # 0 = derive from the live stream (live_compare rule)
     tau2: int  # 0 = 10 x tau1
     fault: str
@@ -292,7 +268,7 @@ class MatrixCell:
         """Stable folder/row identifier (spec-level factors, not resolved)."""
         fault = self.fault.replace(":", "-")
         return (
-            f"{self.topology}__s{self.scale:g}__{self.allocator}__{self.backend}"
+            f"{self.topology}__s{self.scale:g}__{self.allocator}"
             f"__c{self.tau1}x{self.tau2}__f{fault}__r{self.rep}"
         )
 
@@ -305,7 +281,6 @@ class CellResult:
     topology: str
     scale: float
     allocator: str
-    backend: str
     tau1: int  # resolved (never 0)
     tau2: int  # resolved (never 0)
     fault: str
@@ -421,7 +396,7 @@ def run_cell(cell: MatrixCell) -> CellResult:
     ``live_compare`` uses too (seed/live split, λ from the mean live
     block, τ cadence, ε), so matrix rows and the live-comparison report
     agree wherever they overlap, then layers the cell's factors on top:
-    zoo topology, backend tier, explicit cadence, fault plan.
+    zoo topology, explicit cadence, fault plan.
     """
     t_start = time.perf_counter()
     workload = _memo_workload(cell.topology, cell.scale, cell.seed)
@@ -434,7 +409,6 @@ def run_cell(cell: MatrixCell) -> CellResult:
         no_live_blocks=f"cell {cell.cell_id} has no live blocks",
         tau1=cell.tau1 or None,
         tau2=cell.tau2 or None,
-        backend=cell.backend,
     )
     params = setup.params
     live_blocks = setup.live_blocks
@@ -465,7 +439,6 @@ def run_cell(cell: MatrixCell) -> CellResult:
         topology=cell.topology,
         scale=cell.scale,
         allocator=cell.allocator,
-        backend=cell.backend,
         tau1=params.tau1,
         tau2=params.tau2,
         fault=cell.fault,
@@ -526,7 +499,6 @@ class MatrixResult:
             f"({len(self.spec.topologies)} topologies x "
             f"{len(self.spec.allocators)} allocators x "
             f"{len(self.spec.scales)} scales x "
-            f"{len(self.spec.backends)} backends x "
             f"{len(self.spec.cadences)} cadences x "
             f"{len(self.spec.faults)} fault plans x "
             f"{self.spec.reps} reps) =="

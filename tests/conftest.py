@@ -8,14 +8,18 @@ mutating.
 from __future__ import annotations
 
 import builtins
+import contextlib
 import math
 import random
 
 import pytest
 
 from repro.baselines import metis
-from repro.core import engine, louvain, metrics
+from repro.core import controller, engine, louvain, metrics
+from repro.core.atxallo import a_txallo, a_txallo_reference
 from repro.core.graph import TransactionGraph
+from repro.core.gtxallo import g_txallo, g_txallo_reference
+from repro.core.louvain import louvain_partition, louvain_reference
 from repro.core.params import TxAlloParams
 from repro.data.synthetic import EthereumWorkloadGenerator, WorkloadConfig, account_sets
 
@@ -23,6 +27,11 @@ from repro.data.synthetic import EthereumWorkloadGenerator, WorkloadConfig, acco
 #: Modules whose float totals feed a golden digest or a fast == reference
 #: parity contract.  Each must accumulate in explicit left-to-right loops.
 SUM_SENSITIVE_MODULES = (engine, louvain, metrics, metis)
+
+#: Each engine entry point and its reference oracle, by tier name.
+LOUVAIN = {"fast": louvain_partition, "reference": louvain_reference}
+G_TXALLO = {"fast": g_txallo, "reference": g_txallo_reference}
+A_TXALLO = {"fast": a_txallo, "reference": a_txallo_reference}
 
 
 @pytest.fixture(params=[builtins.sum, math.fsum], ids=["sum", "fsum"])
@@ -37,6 +46,31 @@ def any_sum(request, monkeypatch):
     for module in SUM_SENSITIVE_MODULES:
         monkeypatch.setattr(module, "sum", request.param, raising=False)
     return request.param
+
+
+@pytest.fixture
+def reference_kernels():
+    """A context manager that runs :class:`TxAlloController` on the oracle.
+
+    Inside it the controller's ``g_txallo`` / ``a_txallo`` names — the
+    ones perfbench's tracer patches too — are the dict-based reference
+    kernels; the adaptive workspace the controller hands ``a_txallo`` is
+    dropped, as the dict scans read the live graph every sweep.  It
+    yields its :class:`pytest.MonkeyPatch`, so a test can stack patches
+    of its own that are undone first.
+    """
+
+    def a_txallo(alloc, touched, *, workspace=None, **kwargs):
+        return a_txallo_reference(alloc, touched, **kwargs)
+
+    @contextlib.contextmanager
+    def patched():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(controller, "g_txallo", g_txallo_reference)
+            mp.setattr(controller, "a_txallo", a_txallo)
+            yield mp
+
+    return patched
 
 
 @pytest.fixture

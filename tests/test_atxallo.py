@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.core.atxallo import MAX_SWEEPS, a_txallo
+from repro.core.atxallo import MAX_SWEEPS, a_txallo, a_txallo_reference
 from repro.core.gtxallo import g_txallo
 from repro.core.params import TxAlloParams
 from tests.conftest import make_random_graph
@@ -148,16 +148,16 @@ class TestConvergedFlag:
         assert result.converged is True
         assert result.sweeps < MAX_SWEEPS
 
-    @pytest.mark.parametrize("backend", ("reference", "fast"))
-    def test_epsilon_zero_exhausts_cap_and_flags_it(self, backend):
+    @pytest.mark.parametrize("run", (a_txallo_reference, a_txallo), ids=("reference", "fast"))
+    def test_epsilon_zero_exhausts_cap_and_flags_it(self, run):
         """ε=0 can never satisfy `sweep_gain < ε`, so the run must stop
-        at MAX_SWEEPS and report converged=False on every backend —
+        at MAX_SWEEPS and report converged=False on engine and oracle —
         previously a truncated run was indistinguishable from a
         converged one."""
         graph, params, alloc = prepared()
         nodes = list(graph.nodes())
         touched = ingest(graph, alloc, [(nodes[0], nodes[1])])
-        result = a_txallo(alloc, touched, epsilon=0.0, backend=backend)
+        result = run(alloc, touched, epsilon=0.0)
         assert result.sweeps == MAX_SWEEPS
         assert result.converged is False
 

@@ -1,126 +1,117 @@
-"""Engine-backend strategy registry (repro.core.backends).
+"""One engine, one oracle: the engine-backend knob is gone.
 
-Covers the registry's jobs end to end: the one canonical
-unknown-backend error shared by every dispatch surface (retired tiers
-included), checkpoint round-trips carrying backend names (unregistered
-ones degrading to DataError), extensibility (a throwaway extra tier
-dispatching through the same public entry points), the byte-identical
-parity every tier keeps against ``fast``, and the stdlib-only runtime
-contract every built-in tier keeps.
+The flat-array engine is the only allocation core; the dict-based
+reference kernels are reached by calling them by name, never through an
+option.  Covers the knob's absence at every place it could be set
+(params, the three entry points, the CLI, the matrix spec), checkpoints
+written while it existed (``"fast"`` / ``"reference"`` still load, any
+other name is malformed data), the byte-identical parity of each
+reference kernel against the engine after an ingest, and the
+stdlib-only runtime contract both keep.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import json
 import os
 import pathlib
 import random
-import re
 import subprocess
 import sys
 import textwrap
 
 import pytest
 
-from repro.core import backends
-from repro.core.atxallo import a_txallo
+from repro.core.atxallo import a_txallo, a_txallo_reference
 from repro.core.gtxallo import g_txallo
 from repro.core.louvain import louvain_partition
 from repro.core.params import TxAlloParams
 from repro.core.persistence import load_allocation, save_allocation
 from repro.errors import DataError, ParameterError
-from tests.conftest import make_random_graph
+from tests.conftest import G_TXALLO, LOUVAIN, make_random_graph
 
-#: Tiers this build no longer registers; their names must stay unknown.
+#: Tiers this build no longer has; their names must stay unknown.
 RETIRED_TIERS = ("parallel", "vector", "turbo")
+
+#: Every engine-tier name a caller or a checkpoint may still carry.
+TIER_NAMES = ("fast", "reference", *RETIRED_TIERS)
 
 SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
-def _canonical_unknown(name):
-    return re.escape(
-        f"unknown backend {name!r}, available: [{', '.join(backends.names())}]"
-    )
-
-
-def test_built_in_tiers_in_registration_order():
-    assert backends.names() == ("fast", "reference")
+def test_no_backend_module_or_field():
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.core.backends")
     fields = {f.name for f in dataclasses.fields(TxAlloParams)}
-    assert "workers" not in fields
-    spec_fields = {f.name for f in dataclasses.fields(backends.BackendSpec)}
-    assert spec_fields.isdisjoint({"parity", "tolerance", "warm_louvain"})
+    assert fields.isdisjoint({"backend", "workers"})
 
 
-class TestCanonicalUnknownBackendError:
-    """Satellite 1: every dispatcher raises the one registry message."""
+class TestKnobIsGone:
+    """No surface accepts an engine tier any more."""
 
-    def test_params_validation(self):
-        with pytest.raises(ParameterError, match=_canonical_unknown("warp")):
-            TxAlloParams(k=2, backend="warp")
-
-    def test_louvain_partition(self):
-        g = make_random_graph(seed=8)
-        with pytest.raises(ParameterError, match=_canonical_unknown("warp")):
-            louvain_partition(g, backend="warp")
-
-    def test_g_txallo_override(self):
-        g = make_random_graph(seed=8)
-        params = TxAlloParams.with_capacity_for(400, k=3)
-        with pytest.raises(ParameterError, match=_canonical_unknown("warp")):
-            g_txallo(g, params, backend="warp")
-
-    def test_a_txallo_override(self):
-        g = make_random_graph(seed=8)
-        params = TxAlloParams.with_capacity_for(400, k=3)
-        alloc = g_txallo(g, params).allocation
-        with pytest.raises(ParameterError, match=_canonical_unknown("warp")):
-            a_txallo(alloc, [], backend="warp")
-
-    def test_get_backend_direct(self):
-        with pytest.raises(ParameterError, match=_canonical_unknown("warp")):
-            backends.get_backend("warp")
-
-    @pytest.mark.parametrize("name", RETIRED_TIERS)
-    def test_retired_tier_is_unknown(self, name):
-        with pytest.raises(ParameterError, match=_canonical_unknown(name)):
-            backends.get_backend(name)
-        with pytest.raises(ParameterError, match=_canonical_unknown(name)):
+    @pytest.mark.parametrize("name", TIER_NAMES)
+    def test_params_reject_backend(self, name):
+        with pytest.raises(TypeError):
             TxAlloParams(k=2, backend=name)
+        with pytest.raises(TypeError):
+            TxAlloParams.with_capacity_for(400, k=2, backend=name)
 
-    @pytest.mark.parametrize("name", RETIRED_TIERS)
-    def test_retired_tier_rejected_by_cli(self, name, capsys):
+    def test_entry_points_reject_backend(self):
+        g = make_random_graph(seed=8)
+        params = TxAlloParams.with_capacity_for(400, k=3)
+        with pytest.raises(TypeError):
+            louvain_partition(g, backend="fast")
+        with pytest.raises(TypeError):
+            g_txallo(g, params, backend="fast")
+        alloc = g_txallo(g, params).allocation
+        with pytest.raises(TypeError):
+            a_txallo(alloc, [], backend="fast")
+
+    @pytest.mark.parametrize("name", TIER_NAMES)
+    def test_cli_has_no_backend_flag(self, name, capsys):
         from repro.cli import build_parser
 
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exit_info:
             build_parser().parse_args(["fig2", "--backend", name])
-        assert "invalid choice" in capsys.readouterr().err
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name", RETIRED_TIERS)
-    def test_retired_tier_rejected_by_matrix_spec(self, name):
+    @pytest.mark.parametrize("backends", (["fast"], ["fast", "reference"], ["turbo"]))
+    def test_matrix_spec_rejects_backends_key(self, backends):
         from repro.eval.matrix import MatrixSpec
 
-        with pytest.raises(ParameterError, match=_canonical_unknown(name)):
-            MatrixSpec(backends=("fast", name))
+        with pytest.raises(ParameterError, match=r"unknown spec keys \['backends'\]"):
+            MatrixSpec.from_dict({"backends": backends})
 
 
 class TestPersistenceRoundTrip:
-    """Satellite 2: backend names survive checkpoints; junk degrades."""
+    """Checkpoints written with a tier name still load; junk degrades."""
 
-    @pytest.mark.parametrize("name", backends.names())
-    def test_backend_round_trips(self, tmp_path, name):
+    def test_new_checkpoints_omit_backend(self, tmp_path):
         g = make_random_graph(seed=11)
-        params = TxAlloParams.with_capacity_for(400, k=4, backend=name)
+        params = TxAlloParams.with_capacity_for(400, k=4)
         mapping = g_txallo(g, params).allocation.mapping()
         path = tmp_path / "ckpt.json"
         save_allocation(path, mapping, params, block_height=7)
-        loaded_mapping, loaded_params, height = load_allocation(path)
-        assert loaded_mapping == mapping
-        assert loaded_params == params
-        assert height == 7
+        assert "backend" not in json.loads(path.read_text())["params"]
+        assert load_allocation(path) == (mapping, params, 7)
+
+    @pytest.mark.parametrize("name", ("fast", "reference"))
+    def test_legacy_backend_key_loads_to_the_same_params(self, tmp_path, name):
+        g = make_random_graph(seed=11)
+        params = TxAlloParams.with_capacity_for(400, k=4)
+        mapping = g_txallo(g, params).allocation.mapping()
+        path = tmp_path / "ckpt.json"
+        save_allocation(path, mapping, params, block_height=7)
+        payload = json.loads(path.read_text())
+        payload["params"]["backend"] = name
+        path.write_text(json.dumps(payload))
+        assert load_allocation(path) == (mapping, params, 7)
 
     def test_unregistered_backend_raises_dataerror(self, tmp_path):
-        """A checkpoint naming a backend this build doesn't register is
+        """A checkpoint naming a backend this build doesn't know is
         malformed *data*, not a KeyError escaping the loader."""
         g = make_random_graph(seed=11)
         params = TxAlloParams.with_capacity_for(400, k=4)
@@ -152,93 +143,37 @@ class TestPersistenceRoundTrip:
             load_allocation(path)
 
 
-class TestRegistryExtensibility:
-    """Satellite 6: a fourth tier is one register_backend call."""
-
-    @pytest.fixture
-    def dummy_backend(self):
-        calls = {"louvain": 0, "gtxallo": 0, "atxallo": 0}
-        fast = backends.get_backend("fast")
-
-        def louvain(graph, max_levels, resolution):
-            calls["louvain"] += 1
-            return fast.louvain_kernel(graph, max_levels, resolution)
-
-        def gtxallo(graph, params, initial_partition, node_order):
-            calls["gtxallo"] += 1
-            return fast.gtxallo_kernel(graph, params, initial_partition, node_order)
-
-        def atxallo(alloc, touched, epsilon, workspace):
-            calls["atxallo"] += 1
-            return fast.atxallo_kernel(alloc, touched, epsilon, workspace)
-
-        backends.register_backend(backends.BackendSpec(
-            name="dummy",
-            description="fast kernels behind a call counter (test tier)",
-            louvain_kernel=louvain,
-            gtxallo_kernel=gtxallo,
-            atxallo_kernel=atxallo,
-        ))
-        try:
-            yield calls
-        finally:
-            backends.unregister_backend("dummy")
-
-    def test_dispatches_through_public_entry_points(self, dummy_backend):
-        g = make_random_graph(seed=8)
-        assert "dummy" in backends.names()
-        params = TxAlloParams.with_capacity_for(400, k=3, backend="dummy")
-        part = louvain_partition(g, backend="dummy")
-        result = g_txallo(g, params)
-        a_txallo(result.allocation, [], backend="dummy")
-        assert dummy_backend == {"louvain": 1, "gtxallo": 1, "atxallo": 1}
-        assert part == louvain_partition(g, backend="fast")
-        fast = g_txallo(g, params, backend="fast")
-        assert result.allocation.mapping() == fast.allocation.mapping()
-
-    def test_cli_choices_follow_the_registry(self, dummy_backend):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(["fig2", "--backend", "dummy"])
-        assert args.backend == "dummy"
-
-    def test_duplicate_registration_rejected(self, dummy_backend):
-        with pytest.raises(ParameterError, match="already registered"):
-            backends.register_backend(backends.get_backend("dummy"))
-
-
-
-def _refresh_after_ingest(backend, seed, k, eta):
+def _refresh_after_ingest(tier, seed, k, eta):
     """A cold G-TxAllo, a small ingest, then the refresh under test."""
+    run = G_TXALLO[tier]
     graph = make_random_graph(num_accounts=150, num_transactions=900, seed=seed)
-    params = TxAlloParams.with_capacity_for(900, k=k, eta=eta, backend=backend)
-    g_txallo(graph, params)
+    params = TxAlloParams.with_capacity_for(900, k=k, eta=eta)
+    run(graph, params)
     rng = random.Random(seed)
     nodes = sorted(graph.nodes())
     for i in range(12):
         accounts = rng.sample(nodes, 2) if i % 4 else [f"new{i}", rng.choice(nodes)]
         graph.add_transaction(accounts)
     graph.freeze()
-    return g_txallo(graph, params)
+    return run(graph, params)
 
 
 class TestDeclaredContracts:
-    """Every registered tier is byte-identical to ``fast`` on an
+    """The reference kernels are byte-identical to the engine on an
     identical history."""
 
     @pytest.mark.parametrize("seed", (3, 8, 11, 21))
     @pytest.mark.parametrize("k,eta", ((2, 2.0), (4, 2.0), (6, 6.0)))
-    @pytest.mark.parametrize("name", [n for n in backends.names() if n != "fast"])
-    def test_refresh_meets_declared_parity(self, name, k, eta, seed):
-        tier = _refresh_after_ingest(name, seed, k, eta)
+    def test_refresh_meets_declared_parity(self, k, eta, seed):
+        ref = _refresh_after_ingest("reference", seed, k, eta)
         fast = _refresh_after_ingest("fast", seed, k, eta)
-        tier.allocation.validate(check_caches=True)
-        assert tier.allocation.mapping() == fast.allocation.mapping()
-        assert tier.allocation.sigma == fast.allocation.sigma
-        assert tier.allocation.lam_hat == fast.allocation.lam_hat
-        assert (tier.sweeps, tier.moves) == (fast.sweeps, fast.moves)
+        ref.allocation.validate(check_caches=True)
+        assert ref.allocation.mapping() == fast.allocation.mapping()
+        assert ref.allocation.sigma == fast.allocation.sigma
+        assert ref.allocation.lam_hat == fast.allocation.lam_hat
+        assert (ref.sweeps, ref.moves) == (fast.sweeps, fast.moves)
 
-    @pytest.mark.parametrize("name", backends.names())
+    @pytest.mark.parametrize("name", ("fast", "reference"))
     def test_deterministic_with_exact_caches(self, name):
         runs = [_refresh_after_ingest(name, 11, 4, 2.0) for _ in range(2)]
         runs[0].allocation.validate(check_caches=True)
@@ -246,21 +181,20 @@ class TestDeclaredContracts:
         assert runs[0].allocation.sigma == runs[1].allocation.sigma
         assert (runs[0].sweeps, runs[0].moves) == (runs[1].sweeps, runs[1].moves)
 
-    @pytest.mark.parametrize("name", backends.names())
+    @pytest.mark.parametrize("name", ("fast", "reference"))
     def test_louvain_is_a_dense_partition(self, name):
         g = make_random_graph(seed=8)
-        part = louvain_partition(g, backend=name)
+        part = LOUVAIN[name](g)
         assert set(part) == set(g.nodes())
         labels = sorted(set(part.values()))
         assert labels == list(range(len(labels)))
-        assert part == louvain_partition(g, backend=name)
+        assert part == LOUVAIN[name](g)
 
-    @pytest.mark.parametrize("name", [n for n in backends.names() if n != "fast"])
-    def test_a_txallo_byte_identical_to_fast(self, name):
-        """A-TxAllo is byte-identical on every tier: given the same
-        allocation and block window, the sweep matches ``fast`` exactly."""
+    def test_a_txallo_byte_identical_to_fast(self):
+        """Given the same allocation and block window, the reference
+        A-TxAllo sweep matches the engine's exactly."""
         results = {}
-        for backend in ("fast", name):
+        for tier, run in (("fast", a_txallo), ("reference", a_txallo_reference)):
             g = make_random_graph(seed=7)
             alloc = g_txallo(g, TxAlloParams.with_capacity_for(400, k=4)).allocation
             rng = random.Random(7)
@@ -273,14 +207,14 @@ class TestDeclaredContracts:
                 g.add_transaction(unique)
                 alloc.ingest_transaction(unique)
                 touched.update(unique)
-            result = a_txallo(alloc, touched, backend=backend)
-            results[backend] = (
+            result = run(alloc, touched)
+            results[tier] = (
                 alloc.mapping(),
                 alloc.sigma,
                 alloc.lam_hat,
                 (result.new_nodes, result.swept_nodes, result.sweeps, result.moves),
             )
-        assert results[name] == results["fast"]
+        assert results["reference"] == results["fast"]
 
 
 _STDLIB_PROBE = textwrap.dedent(
@@ -290,19 +224,18 @@ _STDLIB_PROBE = textwrap.dedent(
     import sys
 
     import repro
-    from repro.core import backends
     from repro.core.graph import TransactionGraph
-    from repro.core.gtxallo import g_txallo
+    from repro.core.gtxallo import g_txallo, g_txallo_reference
     from repro.core.params import TxAlloParams
 
     for info in pkgutil.walk_packages(repro.__path__, "repro."):
         importlib.import_module(info.name)
     txs = [(f"a{i}", f"a{(i * 7 + 3) % 30}") for i in range(120)]
-    for name in backends.names():
+    for name, run in (("fast", g_txallo), ("reference", g_txallo_reference)):
         graph = TransactionGraph()
         graph.add_transactions(txs)
-        params = TxAlloParams.with_capacity_for(len(txs), k=3, backend=name)
-        g_txallo(graph, params).allocation.validate(check_caches=True)
+        params = TxAlloParams.with_capacity_for(len(txs), k=3)
+        run(graph, params).allocation.validate(check_caches=True)
         print(name)
     assert "numpy" not in sys.modules, "numpy was imported"
     """
@@ -311,7 +244,7 @@ _STDLIB_PROBE = textwrap.dedent(
 
 def test_every_module_and_tier_runs_without_numpy():
     """The runtime is stdlib-only: importing every ``repro`` submodule and
-    running G-TxAllo on every registered tier never loads numpy."""
+    running the engine's and the reference's G-TxAllo never loads numpy."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC_DIR), env.get("PYTHONPATH"))))
     proc = subprocess.run(
@@ -322,4 +255,4 @@ def test_every_module_and_tier_runs_without_numpy():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == list(backends.names())
+    assert proc.stdout.split() == ["fast", "reference"]

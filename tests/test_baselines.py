@@ -22,6 +22,7 @@ from repro.baselines.metis import (
     metis_partition,
 )
 from repro.baselines.shard_scheduler import ShardScheduler, shard_scheduler_partition
+from repro.core.graph import TransactionGraph
 from repro.core.metrics import graph_cross_shard_ratio, workload_balance
 from repro.core.params import TxAlloParams
 from repro.errors import ParameterError
@@ -121,6 +122,25 @@ class TestMetis:
         for shard in result.mapping.values():
             sizes[shard] += 1
         assert max(sizes) - min(sizes) < len(weights)
+
+    def test_balance_bound_uses_the_ordered_total(self, any_sum):
+        """Ten 0.1 weights total 0.9999999999999999 left to right but 1.0
+        under ``math.fsum``.  At k=2 and imbalance 1.2 the ordered total
+        puts the part bound just below 0.6, so the six-account clique may
+        not share a part, however ``sum`` rounds."""
+        accounts = [f"n{i}" for i in range(10)]
+        graph = TransactionGraph()
+        for group in (accounts[:6], accounts[6:]):
+            for i, a in enumerate(group):
+                for b in group[i + 1 :]:
+                    graph.add_transaction((a, b))
+        graph.add_transaction(("n5", "n6"))
+        weights = {v: 0.1 for v in accounts}
+        result = metis_partition(graph, 2, imbalance=1.2, node_weights=weights)
+        sizes = [0, 0]
+        for shard in result.mapping.values():
+            sizes[shard] += 1
+        assert sizes == [5, 5]
 
     def test_levels_reported(self):
         # 200 accounts coarsen twice before reaching the 100-node target:

@@ -249,8 +249,6 @@ class TestAdaptiveExceptionSafety:
 #: ``workspace_stats`` of a controller whose kernel ignores its workspace.
 WORKSPACE_OFF = {"rebuilds": 0, "reseats": 0, "extends": 0, "runs": 0}
 
-WORKSPACE_BACKENDS = ["fast"]
-
 
 class TestAdaptiveWorkspace:
     def test_block_loop_stops_freezing_between_globals(self):
@@ -289,30 +287,22 @@ class TestAdaptiveWorkspace:
         assert controller.workspace_stats["rebuilds"] == 1
         controller.allocation.validate()
 
-    def test_workspace_disabled_for_reference_backend(self):
-        params = TxAlloParams(
-            k=4, eta=2.0, lam=1000.0, tau1=2, tau2=6, backend="reference"
-        )
-        controller = TxAlloController(params, seed_transactions=[("a", "b")])
-        for block in block_stream(4):
-            controller.observe_block(block)
-        assert controller.workspace_stats == WORKSPACE_OFF
-        controller.allocation.validate()
-
-    @pytest.mark.parametrize("backend", WORKSPACE_BACKENDS)
-    def test_workspace_matches_reference_exactly(self, backend, monkeypatch, any_sum):
+    def test_workspace_matches_reference_exactly(self, monkeypatch, any_sum, reference_kernels):
         params = TxAlloParams.with_capacity_for(520, k=4, tau1=1, tau2=5)
         seed = [tx for block in block_stream(12, seed=3) for tx in block]
         calls = count_g_txallo(monkeypatch)
-        controllers = []
-        for tier in ("reference", backend):
+
+        def drive():
             calls[0] = 0
-            controller = TxAlloController(params.replace(backend=tier), seed_transactions=seed)
+            controller = TxAlloController(params, seed_transactions=seed)
             for block in block_stream(16, block_size=10, seed=53):
                 controller.observe_block(block)
             controller.force_adaptive()
-            controllers.append(controller)
-        ref, batched = controllers
+            return controller
+
+        with reference_kernels():
+            ref = drive()
+        batched = drive()
         assert ref.allocation.mapping() == batched.allocation.mapping()
         assert ref.allocation.sigma == batched.allocation.sigma      # exact floats
         assert ref.allocation.lam_hat == batched.allocation.lam_hat  # exact floats
@@ -338,7 +328,7 @@ class TestAdaptiveWorkspace:
 # Idle-refresh reuse: a scheduled global whose graph and allocation are
 # unchanged since the last installed G-TxAllo result keeps that result.
 # ----------------------------------------------------------------------
-REUSE_BACKENDS = ["reference", *WORKSPACE_BACKENDS]
+REUSE_TIERS = ["reference", "fast"]
 
 #: Block heights (1-based) that carry transactions; every other block of
 #: REUSE_HEIGHT is empty.  With tau1=2, tau2=4 the globals at 4 and 16
@@ -347,8 +337,13 @@ DATA_HEIGHTS = (1, 2, 3, 4, 13)
 REUSE_HEIGHT = 20
 
 
-def reuse_params(backend="fast"):
-    return TxAlloParams.with_capacity_for(240, k=4, tau1=2, tau2=4, backend=backend)
+def reuse_params():
+    return TxAlloParams.with_capacity_for(240, k=4, tau1=2, tau2=4)
+
+
+def kernels(tier, reference_kernels):
+    """The oracle's patch context for ``tier == "reference"``, else a bare one."""
+    return reference_kernels() if tier == "reference" else pytest.MonkeyPatch.context()
 
 
 def reuse_stream():
@@ -395,28 +390,29 @@ class _AlwaysRefresh(TxAlloController):
 
 
 class TestIdleRefreshReuse:
-    @pytest.mark.parametrize("backend", REUSE_BACKENDS)
-    def test_reused_refresh_equals_a_fresh_global(self, backend, monkeypatch):
-        params = reuse_params(backend)
-        calls = count_g_txallo(monkeypatch)
-        controller = TxAlloController(params, seed_transactions=reuse_seed())
-        for block in reuse_stream():
-            event = controller.observe_block(block)
-            if event is not None and event.kind == "global":
-                assert_matches_fresh_global(controller)
+    @pytest.mark.parametrize("tier", REUSE_TIERS)
+    def test_reused_refresh_equals_a_fresh_global(self, tier, reference_kernels):
+        with kernels(tier, reference_kernels) as mp:
+            calls = count_g_txallo(mp)
+            controller = TxAlloController(reuse_params(), seed_transactions=reuse_seed())
+            for block in reuse_stream():
+                event = controller.observe_block(block)
+                if event is not None and event.kind == "global":
+                    assert_matches_fresh_global(controller)
         # Seed run + the globals at 4 and 16; 8, 12 and 20 were reused.
         assert calls[0] == 3
 
-    @pytest.mark.parametrize("backend", REUSE_BACKENDS)
-    def test_event_stream_unchanged_by_reuse(self, backend):
-        params = reuse_params(backend)
+    @pytest.mark.parametrize("tier", REUSE_TIERS)
+    def test_event_stream_unchanged_by_reuse(self, tier, reference_kernels):
+        params = reuse_params()
         stream = reuse_stream()
         runs = []
-        for cls in (TxAlloController, _AlwaysRefresh):
-            controller = cls(params, seed_transactions=reuse_seed())
-            for block in stream:
-                controller.observe_block(block)
-            runs.append(controller)
+        with kernels(tier, reference_kernels):
+            for cls in (TxAlloController, _AlwaysRefresh):
+                controller = cls(params, seed_transactions=reuse_seed())
+                for block in stream:
+                    controller.observe_block(block)
+                runs.append(controller)
         reused, oracle = runs
         assert event_tuples(reused.events) == event_tuples(oracle.events)
         assert reused.mapping() == oracle.mapping()

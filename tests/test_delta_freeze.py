@@ -140,7 +140,7 @@ class TestDeltaBookkeeping:
 
     def test_a_txallo_fast_rejects_nodes_missing_from_graph(self):
         g, accounts = self.big_graph()
-        params = TxAlloParams.with_capacity_for(800, k=3, backend="fast")
+        params = TxAlloParams.with_capacity_for(800, k=3)
         alloc = g_txallo(g, params).allocation
         with pytest.raises(GraphError):
             a_txallo(alloc, ["never-ingested"])
@@ -178,7 +178,7 @@ def interleaving_traffic(topology, seed):
 
 
 class TestAdaptiveWorkspaceInterleavings:
-    """Workspace-backed ``fast`` runs against the ``reference`` oracle,
+    """Workspace-backed engine runs against the reference oracle,
     byte for byte, across the full controller lifecycle: block ingest,
     scheduled adaptive runs, scheduled and forced global refreshes,
     forced adaptives and a competing journal on the same graph (which
@@ -187,16 +187,14 @@ class TestAdaptiveWorkspaceInterleavings:
     #: Steps after which the competing journal is started.
     POISON_STEPS = (5, 12)
 
-    def _drive(self, topology, seed, backend, poison_journal):
+    def _drive(self, topology, seed, poison_journal):
         from repro.core.controller import TxAlloController
 
         history, blocks = interleaving_traffic(topology, seed)
         graph = TransactionGraph()
         for accounts in history:
             graph.add_transaction(accounts)
-        params = TxAlloParams.with_capacity_for(
-            900, k=4, eta=2.0, tau1=1, tau2=7, backend=backend
-        )
+        params = TxAlloParams.with_capacity_for(900, k=4, eta=2.0, tau1=1, tau2=7)
         controller = TxAlloController(params, graph=graph)
         rng = random.Random(seed + 1)
         for step, block in enumerate(blocks):
@@ -215,10 +213,11 @@ class TestAdaptiveWorkspaceInterleavings:
     @pytest.mark.parametrize("seed", SEEDS[:3])
     @pytest.mark.parametrize("poison_journal", (False, True))
     def test_workspace_byte_identical_across_lifecycle(
-        self, topology, seed, poison_journal, any_sum
+        self, topology, seed, poison_journal, any_sum, reference_kernels
     ):
-        oracle = self._drive(topology, seed, "reference", poison_journal)
-        batched = self._drive(topology, seed, "fast", poison_journal)
+        with reference_kernels():
+            oracle = self._drive(topology, seed, poison_journal)
+        batched = self._drive(topology, seed, poison_journal)
         assert oracle.allocation.mapping() == batched.allocation.mapping()
         assert oracle.allocation.sigma == batched.allocation.sigma        # exact
         assert oracle.allocation.lam_hat == batched.allocation.lam_hat    # exact
@@ -279,7 +278,7 @@ class TestAdaptiveWorkspaceInterleavings:
 class TestWorkspacePoisonTriggers:
     """Each surviving way to poison the workspace's journal between two
     runs forces exactly one extra rebuild, and the runs stay byte-identical
-    to workspace-less runs on every workspace-backed tier.
+    to workspace-less runs.
 
     ``none`` is the control: the journal carries every window, one rebuild.
     """
@@ -302,14 +301,14 @@ class TestWorkspacePoisonTriggers:
                 alloc.ingest_transaction(accs)
                 touched.update(accs)
 
-    def _run(self, trigger, backend, seed, use_workspace):
+    def _run(self, trigger, seed, use_workspace):
         from repro.core.engine import AdaptiveWorkspace
 
         rng = random.Random(seed)
         accounts = [f"acc{i:03d}" for i in range(100)]
         g = TransactionGraph()
         seed_graph(rng, g, accounts, 600)
-        params = TxAlloParams.with_capacity_for(600, k=4, eta=2.0, backend=backend)
+        params = TxAlloParams.with_capacity_for(600, k=4, eta=2.0)
         alloc = g_txallo(g, params).allocation
         workspace = AdaptiveWorkspace() if use_workspace else None
         runs = []
@@ -329,14 +328,13 @@ class TestWorkspacePoisonTriggers:
         return outcome, workspace
 
     @pytest.mark.parametrize("seed", (1, 2))
-    @pytest.mark.parametrize("backend", ("fast",))
     @pytest.mark.parametrize("trigger", TRIGGERS)
-    def test_trigger_rebuilds_once_and_keeps_parity(self, monkeypatch, trigger, backend, seed):
+    def test_trigger_rebuilds_once_and_keeps_parity(self, monkeypatch, trigger, seed):
         import repro.core.graph as graph_module
 
         monkeypatch.setattr(graph_module, "JOURNAL_EDGE_CAP", 20)
-        snapshot, _ = self._run(trigger, backend, seed, use_workspace=False)
-        batched, workspace = self._run(trigger, backend, seed, use_workspace=True)
+        snapshot, _ = self._run(trigger, seed, use_workspace=False)
+        batched, workspace = self._run(trigger, seed, use_workspace=True)
         assert batched == snapshot
         stats = workspace.stats
         assert stats["runs"] == 4

@@ -16,7 +16,7 @@ def _load_checker():
 
 
 def test_documentation_set_exists():
-    for name in ("README.md", "docs/backends.md", "docs/workloads.md"):
+    for name in ("README.md", "docs/engine.md", "docs/workloads.md"):
         assert (REPO / name).exists(), name
 
 

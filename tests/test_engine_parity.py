@@ -1,10 +1,13 @@
 """Parity property tests: flat-array engine vs reference, byte for byte.
 
-The ``backend="fast"`` engine (:mod:`repro.core.engine`) is only allowed
-to exist because it is *indistinguishable* from the dict-based reference
-path: same mapping, same ``sigma`` / ``lam_hat`` floats (exact ``==``, no
+The flat-array engine (:mod:`repro.core.engine`) behind
+``louvain_partition`` / ``g_txallo`` / ``a_txallo`` is only allowed to
+exist because it is *indistinguishable* from the dict-based
+``louvain_reference`` / ``g_txallo_reference`` / ``a_txallo_reference``
+oracles: same mapping, same ``sigma`` / ``lam_hat`` floats (exact ``==``, no
 tolerance), same sweep/move counters.  These tests pin that contract
-across randomised synthetic workloads, shard counts and eta values, for
+across randomised synthetic workloads, every zoo topology, shard counts
+and eta values, for
 all three hot paths — Louvain, G-TxAllo and A-TxAllo — plus cache
 integrity after long ingest + move sequences on the engine-produced
 allocation.
@@ -15,24 +18,29 @@ import random
 import pytest
 
 from repro.core.allocation import Allocation
-from repro.core.atxallo import a_txallo
+from repro.core.atxallo import a_txallo, a_txallo_reference
 from repro.core.graph import TransactionGraph
-from repro.core.gtxallo import g_txallo
-from repro.core.louvain import louvain_partition
+from repro.core.gtxallo import g_txallo, g_txallo_reference
+from repro.core.louvain import louvain_partition, louvain_reference
 from repro.core.params import TxAlloParams
-from repro.data.synthetic import EthereumWorkloadGenerator, WorkloadConfig, account_sets
-from tests.conftest import make_random_graph
+from repro.data.synthetic import (
+    WorkloadConfig,
+    account_sets,
+    make_workload_generator,
+    workload_names,
+)
+from tests.conftest import A_TXALLO, G_TXALLO, make_random_graph
 
 SEEDS = (1, 2, 3)
 KS = (2, 5, 8)
 ETAS = (1.0, 2.0, 6.0)
 
 
-def synthetic_graph(seed, num_accounts=400, num_transactions=2500):
+def synthetic_graph(seed, num_accounts=400, num_transactions=2500, topology="ethereum"):
     config = WorkloadConfig(
         num_accounts=num_accounts, num_transactions=num_transactions, seed=seed
     )
-    sets_ = account_sets(EthereumWorkloadGenerator(config).generate())
+    sets_ = account_sets(make_workload_generator(topology, config).generate())
     graph = TransactionGraph()
     for s in sets_:
         graph.add_transaction(s)
@@ -92,33 +100,30 @@ class TestLouvainParity:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_random_graphs(self, seed):
         g = make_random_graph(num_accounts=70, num_transactions=600, seed=seed, groups=4)
-        assert louvain_partition(g, backend="reference") == louvain_partition(
-            g, backend="fast"
-        )
+        assert louvain_reference(g) == louvain_partition(g)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_synthetic_workloads(self, seed):
         g, _ = synthetic_graph(seed)
-        assert louvain_partition(g, backend="reference") == louvain_partition(
-            g, backend="fast"
-        )
+        assert louvain_reference(g) == louvain_partition(g)
+
+    @pytest.mark.parametrize("topology", workload_names())
+    def test_zoo_topologies(self, topology):
+        g, _ = synthetic_graph(1, 300, 1500, topology)
+        assert louvain_reference(g) == louvain_partition(g)
 
     def test_edge_cases(self):
         empty = TransactionGraph()
-        assert louvain_partition(empty, backend="fast") == {}
+        assert louvain_partition(empty) == {}
 
         solo = TransactionGraph()
         solo.add_transaction(("only",))
-        assert louvain_partition(solo, backend="fast") == louvain_partition(
-            solo, backend="reference"
-        )
+        assert louvain_partition(solo) == louvain_reference(solo)
 
         isolated = TransactionGraph()
         isolated.add_transaction(("a", "b"))
         isolated.add_node("island")
-        assert louvain_partition(isolated, backend="fast") == louvain_partition(
-            isolated, backend="reference"
-        )
+        assert louvain_partition(isolated) == louvain_reference(isolated)
 
     @pytest.mark.parametrize("shape", sorted(TIE_GRAPHS))
     def test_ties_on_reverse_inserted_graphs(self, shape):
@@ -128,22 +133,22 @@ class TestLouvainParity:
         broken by sorted rank, not by id."""
         g = reverse_inserted(TIE_GRAPHS[shape])
         assert list(g.nodes()) == sorted(g.nodes(), reverse=True)
-        assert louvain_partition(g, backend="reference") == louvain_partition(g, backend="fast")
+        assert louvain_reference(g) == louvain_partition(g)
         for k in (2, 3):
             params = TxAlloParams.with_capacity_for(g.num_edges, k=k, eta=2.0)
             assert_gtxallo_identical(
-                g_txallo(g, params, backend="reference"),
-                g_txallo(g, params, backend="fast"),
+                g_txallo_reference(g, params),
+                g_txallo(g, params),
             )
 
     def test_memoised_partition_is_a_fresh_copy(self):
         g = make_random_graph(seed=5)
-        p1 = louvain_partition(g, backend="fast")
-        p2 = louvain_partition(g, backend="fast")
+        p1 = louvain_partition(g)
+        p2 = louvain_partition(g)
         assert p1 == p2
         # Mutating a served copy must not poison the memo.
         p1[next(iter(p1))] = 10**6
-        assert louvain_partition(g, backend="fast") == p2
+        assert louvain_partition(g) == p2
 
 
 @pytest.mark.usefixtures("any_sum")
@@ -154,8 +159,8 @@ class TestGTxAlloParity:
     def test_random_graph_grid(self, seed, k, eta):
         g = make_random_graph(num_accounts=70, num_transactions=600, seed=seed, groups=4)
         params = TxAlloParams.with_capacity_for(600, k=k, eta=eta)
-        ref = g_txallo(g, params, backend="reference")
-        fast = g_txallo(g, params, backend="fast")
+        ref = g_txallo_reference(g, params)
+        fast = g_txallo(g, params)
         assert_gtxallo_identical(ref, fast)
 
     @pytest.mark.parametrize("seed", SEEDS[:2])
@@ -163,9 +168,15 @@ class TestGTxAlloParity:
         g, sets_ = synthetic_graph(seed)
         params = TxAlloParams.with_capacity_for(len(sets_), k=6, eta=2.0)
         assert_gtxallo_identical(
-            g_txallo(g, params, backend="reference"),
-            g_txallo(g, params, backend="fast"),
+            g_txallo_reference(g, params),
+            g_txallo(g, params),
         )
+
+    @pytest.mark.parametrize("topology", workload_names())
+    def test_zoo_topologies(self, topology):
+        g, sets_ = synthetic_graph(1, 300, 1500, topology)
+        params = TxAlloParams.with_capacity_for(len(sets_), k=6, eta=2.0)
+        assert_gtxallo_identical(g_txallo_reference(g, params), g_txallo(g, params))
 
     def test_explicit_initial_partition(self):
         g = make_random_graph(seed=9)
@@ -173,8 +184,8 @@ class TestGTxAlloParity:
         rng = random.Random(0)
         init = {v: rng.randrange(7) for v in g.nodes()}
         assert_gtxallo_identical(
-            g_txallo(g, params, initial_partition=init, backend="reference"),
-            g_txallo(g, params, initial_partition=init, backend="fast"),
+            g_txallo_reference(g, params, initial_partition=init),
+            g_txallo(g, params, initial_partition=init),
         )
 
     def test_custom_node_order(self):
@@ -182,8 +193,8 @@ class TestGTxAlloParity:
         params = TxAlloParams.with_capacity_for(400, k=4, eta=2.0)
         order = list(reversed(g.nodes_sorted()))
         assert_gtxallo_identical(
-            g_txallo(g, params, node_order=order, backend="reference"),
-            g_txallo(g, params, node_order=order, backend="fast"),
+            g_txallo_reference(g, params, node_order=order),
+            g_txallo(g, params, node_order=order),
         )
 
     def test_more_shards_than_communities(self):
@@ -192,23 +203,23 @@ class TestGTxAlloParity:
             g.add_transaction(pair)
         params = TxAlloParams.with_capacity_for(3, k=5, eta=2.0)
         assert_gtxallo_identical(
-            g_txallo(g, params, backend="reference"),
-            g_txallo(g, params, backend="fast"),
+            g_txallo_reference(g, params),
+            g_txallo(g, params),
         )
 
     def test_empty_graph(self):
         params = TxAlloParams.with_capacity_for(1, k=3, eta=2.0)
         assert_gtxallo_identical(
-            g_txallo(TransactionGraph(), params, backend="reference"),
-            g_txallo(TransactionGraph(), params, backend="fast"),
+            g_txallo_reference(TransactionGraph(), params),
+            g_txallo(TransactionGraph(), params),
         )
 
     def test_infinite_capacity(self):
         g = make_random_graph(seed=4)
         params = TxAlloParams(k=4, eta=2.0)  # lam = inf
         assert_gtxallo_identical(
-            g_txallo(g, params, backend="reference"),
-            g_txallo(g, params, backend="fast"),
+            g_txallo_reference(g, params),
+            g_txallo(g, params),
         )
 
 
@@ -222,15 +233,15 @@ def _ingest(graph, alloc, txs):
     return touched
 
 
-def _atxallo_state(seed, k, backend, rounds=3, tx_size=2):
-    """Prepare + evolve one allocation under the given backend.
+def _atxallo_state(seed, k, tier, rounds=3, tx_size=2):
+    """Prepare + evolve one allocation on the ``tier`` kernels.
 
     ``tx_size`` accounts per evolving transaction; at 4 the pair weights
     are sixths, whose row totals round differently under ``math.fsum``.
     """
     g = make_random_graph(num_accounts=80, num_transactions=500, seed=seed, groups=4)
-    params = TxAlloParams.with_capacity_for(500, k=k, eta=2.0, backend=backend)
-    alloc = g_txallo(g, params).allocation
+    params = TxAlloParams.with_capacity_for(500, k=k, eta=2.0)
+    alloc = G_TXALLO[tier](g, params).allocation
     rng = random.Random(seed)
     stats = []
     for round_ in range(rounds):
@@ -239,10 +250,30 @@ def _atxallo_state(seed, k, backend, rounds=3, tx_size=2):
         txs += [(f"new{round_}_{i}", rng.choice(nodes)) for i in range(5)]
         txs.append((f"lonely{round_}",))
         touched = _ingest(g, alloc, txs)
-        result = a_txallo(alloc, touched)
+        result = A_TXALLO[tier](alloc, touched)
         stats.append(
             (result.new_nodes, result.swept_nodes, result.sweeps, result.moves)
         )
+    return alloc, stats
+
+
+def _zoo_atxallo_state(topology, tier, workspace=None):
+    """G-TxAllo over 1,000 transactions of a zoo ``topology``, then three
+    A-TxAllo windows of the next 40 each; ``workspace`` batches the fast
+    windows."""
+    config = WorkloadConfig(num_accounts=300, num_transactions=1120, seed=1)
+    sets_ = account_sets(make_workload_generator(topology, config).generate())
+    g = TransactionGraph()
+    g.add_transactions(sets_[:1000])
+    alloc = G_TXALLO[tier](g, TxAlloParams.with_capacity_for(1000, k=4, eta=2.0)).allocation
+    stats = []
+    for start in range(1000, 1120, 40):
+        touched = _ingest(g, alloc, sets_[start : start + 40])
+        if workspace is None:
+            result = A_TXALLO[tier](alloc, touched)
+        else:
+            result = a_txallo(alloc, touched, workspace=workspace)
+        stats.append((result.new_nodes, result.swept_nodes, result.sweeps, result.moves))
     return alloc, stats
 
 
@@ -259,14 +290,23 @@ class TestATxAlloParity:
         assert ref_alloc.sigma == fast_alloc.sigma
         assert ref_alloc.lam_hat == fast_alloc.lam_hat
 
+    @pytest.mark.parametrize("topology", workload_names())
+    def test_zoo_topologies(self, topology):
+        ref_alloc, ref_stats = _zoo_atxallo_state(topology, "reference")
+        fast_alloc, fast_stats = _zoo_atxallo_state(topology, "fast")
+        assert ref_stats == fast_stats
+        assert ref_alloc.mapping() == fast_alloc.mapping()
+        assert ref_alloc.sigma == fast_alloc.sigma
+        assert ref_alloc.lam_hat == fast_alloc.lam_hat
+
     def test_caches_exact_after_long_ingest_move_sequences(self):
         """validate(check_caches=True) on the engine-driven allocation."""
         alloc, _ = _atxallo_state(7, 4, "fast", rounds=6)
         alloc.validate(check_caches=True)
 
     @pytest.mark.parametrize("new_account", (False, True))
-    @pytest.mark.parametrize("backend", ("reference", "fast"))
-    def test_equal_gains_break_toward_smaller_shard(self, backend, new_account):
+    @pytest.mark.parametrize("tier", ("reference", "fast"))
+    def test_equal_gains_break_toward_smaller_shard(self, tier, new_account):
         """``v`` ties between shards 1 and 2 (mirror-image neighbourhoods,
         shard 2 inserted first): both phases pick shard 1, as the
         reference's ascending strict-improvement scan does."""
@@ -278,18 +318,18 @@ class TestATxAlloParity:
         mapping = {"a": 1, "b": 1, "c": 2, "d": 2, "x": 0, "y": 0}
         if not new_account:
             mapping["v"] = 0
-        params = TxAlloParams(k=3, eta=2.0, lam=2.0, backend=backend)
+        params = TxAlloParams(k=3, eta=2.0, lam=2.0)
         alloc = Allocation.from_partition(g, params, mapping)
         if new_account:
             _ingest(g, alloc, late)
-        result = a_txallo(alloc, ["v"])
+        result = A_TXALLO[tier](alloc, ["v"])
         assert (result.new_nodes, result.moves) == ((1, 0) if new_account else (0, 1))
         assert alloc.shard_of("v") == 1
         alloc.validate(check_caches=True)
 
     def test_empty_touched_set(self):
         g = make_random_graph(seed=3)
-        params = TxAlloParams.with_capacity_for(400, k=4, backend="fast")
+        params = TxAlloParams.with_capacity_for(400, k=4)
         alloc = g_txallo(g, params).allocation
         before = alloc.mapping()
         result = a_txallo(alloc, [])
@@ -297,41 +337,12 @@ class TestATxAlloParity:
         assert alloc.mapping() == before
 
 
-class TestBackendPlumbing:
-    def test_params_validate_backend(self):
-        from repro.errors import ParameterError
-
-        with pytest.raises(ParameterError):
-            TxAlloParams(k=2, backend="warp-drive")
-
-    def test_params_default_fast(self):
-        assert TxAlloParams(k=2).backend == "fast"
-
-    def test_backend_override_beats_params(self):
-        g = make_random_graph(seed=8)
-        params = TxAlloParams.with_capacity_for(400, k=3, backend="reference")
-        # Explicit kwarg wins over the params field; outputs identical.
-        ref = g_txallo(g, params)
-        fast = g_txallo(g, params, backend="fast")
-        assert_gtxallo_identical(ref, fast)
-
-    def test_unknown_backend_rejected(self):
-        from repro.errors import ParameterError
-
-        g = make_random_graph(seed=8)
-        params = TxAlloParams.with_capacity_for(400, k=3)
-        with pytest.raises(ParameterError):
-            g_txallo(g, params, backend="nope")
-        with pytest.raises(ValueError):
-            louvain_partition(g, backend="nope")
-
-
 def _atxallo_workspace_state(seed, k, rounds=3):
     """Like _atxallo_state("fast") but batched through one workspace."""
     from repro.core.engine import AdaptiveWorkspace
 
     g = make_random_graph(num_accounts=80, num_transactions=500, seed=seed, groups=4)
-    params = TxAlloParams.with_capacity_for(500, k=k, eta=2.0, backend="fast")
+    params = TxAlloParams.with_capacity_for(500, k=k, eta=2.0)
     alloc = g_txallo(g, params).allocation
     workspace = AdaptiveWorkspace()
     rng = random.Random(seed)
@@ -351,7 +362,7 @@ def _atxallo_workspace_state(seed, k, rounds=3):
 
 @pytest.mark.usefixtures("any_sum")
 class TestAdaptiveWorkspaceParity:
-    """The workspace is a cache, not a backend level: batched runs must be
+    """The workspace is a cache, not a second engine: batched runs must be
     byte-identical to reference runs."""
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -367,6 +378,19 @@ class TestAdaptiveWorkspaceParity:
         assert counters["rebuilds"] == 1
         assert counters["extends"] == 2  # rounds 2 and 3 rode the journal
 
+    @pytest.mark.parametrize("topology", workload_names())
+    def test_zoo_topologies(self, topology):
+        from repro.core.engine import AdaptiveWorkspace
+
+        ref_alloc, ref_stats = _zoo_atxallo_state(topology, "reference")
+        workspace = AdaptiveWorkspace()
+        ws_alloc, ws_stats = _zoo_atxallo_state(topology, "fast", workspace)
+        assert ref_stats == ws_stats
+        assert ref_alloc.mapping() == ws_alloc.mapping()
+        assert ref_alloc.sigma == ws_alloc.sigma
+        assert ref_alloc.lam_hat == ws_alloc.lam_hat
+        assert workspace.stats["rebuilds"] == 1
+
     def test_caches_exact_after_batched_runs(self):
         alloc, _, _ = _atxallo_workspace_state(7, 4, rounds=6)
         alloc.validate(check_caches=True)
@@ -376,7 +400,7 @@ class TestAdaptiveWorkspaceParity:
         from repro.errors import GraphError
 
         g = make_random_graph(seed=3)
-        params = TxAlloParams.with_capacity_for(400, k=4, backend="fast")
+        params = TxAlloParams.with_capacity_for(400, k=4)
         alloc = g_txallo(g, params).allocation
         with pytest.raises(GraphError):
             a_txallo(alloc, ["never-ingested"], workspace=AdaptiveWorkspace())
@@ -389,7 +413,7 @@ class TestAdaptiveWorkspaceParity:
         from repro.core.engine import AdaptiveWorkspace
 
         g = make_random_graph(seed=6)
-        params = TxAlloParams.with_capacity_for(400, k=4, eta=2.0, backend="fast")
+        params = TxAlloParams.with_capacity_for(400, k=4, eta=2.0)
         workspace = AdaptiveWorkspace()
         alloc = g_txallo(g, params).allocation
         rng = random.Random(6)
@@ -408,7 +432,7 @@ class TestAdaptiveWorkspaceParity:
             twin.ingest_transaction(accounts)
             touched.update(accounts)
         result_ws = a_txallo(refreshed, touched, workspace=workspace)
-        result_ref = a_txallo(twin, touched, backend="reference")
+        result_ref = a_txallo_reference(twin, touched)
         assert result_ws.moves == result_ref.moves
         assert result_ws.sweeps == result_ref.sweeps
         assert refreshed.mapping() == twin.mapping()
@@ -423,7 +447,7 @@ class TestAdaptiveWorkspaceParity:
         from repro.core.engine import AdaptiveWorkspace
 
         g = make_random_graph(seed=3)
-        params = TxAlloParams.with_capacity_for(400, k=4, backend="fast")
+        params = TxAlloParams.with_capacity_for(400, k=4)
         alloc = g_txallo(g, params).allocation
         before = alloc.mapping()
         result = a_txallo(alloc, [], workspace=AdaptiveWorkspace())
@@ -437,7 +461,7 @@ class TestAdaptiveWorkspaceParity:
         from repro.core.engine import AdaptiveWorkspace
 
         g = make_random_graph(seed=15)
-        params = TxAlloParams.with_capacity_for(400, k=4, eta=2.0, backend="fast")
+        params = TxAlloParams.with_capacity_for(400, k=4, eta=2.0)
         workspace = AdaptiveWorkspace()
         alloc = g_txallo(g, params).allocation
         twin = alloc.copy()

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.core.graph import TransactionGraph
-from repro.core.louvain import louvain_partition, modularity
+from repro.core.louvain import louvain_partition, louvain_reference, modularity
 from tests.conftest import make_random_graph
 
 
@@ -170,13 +170,16 @@ def _partition_digest(partition):
 class TestMinIndexScanPreservesPartitions:
     """Satellite of the engine PR: the per-node ``sorted(nbr_comm)`` was
     replaced by an exact (gain, -index) argmax; partitions must match the
-    seed implementation's on every pinned workload, for both backends."""
+    seed implementation's on every pinned workload, for the engine and the
+    reference oracle."""
 
     @pytest.mark.parametrize("name", sorted(_PINNED_PARTITIONS))
-    @pytest.mark.parametrize("backend", ["reference", "fast"])
-    def test_partition_unchanged(self, name, backend):
+    @pytest.mark.parametrize(
+        "partition", (louvain_reference, louvain_partition), ids=("reference", "fast")
+    )
+    def test_partition_unchanged(self, name, partition):
         graph = _pin_graphs()[name]
-        digest = _partition_digest(louvain_partition(graph, backend=backend))
+        digest = _partition_digest(partition(graph))
         assert digest == _PINNED_PARTITIONS[name]
 
 

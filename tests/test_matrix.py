@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.chain.faults import resolve_fault_plan
 from repro.chain.live import LiveShardedNetwork
 from repro.eval import experiments
 from repro.eval.experiments import build_workload, live_cadence, live_compare
@@ -44,13 +45,12 @@ class TestSpec:
             topologies=("ethereum", "hotspot"),
             scales=(0.05, 0.1),
             allocators=("txallo",),
-            backends=("fast", "reference"),
             cadences=((0, 0), (2, 8)),
             faults=("none", "standard"),
             reps=3,
         )
         cells = spec.cells()
-        assert len(cells) == 2 * 2 * 1 * 2 * 2 * 2 * 3
+        assert len(cells) == 2 * 2 * 1 * 2 * 2 * 3
         # Repetition r uses workload seed base_seed + r.
         seeds = {cell.rep: cell.seed for cell in cells}
         assert seeds == {0: 2022, 1: 2023, 2: 2024}
@@ -87,6 +87,21 @@ class TestSpec:
             MatrixSpec(faults=("chaos",))
         with pytest.raises(ParameterError, match="fault plan"):
             MatrixSpec(faults=("seeded:x",))
+
+    @pytest.mark.parametrize(
+        "name", ("seeded:", "seeded:x", "Standard", "chaos", "seeded:3", "none", "standard")
+    )
+    def test_spec_and_resolver_accept_the_same_fault_names(self, name):
+        def accepts(entry_point):
+            try:
+                entry_point()
+            except ParameterError:
+                return False
+            return True
+
+        in_spec = accepts(lambda: MatrixSpec(faults=(name,)))
+        resolved = accepts(lambda: resolve_fault_plan(name, ticks=10, k=4, tau2=5))
+        assert in_spec == resolved == (name in ("seeded:3", "none", "standard"))
 
     def test_empty_factor_rejected(self):
         with pytest.raises(ParameterError, match="at least one level"):

@@ -3,8 +3,8 @@
 What the parallel layer *promises* (and these tests pin):
 
 * the process-parallel evaluation grid returns records identical to a
-  sequential run for any worker count, on every backend tier — the only
-  thing ``workers`` may change is wall-clock;
+  sequential run for any worker count — the only thing ``workers`` may
+  change is wall-clock;
 * the shared grid state (freeze + Louvain memo + eta-independent static
   mappings) is computed exactly once in the parent, never per worker;
 * platforms without ``fork`` (and ``workers=1``) silently fall back to
@@ -12,8 +12,9 @@ What the parallel layer *promises* (and these tests pin):
 * BLAS/OpenMP thread pinning sets every knob and respects explicit
   user settings.
 
-The A-TxAllo kernels stay serial on every tier; the cache-exactness
-check below runs an adversarially overlapping window through them.
+The A-TxAllo kernels stay serial; the cache-exactness check below runs
+an adversarially overlapping window through the engine and the
+reference oracle.
 """
 
 import random
@@ -23,7 +24,7 @@ import pytest
 from repro import allocators
 from repro.core import parallel
 from repro.core.allocation import Allocation
-from repro.core.atxallo import a_txallo
+from repro.core.atxallo import a_txallo, a_txallo_reference
 from repro.core.gtxallo import g_txallo
 from repro.core.params import TxAlloParams
 from repro.eval import experiments
@@ -41,20 +42,15 @@ def small_workload():
 class TestGridParity:
     GRID = dict(ks=(2, 6), etas=(2.0, 6.0), methods=("txallo", "metis", "random"))
 
-    @pytest.mark.parametrize("backend", ["fast", "reference"])
-    def test_grid_records_identical_across_worker_counts(
-        self, small_workload, backend
-    ):
+    def test_grid_records_identical_across_worker_counts(self, small_workload):
         baseline = None
         for workers in (1, 2, 4):
-            records = experiments.sweep(
-                small_workload, backend=backend, workers=workers, **self.GRID
-            )
+            records = experiments.sweep(small_workload, workers=workers, **self.GRID)
             canon = parallel.canonical_records(records)
             if baseline is None:
                 baseline = canon
             else:
-                assert canon == baseline, f"{backend} workers={workers}"
+                assert canon == baseline, f"workers={workers}"
 
     def test_online_methods_ride_the_pool_too(self, small_workload):
         grid = dict(ks=(2, 4), etas=(2.0,), methods=("shard_scheduler",))
@@ -181,13 +177,13 @@ class TestSharedStateComputedOnce:
 # ----------------------------------------------------------------------
 # Serial A-TxAllo on an adversarially overlapping window
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", ["fast", "reference"])
-def test_adversarially_overlapping_window_keeps_caches_exact(backend):
+@pytest.mark.parametrize("run", (a_txallo, a_txallo_reference), ids=("fast", "reference"))
+def test_adversarially_overlapping_window_keeps_caches_exact(run):
     """Every touched node neighbours every other (one dense clique
     spanning the shards): the sweep must still leave an exact,
     internally consistent allocation."""
     graph = make_random_graph(num_accounts=120, num_transactions=600, seed=7)
-    params = TxAlloParams.with_capacity_for(600, k=4, eta=2.0, backend=backend)
+    params = TxAlloParams.with_capacity_for(600, k=4, eta=2.0)
     good = g_txallo(graph, params).allocation
     rng = random.Random(13)
     clique = sorted(rng.sample(sorted(graph.nodes()), 80))
@@ -202,7 +198,7 @@ def test_adversarially_overlapping_window_keeps_caches_exact(backend):
     alloc = Allocation.from_partition(
         graph, params, mapping, num_communities=good.num_communities
     )
-    result = a_txallo(alloc, clique)
+    result = run(alloc, clique)
     assert result.swept_nodes == len(clique)
     assert result.moves > 0
     # Internal caches stay exact: rebuilding from the final mapping
