@@ -1,9 +1,8 @@
 """Standing contracts: one run, one run table, one exit code.
 
 The paper's claims rest on contracts this repo keeps: the flat engine
-equals the reference exactly, a worker pool never changes a result, a
-delta freeze tracks its frontier, supervision keeps committed TPS under
-faults, and the scenario matrix is complete and deterministic.  This
+equals the reference exactly, a worker pool never changes a result,
+supervision keeps committed TPS under faults, and the scenario matrix is complete and deterministic.  This
 script builds each workload once per (topology, scale), measures every
 contract once and writes ``OUT/run_table.csv`` in the declared-factors
 layout: one row per contract x topology x scale with the measured value,
@@ -51,7 +50,6 @@ from repro.chain.faults import FaultPlan
 from repro.chain.live import LiveShardedNetwork
 from repro.core import parallel
 from repro.core.controller import TxAlloController
-from repro.core.csr import CSRGraph
 from repro.core.gtxallo import g_txallo, g_txallo_reference
 from repro.core.params import TxAlloParams
 from repro.core.resilience import ResilientAllocator
@@ -68,10 +66,6 @@ GRID_ETAS = (2.0, 6.0, 10.0)
 #: about re-running every allocator.
 GRID_METHODS = ("txallo", "metis")
 WORKERS = (1, 2, 4)
-#: Frontier sizes (touched nodes) of the delta re-freeze, each timed as
-#: the mean of ``FREEZE_REPEATS`` re-freezes; only 8 is gated.
-FRONTIERS = (8, 32, 128)
-FREEZE_REPEATS = 5
 #: The scenario matrix runs the smoke spec at this fraction of the
 #: scale, so scale 0.5 lands on the spec's native 0.1.
 MATRIX_SCALE_FACTOR = 0.2
@@ -116,9 +110,6 @@ CONTRACTS = {
         Contract("engine_mismatched_cells", "exact", "==", 0),
         # Noisy on a shared 2-core host: 2.7-5.4x across runs at scale 0.5.
         Contract("engine_grid_speedup", "timing", ">=", 3.0, "ethereum", min_scale=0.5),
-        # Every frontier re-freeze extends the snapshot: one full lowering.
-        Contract("delta_full_rebuilds", "exact", "==", 1),
-        Contract("delta_frontier8_over_full", "timing", "<", 0.25, "ethereum", min_scale=0.5),
         Contract("resilience_tps_retention", "threshold", ">=", 0.7),
         Contract("resilience_trips", "threshold", ">=", 1),
         Contract("resilience_recoveries", "threshold", ">=", 1),
@@ -201,34 +192,6 @@ def worker_grid(workload) -> dict:
     }
 
 
-def delta_freeze(workload) -> dict:
-    """Steady-state re-freeze after touching a frontier vs a full lowering."""
-    graph = workload.graph.copy()
-    graph.freeze()
-    nodes = list(graph.nodes())
-    frontier_s = {}
-    for frontier in FRONTIERS:
-        total = 0.0
-        for r in range(FREEZE_REPEATS):
-            for i in range(frontier // 2):
-                a = nodes[(r * 7919 + i * 31) % len(nodes)]
-                b = nodes[(r * 104729 + i * 97 + 1) % len(nodes)]
-                if a == b:
-                    b = nodes[(i + 2) % len(nodes)]
-                graph.add_transaction((a, b))
-            t0 = time.perf_counter()
-            graph.freeze()
-            total += time.perf_counter() - t0
-        frontier_s[frontier] = total / FREEZE_REPEATS
-    t0 = time.perf_counter()
-    CSRGraph.from_graph(graph)
-    full_s = time.perf_counter() - t0
-    return {
-        "delta_full_rebuilds": graph.freeze_stats["full"],
-        "delta_frontier8_over_full": frontier_s[8] / full_s,
-    }
-
-
 def resilience(scale: float) -> dict:
     """A supervised controller under the standard fault plan vs no faults.
 
@@ -301,10 +264,6 @@ def measure(scale: float, out_dir: Path):
     for topology in workload_names():
         workload = experiments.build_workload(scale=scale, seed=SEED, topology=topology)
         values = {**engine_grid(workload), **worker_grid(workload)}
-        if topology == "ethereum":
-            # Smaller zoo graphs rebuild a 128-node frontier by design
-            # (it exceeds ``DELTA_REBUILD_FRACTION`` of their nodes).
-            values.update(delta_freeze(workload))
         for name, value in values.items():
             yield name, topology, value
     for name, value in resilience(scale).items():

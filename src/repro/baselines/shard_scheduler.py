@@ -32,6 +32,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.core.allocation import capped_throughput
 from repro.core.graph import Node
+from repro.core.metrics import ordered_sum
 from repro.core.params import TxAlloParams
 from repro.errors import ParameterError
 
@@ -55,7 +56,7 @@ class SchedulerResult:
 
     def throughput(self, lam: float) -> float:
         """Capacity-capped system throughput over the accumulated loads."""
-        return sum(
+        return ordered_sum(
             capped_throughput(s, lh, lam)
             for s, lh in zip(self.shard_loads, self.shard_lam_hat)
         )

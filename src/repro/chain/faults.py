@@ -319,10 +319,6 @@ class FaultyAllocator(OnlineAllocator):
     def mapping(self) -> Dict[Node, int]:
         return self.inner.mapping()
 
-    @property
-    def freeze_stats(self) -> Optional[Dict[str, int]]:
-        return self.inner.freeze_stats
-
     def __getattr__(self, name: str):
         # Transparent stand-in for the wrapped allocator (allocation,
         # block_height, workspace_stats, ...).  Only reached for attributes

@@ -9,7 +9,7 @@ accounts live *as the system runs*.
 
 The network is allocator-agnostic: it speaks only the allocator
 protocol (``observe_block`` before routing, ``shard_of`` for every
-account, ``freeze_stats`` for the report).  The dynamic
+account).  The dynamic
 :class:`~repro.core.controller.TxAlloController`, the online Shard
 Scheduler, and any static mapping frozen into a
 :class:`~repro.core.allocator.FixedMappingAllocator` all plug in through
@@ -23,13 +23,6 @@ has processed its slice (the 2PC atomicity of Section II-B); its
 end-to-end latency is the maximum over shards.  New accounts appearing
 in live traffic are routed by the allocator's fallback policy until its
 next scheduled update places them.
-
-With a :class:`TxAlloController` allocator the tick loop no longer pays
-repeated from-scratch graph freezes: each block's ingest perturbs only a
-small frontier, so the controller's scheduled updates extend the frozen
-CSR snapshot incrementally (delta-freeze).
-:attr:`LiveReport.freeze_stats` carries the full/delta/cached counters
-for the run.
 
 This closes the loop the paper argues for qualitatively: with TxAllo
 steering allocation, the same network sustains a higher committed TPS
@@ -106,9 +99,6 @@ class LiveReport:
     mean_latency: float
     p99_latency: int
     cross_shard_ratio: float
-    #: Controller-graph snapshot counters ({"full", "delta", "cached"});
-    #: None for allocators that never freeze a graph.
-    freeze_stats: Optional[Dict[str, int]] = None
     #: Ticks served on the frozen last-good mapping.
     degraded_ticks: int = 0
     #: Times routing fell over to the frozen mapping (healthy -> degraded
@@ -116,8 +106,7 @@ class LiveReport:
     failovers: int = 0
     #: Malformed deliveries dropped at validation over the whole run.
     dropped_malformed: int = 0
-    #: Supervision counters of a ResilientAllocator, else None (mirrors
-    #: freeze_stats).
+    #: Supervision counters of a ResilientAllocator, else None.
     resilience_stats: Optional[Dict[str, int]] = None
 
     @property
@@ -315,7 +304,6 @@ class LiveShardedNetwork:
             cross_shard_ratio=(
                 self._cross_arrived / self._seq if self._seq else 0.0
             ),
-            freeze_stats=self.allocator.freeze_stats,
             degraded_ticks=self._degraded_ticks,
             failovers=resilience["failovers"] if resilience else 0,
             dropped_malformed=self._dropped_malformed,

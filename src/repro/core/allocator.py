@@ -45,6 +45,7 @@ from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from repro.core.allocation import capped_throughput
 from repro.core.graph import Node, TransactionGraph
+from repro.core.metrics import ordered_sum
 from repro.core.params import TxAlloParams
 from repro.errors import AllocationError
 
@@ -105,7 +106,7 @@ class OnlineRunResult:
 
     def throughput(self, lam: float) -> float:
         """Capacity-capped system throughput over the accumulated loads."""
-        return sum(
+        return ordered_sum(
             capped_throughput(s, lh, lam)
             for s, lh in zip(self.shard_loads, self.shard_lam_hat)
         )
@@ -241,11 +242,6 @@ class OnlineAllocator(AllocatorBase):
         raise NotImplementedError
 
     @property
-    def freeze_stats(self) -> Optional[Dict[str, int]]:
-        """Graph-snapshot counters for allocators that freeze a graph."""
-        return None
-
-    @property
     def degraded(self) -> bool:
         """True while the allocator serves a frozen last-good mapping.
 
@@ -260,9 +256,7 @@ class OnlineAllocator(AllocatorBase):
     def resilience_stats(self) -> Optional[Dict[str, int]]:
         """Supervision counters (failures/retries/trips/...), or ``None``.
 
-        ``None`` for unsupervised allocators, mirroring how
-        :attr:`freeze_stats` is ``None`` for allocators that never
-        freeze a graph.
+        ``None`` for unsupervised allocators.
         """
         return None
 

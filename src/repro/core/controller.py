@@ -11,17 +11,11 @@ transaction an iterable of account identifiers.  It owns the transaction
 graph, the current :class:`~repro.core.allocation.Allocation` and an update
 log with per-update wall-clock timings.
 
-The graph's frozen CSR snapshot is maintained *incrementally* across
-updates (delta-freeze, see :meth:`repro.core.graph.TransactionGraph.freeze`):
-each block perturbs a small frontier, so the periodic G-TxAllo refreshes
-(and the adaptive workspace's rebuilds) extend the previous snapshot
-instead of re-lowering the whole graph.
-:attr:`TxAlloController.freeze_stats` exposes the counters.
-
-With the adaptive workspace
-(:class:`repro.core.engine.AdaptiveWorkspace`, one per controller)
-consecutive A-TxAllo runs go further: they share one persistent flat
-neighbourhood view kept current from the graph's
+Each periodic G-TxAllo refresh runs on a full CSR lowering of the
+cumulative graph (:meth:`repro.core.graph.TransactionGraph.freeze`).
+Consecutive A-TxAllo runs share one adaptive workspace
+(:class:`repro.core.engine.AdaptiveWorkspace`, one per controller): a
+persistent flat neighbourhood view kept current from the graph's
 mutation journal, so the τ₁ loop does not freeze the graph at all.  The
 workspace also survives G-TxAllo refreshes: its graph views do not
 depend on the allocation, so after a refresh it only re-reads the
@@ -269,16 +263,6 @@ class TxAlloController(OnlineAllocator):
     @property
     def global_events(self) -> List[UpdateEvent]:
         return [e for e in self.events if e.kind == "global"]
-
-    @property
-    def freeze_stats(self) -> dict:
-        """The graph's snapshot counters (full/delta/cached freezes).
-
-        The global refreshes and the adaptive workspace's (re)builds run
-        on the frozen CSR form, so this shows whether the controller is
-        paying from-scratch lowerings or the incremental delta-freeze path.
-        """
-        return self.graph.freeze_stats
 
     @property
     def workspace_stats(self) -> dict:

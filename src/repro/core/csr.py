@@ -28,37 +28,22 @@ Id scheme
 Node ``i`` is the ``i``-th account in **insertion** (chronological
 appearance) order — for a ledger replay, the order every miner observes.
 Insertion order is *stable under growth*: new accounts always take the
-next free ids, so an incremental re-freeze (:meth:`CSRGraph.extend`)
-never renumbers existing rows.  The allocators' canonical
-ascending-identifier sweep order is recovered through the
-``sorted_order`` permutation, and ``TransactionGraph.edges()``-ordered
-cache walks are simply ascending-id walks (the earlier-inserted endpoint
-of every pair has the smaller id).
+next free ids, so a later snapshot of the same graph never renumbers
+existing rows.  The allocators' canonical ascending-identifier sweep
+order is recovered through the ``sorted_order`` permutation, and
+``TransactionGraph.edges()``-ordered cache walks are simply ascending-id
+walks (the earlier-inserted endpoint of every pair has the smaller id).
 
 A ``CSRGraph`` is immutable; mutate the source graph and call
 :meth:`TransactionGraph.freeze` again (the graph caches the frozen form
 against an internal version counter, so freezing an unchanged graph is
 free).
-
-Delta-freeze
-------------
-Re-lowering the whole graph on every freeze is O(N + E) Python even when
-a block only perturbed a handful of rows.  :meth:`CSRGraph.extend` is the
-incremental path: given the previous snapshot and the mutation log since
-its version (new nodes in insertion order, the set of nodes whose
-adjacency rows changed), it copies every untouched span of the base
-snapshot wholesale — ids are stable, so untouched rows are byte-reusable
-— and re-lowers only the frontier.  The result is **element identical**
-to a cold :meth:`CSRGraph.from_graph` of the same graph, which
-``tests/test_delta_freeze.py`` pins property-style.
-:meth:`TransactionGraph.freeze` drives this automatically; callers never
-invoke :meth:`extend` directly.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import TYPE_CHECKING, AbstractSet, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.graph import Node, TransactionGraph
@@ -182,118 +167,6 @@ class CSRGraph:
             num_edges=graph.num_edges,
             total_weight=graph.total_weight,
         )
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def extend(
-        cls,
-        graph: "TransactionGraph",
-        base: "CSRGraph",
-        new_nodes: Sequence["Node"],
-        touched: AbstractSet["Node"],
-    ) -> "CSRGraph":
-        """Incrementally lower ``graph`` on top of the snapshot ``base``.
-
-        ``base`` is a frozen snapshot of an earlier version of ``graph``;
-        ``new_nodes`` are the accounts added since, in insertion order,
-        and ``touched`` the accounts whose adjacency rows changed (both
-        endpoints of every added/updated edge).  The log must describe
-        every change since ``base``; when it does not (delta-freeze was
-        toggled in between) the graph's delta tracking requires a full
-        :meth:`from_graph` rebuild instead.
-
-        Ids are insertion-stable, so new nodes append at the tail and the
-        untouched rows between consecutive frontier rows are copied from
-        ``base`` as whole array/list slices (their ``pairs`` lists shared
-        — both snapshots are immutable).  Python-level work is therefore
-        proportional to the frontier (touched rows and their degrees),
-        with the O(E) balance reduced to C-level ``memcpy``.
-        """
-        old_n = len(base.nodes)
-        lsize = base.indptr.itemsize
-
-        if new_nodes:
-            nodes = base.nodes + list(new_nodes)
-            index_of = dict(base.index_of)
-            for idx, v in enumerate(new_nodes, old_n):
-                index_of[v] = idx
-        else:
-            nodes = base.nodes
-            index_of = base.index_of
-        n = len(nodes)
-
-        rebuild = set(touched)
-        rebuild.update(new_nodes)
-
-        indptr = array("l", bytes(lsize * (n + 1)))
-        indices = array("l")
-        weights = array("d")
-        loop = array("d", bytes(8 * n))
-        ext = array("d", bytes(8 * n))
-        pairs: List[List[Tuple[int, float]]] = []
-
-        base_indptr = base.indptr
-        base_indices = base.indices
-        base_weights = base.weights
-        base_loop = base.loop
-        base_ext = base.ext
-        base_pairs = base.pairs
-
-        def lower_row(i: int, v: "Node") -> None:
-            # Frontier row: re-lower from the live adjacency dict,
-            # identically to the from_graph inner loop.
-            row = graph.neighbours(v)
-            prs: List[Tuple[int, float]] = []
-            e = 0.0
-            for u, w in row.items():
-                j = index_of[u]
-                indices.append(j)
-                weights.append(w)
-                if j == i:
-                    loop[i] = w
-                else:
-                    e += w
-                    prs.append((j, w))
-            ext[i] = e
-            pairs.append(prs)
-            indptr[i + 1] = len(indices)
-
-        # Untouched rows sit in contiguous spans between consecutive
-        # frontier rows (every id >= old_n is frontier, so spans never
-        # reach past the base).  Copy each span wholesale.
-        frontier = sorted(index_of[v] for v in rebuild)
-        prev = 0
-        for i in frontier + [n]:
-            if prev < i:
-                start, end = base_indptr[prev], base_indptr[i]
-                seg_offset = len(indices) - start
-                indices.extend(base_indices[start:end])
-                weights.extend(base_weights[start:end])
-                loop[prev:i] = base_loop[prev:i]
-                ext[prev:i] = base_ext[prev:i]
-                pairs.extend(base_pairs[prev:i])
-                if seg_offset == 0:
-                    indptr[prev + 1 : i + 1] = base_indptr[prev + 1 : i + 1]
-                else:
-                    for t in range(prev + 1, i + 1):
-                        indptr[t] = base_indptr[t] + seg_offset
-            if i < n:
-                lower_row(i, nodes[i])
-                prev = i + 1
-
-        csr = cls(
-            nodes=nodes,
-            index_of=index_of,
-            indptr=indptr,
-            indices=indices,
-            weights=weights,
-            loop=loop,
-            ext=ext,
-            pairs=pairs,
-            num_edges=graph.num_edges,
-            total_weight=graph.total_weight,
-        )
-        return csr
 
     # ------------------------------------------------------------------
     def adjacency_dicts(self) -> Tuple[List[Dict[int, float]], List[float]]:

@@ -33,7 +33,7 @@ same order:
 
 * CSR rows preserve the adjacency-dict iteration order, so per-node
   neighbourhood accumulations add the same floats in the same sequence;
-* CSR ids are insertion-ordered (stable under delta-freeze), so the
+* CSR ids are insertion-ordered (stable under growth), so the
   ``TransactionGraph.edges()`` insertion-order edge walk used by
   ``Allocation`` cache rebuilds is an ascending-id walk, and the
   reference's ascending-*identifier* sweep and Louvain orders are
@@ -60,12 +60,12 @@ CSR every τ₁ window, the workspace keeps the flat views alive *across*
 runs — id-keyed row maps mirroring the adjacency dicts, the self-loop
 vector, and a dense id→shard array — and keeps them current by replaying
 the graph's :class:`~repro.core.graph.MutationJournal` (new nodes, edge
-weight increments) in O(window delta) instead of an incremental freeze
-per window.  The workspace is a **cache, not a second engine**: the row
-maps replay the same float accumulations in the same order the CSR rows
-would, so a workspace-backed run lands on the reference's
-allocation, caches and sweep/move counts byte for byte, which
-``tests/test_engine_parity.py`` and ``tests/test_delta_freeze.py`` pin
+weight increments) in O(window delta) instead of a freeze per window.
+The workspace is a **cache, not a second engine**: the row maps replay
+the same float accumulations in the same order the CSR rows would, so a
+workspace-backed run lands on the reference's allocation, caches and
+sweep/move counts byte for byte, which
+``tests/test_engine_parity.py`` and ``tests/test_snapshot_cache.py`` pin
 property-style.  A call without a workspace builds the same views for
 the touched neighbourhoods from one freeze and discards them.  The
 workspace survives global refreshes: its row maps, loop vector, id index

@@ -26,23 +26,15 @@ quiescent graph freeze exactly once.  The frozen snapshot preserves the
 dict rows' iteration order, which keeps every float accumulation in the
 fast engine bit-identical to the reference dict-based scans.
 
-Between freezes the graph additionally records a compact *delta* — the
-nodes added since the last snapshot (in insertion order) and the nodes
-whose adjacency rows changed.  When the next ``freeze()`` finds the delta
-small and monotone, it extends the cached snapshot incrementally
-(:meth:`repro.core.csr.CSRGraph.extend`) instead of re-lowering the whole
-graph, so the dynamic controller's periodic refreshes cost work
-proportional to the block frontier rather than to N + E.  The first
-freeze, the first freeze of a copy and oversized deltas fall back to a
-full rebuild; either way the resulting snapshot is element-identical to
-a cold ``CSRGraph.from_graph``.
+A snapshot of a changed graph is always one full
+``CSRGraph.from_graph`` lowering.
 
-Independently of the freeze-relative delta log, a consumer may subscribe
-to a :class:`MutationJournal` (``start_mutation_journal``): an
-append-only log of new nodes and edge-weight increments that the
-adaptive workspace (:class:`repro.core.engine.AdaptiveWorkspace`)
-replays to keep its flat neighbourhood state current *without* freezing
-the graph at all between global refreshes.
+Between snapshots a consumer may subscribe to a :class:`MutationJournal`
+(``start_mutation_journal``): an append-only log of new nodes and
+edge-weight increments that the adaptive workspace
+(:class:`repro.core.engine.AdaptiveWorkspace`) replays to keep its flat
+neighbourhood state current *without* freezing the graph at all between
+global refreshes.
 
 Determinism
 -----------
@@ -51,7 +43,7 @@ ledger replay, is the chronological account-appearance order — a canonical
 order every miner can reproduce (paper Section IV-A).  ``nodes_sorted()``
 gives an explicitly sorted order when insertion order is not meaningful.
 The frozen form assigns integer ids in *insertion* order (stable under
-incremental growth) and exposes the sorted order as a permutation
+growth) and exposes the sorted order as a permutation
 (``CSRGraph.sorted_order``), which the allocators sweep.
 """
 
@@ -68,11 +60,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Type alias for account identifiers.  Any hashable, totally-orderable value
 #: works; the chain substrate uses hex address strings.
 Node = str
-
-#: Delta-freeze falls back to a full rebuild when more than this fraction
-#: of the graph's nodes need re-lowering — past that point the incremental
-#: bookkeeping costs more than the straight O(N + E) pass it avoids.
-DELTA_REBUILD_FRACTION = 0.25
 
 #: Safety valve on mutation-journal growth: past this many edge entries
 #: the journal is poisoned and detached, so an abandoned consumer (e.g. a
@@ -146,8 +133,6 @@ class TransactionGraph:
         "_num_transactions",
         "_version",
         "_frozen",
-        "_delta_nodes",
-        "_delta_touched",
         "_freeze_counts",
         "_journal",
     )
@@ -163,10 +148,7 @@ class TransactionGraph:
         # Mutation counter + cached (version, CSRGraph) frozen snapshot.
         self._version: int = 0
         self._frozen: Optional[Tuple[int, "CSRGraph"]] = None
-        # Delta log since the cached snapshot: nodes added (insertion
-        # order) and nodes whose rows changed.
-        self._delta_nodes: List[Node] = []
-        self._delta_touched: set = set()
+        # "delta" is always 0; perfbench/tracing.py still reads it.
         self._freeze_counts: Dict[str, int] = {"full": 0, "delta": 0, "cached": 0}
         # Optional mutation journal (adaptive-workspace consumer).
         self._journal: Optional[MutationJournal] = None
@@ -179,8 +161,6 @@ class TransactionGraph:
         if v not in self._adj:
             self._adj[v] = {}
             self._version += 1
-            if self._frozen is not None:
-                self._delta_nodes.append(v)
             journal = self._journal
             if journal is not None:
                 journal.nodes.append(v)
@@ -207,9 +187,6 @@ class TransactionGraph:
             self._num_edges += 1
         self._total_weight += weight
         self._version += 1
-        if self._frozen is not None:
-            self._delta_touched.add(u)
-            self._delta_touched.add(v)
         journal = self._journal
         if journal is not None:
             edges = journal.edges
@@ -371,15 +348,7 @@ class TransactionGraph:
         against an internal mutation counter — freezing an unchanged
         graph returns the same object, so back-to-back allocator runs
         (e.g. a (k, eta) parameter sweep) pay the O(N + E) lowering once.
-
-        When the graph *has* changed but the recorded delta is small and
-        monotone, the previous snapshot is extended incrementally
-        (:meth:`repro.core.csr.CSRGraph.extend`): untouched rows are
-        reused wholesale and only the mutated frontier is re-lowered.
-        The first freeze (of a graph or of a copy) and deltas touching more
-        than ``DELTA_REBUILD_FRACTION`` of the nodes rebuild from scratch.
-        Either path yields an element-identical snapshot;
-        :attr:`freeze_stats` counts which one ran.
+        A changed graph is lowered in full again.
 
         The snapshot is immutable and detached: mutating the graph
         afterwards does not touch it, it only invalidates the cache.
@@ -390,32 +359,17 @@ class TransactionGraph:
         if frozen is not None and frozen[0] == self._version:
             self._freeze_counts["cached"] += 1
             return frozen[1]
-        csr = None
-        if frozen is not None:
-            # Union, not sum: a brand-new connected node sits in both the
-            # node log (via add_node) and the touched set (via add_edge).
-            frontier = len(self._delta_touched.union(self._delta_nodes))
-            if frontier <= DELTA_REBUILD_FRACTION * len(self._adj):
-                csr = CSRGraph.extend(
-                    self, frozen[1], self._delta_nodes, self._delta_touched
-                )
-                self._freeze_counts["delta"] += 1
-        if csr is None:
-            csr = CSRGraph.from_graph(self)
-            self._freeze_counts["full"] += 1
+        csr = CSRGraph.from_graph(self)
+        self._freeze_counts["full"] += 1
         self._frozen = (self._version, csr)
-        self._delta_nodes = []
-        self._delta_touched.clear()
         return csr
 
     @property
     def freeze_stats(self) -> Dict[str, int]:
         """Snapshot-production counters: ``{"full", "delta", "cached"}``.
 
-        ``full`` counts from-scratch :meth:`CSRGraph.from_graph`
-        lowerings, ``delta`` incremental extends, ``cached`` hits on an
-        unchanged snapshot.  Benchmarks and tests use this to prove the
-        incremental path actually runs.
+        ``full`` counts :meth:`CSRGraph.from_graph` lowerings and
+        ``cached`` hits on an unchanged snapshot; ``delta`` is always 0.
         """
         return dict(self._freeze_counts)
 
@@ -465,7 +419,7 @@ class TransactionGraph:
     def copy(self) -> "TransactionGraph":
         """Deep copy preserving insertion order and all counters.
 
-        The clone starts with a cold freeze cache and an empty delta log.
+        The clone starts with a cold freeze cache.
         """
         clone = TransactionGraph()
         clone._adj = {v: dict(row) for v, row in self._adj.items()}

@@ -51,8 +51,7 @@ hash rule.
 
 :attr:`resilience_stats` exports the supervision counters (``failures``,
 ``retries``, ``deadline_overruns``, ``degraded_blocks``, ``failovers``,
-``trips``, ``recoveries``, ``checkpoints``) alongside the existing
-``freeze_stats``/``workspace_stats`` pass-throughs, and
+``trips``, ``recoveries``, ``checkpoints``), and
 :class:`~repro.chain.live.LiveShardedNetwork` surfaces them per run on
 :class:`~repro.chain.live.LiveReport`.
 """
@@ -366,15 +365,3 @@ class ResilientAllocator(OnlineAllocator):
     def resilience_stats(self) -> Dict[str, int]:
         """Supervision counters; see the module docstring for the keys."""
         return dict(self._stats)
-
-    @property
-    def freeze_stats(self) -> Optional[Dict[str, int]]:
-        try:
-            return self.inner.freeze_stats
-        except Exception:  # noqa: BLE001 — reporting must not raise
-            return None
-
-    @property
-    def workspace_stats(self) -> Optional[Dict[str, int]]:
-        stats = getattr(self.inner, "workspace_stats", None)
-        return dict(stats) if stats is not None else None

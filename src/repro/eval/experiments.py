@@ -22,7 +22,7 @@ import time
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro import allocators
-from repro.chain.faults import FaultPlan
+from repro.chain.faults import FaultPlan, resolve_fault_plan
 from repro.chain.live import LiveReport, LiveShardedNetwork
 from repro.core import parallel
 from repro.core.allocator import OnlineAllocator
@@ -869,12 +869,13 @@ def live_compare(
     params = setup.params
     live_blocks = setup.live_blocks
 
-    plan: Optional[FaultPlan] = None
-    if faults:
-        if fault_seed is not None:
-            plan = FaultPlan.seeded(fault_seed, ticks=len(live_blocks), k=k)
-        else:
-            plan = FaultPlan.standard(params.tau2)
+    if not faults:
+        fault_name = "none"
+    elif fault_seed is None:
+        fault_name = "standard"
+    else:
+        fault_name = f"seeded:{fault_seed}"
+    plan = resolve_fault_plan(fault_name, ticks=len(live_blocks), k=k, tau2=params.tau2)
 
     reports: Dict[str, LiveReport] = {}
     for method in methods:

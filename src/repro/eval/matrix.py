@@ -354,10 +354,6 @@ class _TimedAllocator(OnlineAllocator):
         return self.inner.mapping()
 
     @property
-    def freeze_stats(self):
-        return self.inner.freeze_stats
-
-    @property
     def degraded(self):
         return self.inner.degraded
 

@@ -14,8 +14,8 @@ import random
 
 import pytest
 
-from repro.baselines import metis
-from repro.core import controller, engine, louvain, metrics
+from repro.baselines import metis, shard_scheduler
+from repro.core import allocator, controller, engine, louvain, metrics
 from repro.core.atxallo import a_txallo, a_txallo_reference
 from repro.core.graph import TransactionGraph
 from repro.core.gtxallo import g_txallo, g_txallo_reference
@@ -26,7 +26,7 @@ from repro.data.synthetic import EthereumWorkloadGenerator, WorkloadConfig, acco
 
 #: Modules whose float totals feed a golden digest or a fast == reference
 #: parity contract.  Each must accumulate in explicit left-to-right loops.
-SUM_SENSITIVE_MODULES = (engine, louvain, metrics, metis)
+SUM_SENSITIVE_MODULES = (engine, louvain, metrics, metis, allocator, shard_scheduler)
 
 #: Each engine entry point and its reference oracle, by tier name.
 LOUVAIN = {"fast": louvain_partition, "reference": louvain_reference}

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import allocators
 from repro.baselines.hash_allocation import (
     account_digest,
     hash_partition,
@@ -22,10 +23,12 @@ from repro.baselines.metis import (
     metis_partition,
 )
 from repro.baselines.shard_scheduler import ShardScheduler, shard_scheduler_partition
+from repro.core.allocation import capped_throughput
 from repro.core.graph import TransactionGraph
 from repro.core.metrics import graph_cross_shard_ratio, workload_balance
 from repro.core.params import TxAlloParams
 from repro.errors import ParameterError
+from repro.eval.experiments import build_workload
 from tests.conftest import make_random_graph
 
 
@@ -434,6 +437,23 @@ class TestMetisMemo:
 class TestShardScheduler:
     def params(self, k=4, eta=2.0, n=100):
         return TxAlloParams.with_capacity_for(n, k=k, eta=eta)
+
+    def test_throughput_is_the_left_to_right_total(self, any_sum):
+        """The sweep cell seed 1, k=8, η=1.5 at scale 0.05 totals
+        1865.4995751652086 left to right but …084 under ``math.fsum``:
+        the scheduler's and the online run's throughput take the first,
+        however ``sum`` rounds."""
+        workload = build_workload(scale=0.05, seed=1)
+        params = TxAlloParams.with_capacity_for(workload.num_transactions, k=8, eta=1.5)
+        results = (
+            ShardScheduler(params).run(workload.account_sets),
+            allocators.get("shard_scheduler", params=params).run_stream(workload.account_sets),
+        )
+        for result in results:
+            total = 0.0
+            for s, lh in zip(result.shard_loads, result.shard_lam_hat):
+                total += capped_throughput(s, lh, params.lam)
+            assert result.throughput(params.lam) == total
 
     def test_places_every_account(self):
         txs = [("a", "b"), ("c", "d"), ("a", "c")]

@@ -123,21 +123,32 @@ class TestStateIntegrity:
         assert first.allocation.sigma == second.allocation.sigma      # exact
         assert first.allocation.lam_hat == second.allocation.lam_hat  # exact
 
-    def test_incremental_freezes_on_the_block_loop(self):
-        """Scheduled global refreshes must ride the delta-freeze: after
-        the seeded global run, each refresh extends the snapshot.  (The
-        τ₁ loop itself does not freeze at all; see TestAdaptiveWorkspace.)"""
+    def test_one_full_freeze_per_refresh_and_none_in_the_tau1_loop(self):
+        """Each scheduled G-TxAllo refresh lowers the grown graph once, in
+        full.  The τ₁ loop freezes only to build the adaptive workspace on
+        its first run; every later window rides the mutation journal."""
         params = TxAlloParams(k=4, eta=2.0, lam=1000.0, tau1=1, tau2=2)
         controller = TxAlloController(
             params,
             seed_transactions=[b for blk in block_stream(12) for b in blk],
         )
+        assert controller.graph.freeze_stats["full"] == 1  # the seed run
+        per_block = []
         for block in block_stream(8, block_size=10, seed=10):
-            controller.observe_block(block)
-        assert len(controller.global_events) == 5  # the seed run + 4 refreshes
-        stats = controller.freeze_stats
-        assert stats["delta"] > 0
-        assert stats["delta"] >= stats["full"]
+            before = controller.graph.freeze_stats["full"]
+            event = controller.observe_block(block)
+            per_block.append((event.kind, controller.graph.freeze_stats["full"] - before))
+        assert per_block == [
+            ("adaptive", 1),  # the workspace's one build
+            ("global", 1),
+            ("adaptive", 0),
+            ("global", 1),
+            ("adaptive", 0),
+            ("global", 1),
+            ("adaptive", 0),
+            ("global", 1),
+        ]
+        assert controller.graph.freeze_stats["delta"] == 0
 
     def test_seed_event_times_like_scheduled_globals(self):
         """Satellite pin: the seed UpdateEvent carries wall-clock seconds
@@ -259,7 +270,7 @@ class TestAdaptiveWorkspace:
         controller = TxAlloController(
             params, seed_transactions=[b for blk in block_stream(12) for b in blk]
         )
-        freezes_after_seed = sum(controller.freeze_stats.values())
+        freezes_after_seed = sum(controller.graph.freeze_stats.values())
         for block in block_stream(8, block_size=10, seed=10):
             controller.observe_block(block)
         stats = controller.workspace_stats
@@ -267,7 +278,7 @@ class TestAdaptiveWorkspace:
         assert stats["rebuilds"] == 1  # the first adaptive run only
         assert stats["extends"] == 7  # every later window rode the journal
         # Exactly one freeze happened after the seed: the rebuild's.
-        assert sum(controller.freeze_stats.values()) == freezes_after_seed + 1
+        assert sum(controller.graph.freeze_stats.values()) == freezes_after_seed + 1
 
     def test_workspace_invalidated_by_global_refresh(self):
         """A refresh replaces the allocation; the workspace keeps its graph

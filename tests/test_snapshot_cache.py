@@ -1,13 +1,15 @@
-"""Delta-freeze property tests: incremental CSR == cold CSR, element-wise.
+"""Snapshot property tests: every re-freeze equals a cold lowering.
 
-``TransactionGraph.freeze`` may extend the previous snapshot via
-``CSRGraph.extend`` instead of re-lowering the whole graph.  That path is
-only allowed to exist because its output is **element-identical** to a
-cold ``CSRGraph.from_graph`` of the same graph — same node interning,
-same row contents in the same order, bit-identical ``weights`` / ``loop``
-/ ``ext`` (compared via ``tobytes``), same insertion permutation.  These
-tests pin that contract across randomized ingest / allocate
-interleavings, plus the cache/delta bookkeeping around it.
+``TransactionGraph.freeze`` returns the cached snapshot while the graph
+is unchanged and otherwise lowers it in full with
+``CSRGraph.from_graph``.  These tests pin what callers rely on: a
+re-freeze after growth is **element-identical** to a cold lowering of a
+copy — same node interning, same row contents in the same order,
+bit-identical ``weights`` / ``loop`` / ``ext`` (compared via
+``tobytes``), same sorted permutation — every older snapshot stays
+exactly as it was, and the cache and its counters behave.  They also
+pin the adaptive workspace against workspace-less runs across the
+controller lifecycle.
 """
 
 import random
@@ -16,7 +18,7 @@ import pytest
 
 from repro.core.atxallo import a_txallo
 from repro.core.csr import CSRGraph
-from repro.core.graph import DELTA_REBUILD_FRACTION, TransactionGraph
+from repro.core.graph import TransactionGraph
 from repro.core.gtxallo import g_txallo
 from repro.core.params import TxAlloParams
 from repro.data import WorkloadConfig, make_workload_generator, workload_names
@@ -41,43 +43,88 @@ def assert_csr_identical(got: CSRGraph, want: CSRGraph) -> None:
     assert got.total_weight == want.total_weight
 
 
+def csr_fingerprint(csr: CSRGraph) -> tuple:
+    """Every field of ``csr`` as values it does not share."""
+    return (
+        list(csr.nodes),
+        dict(csr.index_of),
+        csr.indptr.tobytes(),
+        csr.indices.tobytes(),
+        csr.weights.tobytes(),
+        csr.loop.tobytes(),
+        csr.ext.tobytes(),
+        [list(row) for row in csr.pairs],
+        csr.num_edges,
+        csr.total_weight,
+    )
+
+
 def seed_graph(rng, graph, accounts, num_transactions):
     for _ in range(num_transactions):
         graph.add_transaction(rng.sample(accounts, rng.choice([1, 2, 2, 2, 3])))
 
 
-class TestExtendElementIdentity:
+def assert_every_refreeze_is_cold(graph, windows):
+    """Ingest ``windows`` one at a time (a bare string is an isolated
+    account, anything else a transaction).  After each window the
+    re-freeze must be one full lowering equal to a cold lowering of a
+    copy, and the previous snapshot must be unchanged."""
+    older = graph.freeze()
+    fingerprint = csr_fingerprint(older)
+    for window in windows:
+        for accounts in window:
+            if isinstance(accounts, str):
+                graph.add_node(accounts)
+            else:
+                graph.add_transaction(accounts)
+        full = graph.freeze_stats["full"]
+        snapshot = graph.freeze()
+        assert graph.freeze_stats["full"] == full + 1
+        assert snapshot is not older
+        assert_csr_identical(snapshot, CSRGraph.from_graph(graph.copy()))
+        assert csr_fingerprint(older) == fingerprint
+        older, fingerprint = snapshot, csr_fingerprint(snapshot)
+
+
+def random_windows(rng, accounts, seed, steps=25):
+    """Windows of weight updates, new edges, self-loops, new connected
+    accounts and new isolated accounts."""
+    windows = []
+    for step in range(steps):
+        window = []
+        for _ in range(rng.randrange(1, 10)):
+            roll = rng.random()
+            if roll < 0.5:
+                window.append(rng.sample(accounts, 2))
+            elif roll < 0.65:
+                window.append([rng.choice(accounts)])  # self-loop
+            elif roll < 0.9:
+                window.append([f"new{seed}_{step}_{rng.randrange(3)}", rng.choice(accounts)])
+            else:
+                window.append(f"iso{seed}_{step}")
+        windows.append(window)
+    return windows
+
+
+class TestRefreezeEqualsColdLowering:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_randomized_ingest_interleavings(self, seed):
-        """Mutate-freeze-compare loops over weight updates, new edges,
-        new connected accounts and new isolated accounts."""
         rng = random.Random(seed)
         accounts = [f"acc{i:03d}" for i in range(300)]
         g = TransactionGraph()
         seed_graph(rng, g, accounts, 1500)
-        g.freeze()
-        for step in range(25):
-            for _ in range(rng.randrange(1, 10)):
-                roll = rng.random()
-                if roll < 0.5:
-                    g.add_transaction(rng.sample(accounts, 2))
-                elif roll < 0.65:
-                    g.add_transaction([rng.choice(accounts)])  # self-loop
-                elif roll < 0.9:
-                    g.add_transaction(
-                        [f"new{seed}_{step}_{rng.randrange(3)}", rng.choice(accounts)]
-                    )
-                else:
-                    g.add_node(f"iso{seed}_{step}")
-            assert_csr_identical(g.freeze(), CSRGraph.from_graph(g))
-        assert g.freeze_stats["delta"] > 0, "delta path never exercised"
+        assert_every_refreeze_is_cold(g, random_windows(rng, accounts, seed))
 
-    def test_extend_from_empty_base(self):
+    @pytest.mark.parametrize("topology", workload_names())
+    def test_zoo_topologies(self, topology):
+        history, blocks = interleaving_traffic(topology, seed=1)
         g = TransactionGraph()
-        g.freeze()  # snapshot of the empty graph
-        g.add_transaction(("b", "a"))
-        g.add_transaction(("c",))
-        assert_csr_identical(g.freeze(), CSRGraph.from_graph(g))
+        g.add_transactions(history)
+        assert_every_refreeze_is_cold(g, blocks)
+
+    def test_refreeze_after_empty_snapshot(self):
+        g = TransactionGraph()
+        assert_every_refreeze_is_cold(g, [[("b", "a"), ("c",)]])
 
     def test_new_nodes_append_ids_sorted_order_tracks(self):
         g = TransactionGraph()
@@ -85,12 +132,11 @@ class TestExtendElementIdentity:
         g.freeze()
         g.add_transaction(("a", "m"))  # sorts first, but ids are stable
         csr = g.freeze()
-        assert_csr_identical(csr, CSRGraph.from_graph(g))
         assert csr.index_of == {"m": 0, "z": 1, "a": 2}
         assert [csr.nodes[i] for i in csr.sorted_order] == ["a", "m", "z"]
 
 
-class TestDeltaBookkeeping:
+class TestSnapshotCache:
     def big_graph(self, n=200, txs=800, seed=7):
         rng = random.Random(seed)
         accounts = [f"acc{i:03d}" for i in range(n)]
@@ -98,20 +144,14 @@ class TestDeltaBookkeeping:
         seed_graph(rng, g, accounts, txs)
         return g, accounts
 
-    def test_small_delta_extends_large_delta_rebuilds(self):
+    def test_counters_are_full_delta_cached_with_delta_zero(self):
         g, accounts = self.big_graph()
+        assert g.freeze_stats == {"full": 0, "delta": 0, "cached": 0}
         g.freeze()
-        g.add_transaction((accounts[0], accounts[1]))
+        g.add_transaction((accounts[0], accounts[1]))  # a one-edge change
         g.freeze()
-        assert g.freeze_stats == {"full": 1, "delta": 1, "cached": 0}
-        # Touch (far) more than DELTA_REBUILD_FRACTION of the nodes:
-        # the incremental path must step aside for a full rebuild.
-        n = g.num_nodes
-        frontier = accounts[: int(n * DELTA_REBUILD_FRACTION) + 2]
-        for a in frontier:
-            g.add_transaction((a, accounts[-1]))
-        assert_csr_identical(g.freeze(), CSRGraph.from_graph(g))
-        assert g.freeze_stats["full"] == 2
+        g.freeze()
+        assert g.freeze_stats == {"full": 2, "delta": 0, "cached": 1}
 
     def test_unchanged_graph_returns_cached_snapshot(self):
         g, _ = self.big_graph()
@@ -119,13 +159,13 @@ class TestDeltaBookkeeping:
         assert g.freeze() is first
         assert g.freeze_stats["cached"] == 1
 
-    def test_extended_snapshot_is_detached_from_base(self):
+    def test_new_snapshot_is_detached_from_the_older(self):
         g, accounts = self.big_graph()
         base = g.freeze()
         g.add_transaction(("zzz_new", accounts[0]))
-        extended = g.freeze()
-        assert extended is not base
-        assert "zzz_new" in extended.index_of
+        newer = g.freeze()
+        assert newer is not base
+        assert "zzz_new" in newer.index_of
         assert "zzz_new" not in base.index_of
         assert base.num_edges == g.num_edges - 1
 
@@ -340,3 +380,25 @@ class TestWorkspacePoisonTriggers:
         assert stats["runs"] == 4
         assert stats["rebuilds"] == (1 if trigger == "none" else 2)
         assert stats["extends"] == (3 if trigger == "none" else 2)
+
+
+def test_no_delta_path_or_freeze_counter_forwarding():
+    """A snapshot is built one way, and the graph alone reports its
+    counters: no allocator or proxy forwards them."""
+    import dataclasses
+
+    import repro.core.graph as graph_module
+    from repro.chain.faults import FaultyAllocator
+    from repro.chain.live import LiveReport
+    from repro.core.allocator import OnlineAllocator
+    from repro.core.controller import TxAlloController
+    from repro.core.resilience import ResilientAllocator
+    from repro.eval.matrix import _TimedAllocator
+
+    assert not hasattr(CSRGraph, "extend")
+    assert not hasattr(graph_module, "DELTA_REBUILD_FRACTION")
+    assert not {"_delta_nodes", "_delta_touched"} & set(TransactionGraph.__slots__)
+    assert "freeze_stats" not in {f.name for f in dataclasses.fields(LiveReport)}
+    for cls in (OnlineAllocator, TxAlloController, ResilientAllocator, FaultyAllocator, _TimedAllocator):
+        assert not any("freeze_stats" in vars(c) for c in cls.__mro__), cls
+    assert not any("workspace_stats" in vars(c) for c in ResilientAllocator.__mro__)
