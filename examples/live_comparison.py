@@ -7,8 +7,9 @@ lines:
 
 1. list what is registered (``available()``), with each entry's kind;
 2. build the live form of every method with ``get_online`` — the
-   dynamic TxAllo controller, the online Shard Scheduler, and the static
-   methods frozen over the same seed history;
+   dynamic TxAllo controller, the online Shard Scheduler, the static
+   graph methods frozen over the same seed history, and the hash rules
+   routing every account by the rule itself;
 3. drive each one through the tick-driven
    :class:`~repro.chain.live.LiveShardedNetwork` on identical traffic
    and print the committed-TPS / cross-shard / latency table (the

@@ -14,9 +14,12 @@ Built-in names
 ``txallo_online``
     The τ₁/τ₂ controller itself (online), for direct use.
 ``random`` (alias ``hash``)
-    Chainspace-style ``SHA256(address) mod k`` (static).
+    Chainspace-style ``SHA256(address) mod k`` (static).  A per-account
+    rule needs no history, so its online form routes every account by
+    the rule itself and reads no seed transactions.
 ``prefix``
-    Monoxide-style hash-prefix allocation (static).
+    Monoxide-style hash-prefix allocation (static); online like
+    ``random``.
 ``metis``
     METIS-style multilevel partitioning (static).
 ``shard_scheduler``
@@ -69,6 +72,7 @@ from repro.baselines.shard_scheduler import ShardScheduler
 from repro.core.allocator import (
     AllocationUpdate,
     AllocatorBase,
+    FixedMappingAllocator,
     FunctionAllocator,
     OnlineAllocator,
     OnlineRunResult,
@@ -161,11 +165,14 @@ class AllocatorEntry:
 
     ``factory`` builds the base form (no-arg for static allocators;
     ``(params, seed_transactions=None)`` keywords for online ones).
-    ``online_factory`` — ``(params, seed_transactions=None,
-    seed_graph=None)`` — overrides how :func:`get_online` builds the
-    method's live form (e.g. ``txallo`` upgrades to the dynamic
-    controller); when absent, static entries freeze one allocation via
-    ``as_online`` and online entries use ``factory`` directly.
+    ``online_factory`` — ``(params, seed_transactions=None)`` —
+    overrides how :func:`get_online` builds the method's live form and
+    builds from the seed history only the view that form reads (e.g.
+    ``txallo`` upgrades to the dynamic controller, which ingests the
+    seed history into its own graph; ``random`` and ``prefix`` route by
+    their rule and read none of it); when absent, static entries freeze
+    one allocation over a graph of the seed history via ``as_online``
+    and online entries use ``factory`` directly.
     ``eta_independent`` marks mappings that depend only on ``k``, which
     the sweep cache exploits (hash, METIS).
     """
@@ -275,26 +282,24 @@ def get_online(
     params: TxAlloParams,
     *,
     seed_transactions: Optional[Iterable[Sequence[Node]]] = None,
-    seed_graph: Optional[TransactionGraph] = None,
 ) -> OnlineAllocator:
     """Build the method's live form, seeded with history.
 
-    Online methods are constructed warm (``seed_transactions`` observed,
-    or the controller's graph pre-built); static methods allocate once
-    over the seed history and are frozen via ``as_online``.  The result
-    plugs straight into :class:`repro.chain.live.LiveShardedNetwork`.
+    Each form builds from ``seed_transactions`` only what it reads: the
+    online methods are constructed warm (the controller ingests the seed
+    history into a graph it owns, the Shard Scheduler observes it), the
+    per-account rules (``random``, ``prefix``) read none of it, and the
+    other static methods allocate once over a graph of the seed history
+    and are frozen via ``as_online``.  No two calls share state.  The
+    result plugs straight into :class:`repro.chain.live.LiveShardedNetwork`.
     """
     entry = get_entry(name)
     if entry.online_factory is not None:
-        return entry.online_factory(
-            params, seed_transactions=seed_transactions, seed_graph=seed_graph
-        )
+        return entry.online_factory(params, seed_transactions=seed_transactions)
     if entry.kind == "online":
         return entry.factory(params=params, seed_transactions=seed_transactions)
     allocator = entry.factory()
-    return allocator.as_online(
-        params, graph=seed_graph, seed_transactions=seed_transactions
-    )
+    return allocator.as_online(params, seed_transactions=seed_transactions)
 
 
 # ----------------------------------------------------------------------
@@ -302,17 +307,6 @@ def get_online(
 # ----------------------------------------------------------------------
 def _g_txallo_mapping(graph: TransactionGraph, params: TxAlloParams) -> Dict[Node, int]:
     return g_txallo(graph, params).allocation.mapping()
-
-
-def _controller_online(
-    params: TxAlloParams,
-    seed_transactions=None,
-    seed_graph: Optional[TransactionGraph] = None,
-) -> TxAlloController:
-    if seed_graph is not None:
-        # The controller mutates its graph; never adopt a shared one.
-        return TxAlloController(params, graph=seed_graph.copy())
-    return TxAlloController(params, seed_transactions=seed_transactions)
 
 
 def _controller_factory(
@@ -330,7 +324,7 @@ register(
     ),
     kind="static",
     description="G-TxAllo one-shot global allocation (Algorithm 1)",
-    online_factory=_controller_online,
+    online_factory=_controller_factory,
 )
 
 register(
@@ -339,33 +333,59 @@ register(
     kind="online",
     description="dynamic TxAllo controller: A-TxAllo every tau1 blocks, "
     "G-TxAllo every tau2 (Section V-A)",
-    online_factory=_controller_online,
 )
 
-register(
-    "random",
-    lambda: FunctionAllocator(
+
+def _rule_online(factory: Callable[[], FunctionAllocator]):
+    """The live form of a per-account rule: route every account by it.
+
+    The seed mapping the static form would freeze is the rule applied to
+    every seed account, so the live form starts from an empty mapping and
+    routes through the rule's own ``default_shard`` (memoised by
+    :class:`FixedMappingAllocator`); its ``mapping()`` is ``{}``.
+    """
+
+    def online_factory(params: TxAlloParams, seed_transactions=None) -> FixedMappingAllocator:
+        rule = factory()
+        return FixedMappingAllocator({}, params, name=rule.name, fallback=rule.default_shard)
+
+    return online_factory
+
+
+def _hash_allocator() -> FunctionAllocator:
+    return FunctionAllocator(
         "random",
         lambda graph, params: hash_partition(graph.nodes_sorted(), params.k),
         description="Chainspace-style SHA256(address) mod k",
-    ),
-    kind="static",
-    description="hash-based random allocation (Chainspace style)",
-    aliases=("hash",),
-    eta_independent=True,
-)
+    )
 
-register(
-    "prefix",
-    lambda: FunctionAllocator(
+
+def _prefix_allocator() -> FunctionAllocator:
+    return FunctionAllocator(
         "prefix",
         lambda graph, params: prefix_partition(graph.nodes_sorted(), params.k),
         fallback=prefix_shard,
         description="Monoxide-style hash-prefix allocation",
-    ),
+    )
+
+
+register(
+    "random",
+    _hash_allocator,
+    kind="static",
+    description="hash-based random allocation (Chainspace style)",
+    aliases=("hash",),
+    eta_independent=True,
+    online_factory=_rule_online(_hash_allocator),
+)
+
+register(
+    "prefix",
+    _prefix_allocator,
     kind="static",
     description="hash-prefix allocation (Monoxide style)",
     eta_independent=True,
+    online_factory=_rule_online(_prefix_allocator),
 )
 
 register(
@@ -396,16 +416,6 @@ def _resilient_controller_factory(
     return ResilientAllocator(_controller_factory(params, seed_transactions))
 
 
-def _resilient_controller_online(
-    params: TxAlloParams,
-    seed_transactions=None,
-    seed_graph: Optional[TransactionGraph] = None,
-) -> ResilientAllocator:
-    return ResilientAllocator(
-        _controller_online(params, seed_transactions, seed_graph)
-    )
-
-
 register(
     "txallo_resilient",
     _resilient_controller_factory,
@@ -413,7 +423,6 @@ register(
     description="supervised TxAllo controller: exception isolation, "
     "block-clocked backoff, circuit breaker with degraded routing "
     "(repro.core.resilience)",
-    online_factory=_resilient_controller_online,
 )
 
 

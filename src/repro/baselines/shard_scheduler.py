@@ -104,7 +104,7 @@ class ShardScheduler:
                 # hot-spots rather than performing global clustering
                 # (which is the graph methods' job).
                 k = self.params.k
-                mean = sum(self.loads) / k
+                mean = ordered_sum(self.loads) / k
                 for a in known:
                     src = self.mapping[a]
                     if (

@@ -61,6 +61,7 @@ from typing import (
 from repro.chain.shard import ShardState
 from repro.chain.types import Transaction
 from repro.core.allocator import OnlineAllocator, ensure_online
+from repro.core.metrics import ordered_sum
 from repro.core.params import TxAlloParams
 from repro.errors import SimulationError
 
@@ -250,7 +251,7 @@ class LiveShardedNetwork:
             arrived=len(arrivals),
             committed=committed_now,
             cross_shard_arrived=cross_now,
-            backlog_workload=sum(s.backlog_workload for s in shards),
+            backlog_workload=ordered_sum(s.backlog_workload for s in shards),
             allocation_update=update,
             degraded=degraded,
             stalled_shards=stalled_now,

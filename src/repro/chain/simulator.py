@@ -26,6 +26,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.chain.shard import ShardState
 from repro.chain.types import Address, Transaction
+from repro.core.metrics import ordered_sum
 from repro.core.params import TxAlloParams
 from repro.errors import AllocationError, SimulationError
 
@@ -115,7 +116,7 @@ class ShardedChainSimulator:
             total_units=units,
             per_shard_workload=tuple(s.total_workload for s in self.shards),
             per_shard_mean_latency=tuple(per_shard_latency),
-            mean_latency=sum(per_shard_latency) / len(per_shard_latency),
+            mean_latency=ordered_sum(per_shard_latency) / len(per_shard_latency),
             worst_case_latency=worst,
         )
 

@@ -354,10 +354,11 @@ class Allocation:
     def total_throughput(self) -> float:
         """System throughput ``Λ = Σ_i Λ_i`` (Eq. 2)."""
         lam = self.params.lam
-        return sum(
-            capped_throughput(s, lh, lam)
-            for s, lh in zip(self.sigma, self.lam_hat)
-        )
+        # Left to right, never sum(): it is compensated from Python 3.12.
+        total = 0.0
+        for s, lh in zip(self.sigma, self.lam_hat):
+            total += capped_throughput(s, lh, lam)
+        return total
 
     # ------------------------------------------------------------------
     # Integrity

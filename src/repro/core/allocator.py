@@ -26,11 +26,11 @@ a hard-coded shard 0 — the old ``LiveShardedNetwork`` behaviour — is
 exactly the silent load skew this protocol removes.
 
 Static methods ride in the online world through
-:meth:`StaticAllocator.as_online`, which allocates once over a seed
-graph and freezes the result; online methods ride in the analytic world
-through :meth:`OnlineAllocator.run_stream`, which replays a
-chronological stream with processing-time workload accounting (the
-Shard Scheduler's native accounting, generalised).
+:meth:`StaticAllocator.as_online`, which allocates once over a graph of
+the seed history and freezes the result; online methods ride in the
+analytic world through :meth:`OnlineAllocator.run_stream`, which
+replays a chronological stream with processing-time workload accounting
+(the Shard Scheduler's native accounting, generalised).
 
 The string-keyed registry over these protocols lives in
 :mod:`repro.allocators` (``get("metis")``, ``register(...)``,
@@ -155,21 +155,19 @@ class StaticAllocator(AllocatorBase):
         self,
         params: TxAlloParams,
         *,
-        graph: Optional[TransactionGraph] = None,
         seed_transactions: Optional[Iterable[Sequence[Node]]] = None,
     ) -> "FixedMappingAllocator":
         """Freeze one allocation over seed history into the online protocol.
 
-        Allocates once — over ``graph`` if given, else over a graph built
-        from ``seed_transactions`` — and wraps the mapping so a live
-        network can drive this method tick by tick.  Accounts that later
-        appear outside the seed history route via :meth:`default_shard`.
+        Allocates once over a graph it builds from ``seed_transactions``
+        and wraps the mapping so a live network can drive this method
+        tick by tick.  Accounts that later appear outside the seed
+        history route via :meth:`default_shard`.
         """
-        if graph is None:
-            graph = TransactionGraph()
-            if seed_transactions is not None:
-                for accounts in seed_transactions:
-                    graph.add_transaction(accounts)
+        graph = TransactionGraph()
+        if seed_transactions is not None:
+            for accounts in seed_transactions:
+                graph.add_transaction(accounts)
         mapping = self.allocate(graph, params)
         return FixedMappingAllocator(
             mapping, params, name=self.name, fallback=self.default_shard
@@ -308,6 +306,13 @@ class FixedMappingAllocator(OnlineAllocator):
     accounts route through the protocol's hash fallback (or the wrapped
     static method's own ``default_shard``), so a live network can run a
     static allocation without the old shard-0 skew.
+
+    The fallback is called once per distinct account: ``shard_of``
+    memoises its answer, which is exact because the protocol requires a
+    deterministic, stateless fallback.  :meth:`mapping` reports only the
+    explicit mapping, never memoised fallback routes — so the live forms
+    of the per-account rules (hash, prefix), built with an empty mapping
+    and their rule as the fallback, report ``{}``.
     """
 
     def __init__(
@@ -322,6 +327,9 @@ class FixedMappingAllocator(OnlineAllocator):
         self.name = name
         self._mapping = dict(mapping)
         self._fallback = fallback or hash_fallback_shard
+        # Every route answered so far: the explicit mapping plus memoised
+        # fallback shards.
+        self._routes = dict(self._mapping)
         for account, shard in self._mapping.items():
             if not 0 <= shard < params.k:
                 raise AllocationError(
@@ -335,10 +343,10 @@ class FixedMappingAllocator(OnlineAllocator):
         return None
 
     def shard_of(self, account: Node) -> int:
-        shard = self._mapping.get(account)
-        if shard is not None:
-            return shard
-        return self._fallback(account, self.params.k)
+        shard = self._routes.get(account)
+        if shard is None:
+            shard = self._routes[account] = self._fallback(account, self.params.k)
+        return shard
 
     def mapping(self) -> Dict[Node, int]:
         return dict(self._mapping)
@@ -359,7 +367,7 @@ def ensure_online(allocator, params: TxAlloParams) -> OnlineAllocator:
     if isinstance(allocator, StaticAllocator):
         raise AllocationError(
             f"static allocator {allocator.name!r} needs a graph to allocate "
-            "from; call .as_online(params, graph=...) or "
+            "from; call .as_online(params, seed_transactions=...) or "
             "repro.allocators.get_online(...) before handing it to the live "
             "network"
         )

@@ -301,11 +301,15 @@ class TransactionGraph:
         """
         row = self.neighbours(v)
         loop = row.get(v, 0.0)
-        return sum(row.values()) - loop
+        return self.strength(v) - loop
 
     def strength(self, v: Node) -> float:
         """Total incident weight of ``v``: external strength + self-loop."""
-        return sum(self.neighbours(v).values())
+        # Left to right, never sum(): it is compensated from Python 3.12.
+        total = 0.0
+        for w in self.neighbours(v).values():
+            total += w
+        return total
 
     def degree(self, v: Node) -> int:
         """Number of distinct neighbours of ``v`` (self counts if looped)."""

@@ -33,6 +33,7 @@ from repro.core.gtxallo import g_txallo
 from repro.core.metrics import (
     average_latency,
     evaluate_allocation,
+    ordered_sum,
     workload_balance,
     worst_case_latency,
 )
@@ -497,7 +498,7 @@ class AdaptiveRun:
     def mean_throughput(self) -> float:
         if not self.steps:
             return 0.0
-        return sum(s.throughput_x for s in self.steps) / len(self.steps)
+        return ordered_sum(s.throughput_x for s in self.steps) / len(self.steps)
 
     @property
     def mean_adaptive_runtime(self) -> float:
@@ -766,13 +767,17 @@ def live_cadence(
 
 @dataclasses.dataclass
 class LiveSetup:
-    """The shared start of a live run, derived once from its workload."""
+    """The shared start of a live run, derived once from its workload.
+
+    It holds the seed history as account sets only; each allocator
+    builds from them just the view it reads (see
+    :func:`repro.allocators.get_online`), so no graph is built here and
+    none is shared between the methods of one comparison.
+    """
 
     params: TxAlloParams
     #: Sorted account tuples of the seed history, in chain order.
     seed_sets: List[Tuple[str, ...]]
-    #: The transaction graph of ``seed_sets``.
-    seed_graph: TransactionGraph
     seed_blocks: int
     live_blocks: List[list]
 
@@ -813,13 +818,9 @@ def live_setup(
         tau1=tau1,
         tau2=tau2,
     )
-    seed_sets = workload.account_sets[: seed_stream.num_transactions]
-    seed_graph = TransactionGraph()
-    seed_graph.add_transactions(seed_sets)
     return LiveSetup(
         params=params,
-        seed_sets=seed_sets,
-        seed_graph=seed_graph,
+        seed_sets=workload.account_sets[: seed_stream.num_transactions],
         seed_blocks=len(seed_stream),
         live_blocks=live_blocks,
     )
@@ -879,9 +880,7 @@ def live_compare(
 
     reports: Dict[str, LiveReport] = {}
     for method in methods:
-        allocator = allocators.get_online(
-            method, params, seed_transactions=setup.seed_sets, seed_graph=setup.seed_graph
-        )
+        allocator = allocators.get_online(method, params, seed_transactions=setup.seed_sets)
         if plan is not None and not isinstance(allocator, ResilientAllocator):
             allocator = ResilientAllocator(allocator)
         net = LiveShardedNetwork(params, allocator, fault_plan=plan)

@@ -412,9 +412,7 @@ def run_cell(cell: MatrixCell) -> CellResult:
     plan: Optional[FaultPlan] = resolve_fault_plan(
         cell.fault, ticks=len(live_blocks), k=cell.k, tau2=params.tau2
     )
-    allocator = allocators.get_online(
-        cell.allocator, params, seed_transactions=setup.seed_sets, seed_graph=setup.seed_graph
-    )
+    allocator = allocators.get_online(cell.allocator, params, seed_transactions=setup.seed_sets)
     if isinstance(allocator, ResilientAllocator):
         # Supervised method (e.g. txallo_resilient): time *inside* the
         # supervisor, which keeps it outermost for fault handling.

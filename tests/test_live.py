@@ -77,6 +77,20 @@ class TestStaticRouting:
         assert stats.committed == 1
         assert stats.backlog_workload == pytest.approx(2.0)
 
+    def test_backlog_total_is_left_to_right(self, monkeypatch):
+        """Regression: the tick's backlog total must not hang on how
+        ``sum()`` rounds (compensated from Python 3.12, like fsum)."""
+        monkeypatch.setattr("repro.chain.live.sum", math.fsum, raising=False)
+        params = TxAlloParams(k=3, eta=2.0, lam=0.1)
+        net = LiveShardedNetwork(params, {"a": 0, "b": 1, "c": 2})
+        loops = {a: Transaction(inputs=(a,), outputs=(a,)) for a in "abc"}
+        stats = net.tick([loops["a"], loops["b"], loops["b"], loops["c"]])
+        backlogs = [shard.backlog_workload for shard in net.shards]
+        assert backlogs == [0.9, 1.9, 0.9]
+        left_to_right = (0.9 + 1.9) + 0.9
+        assert left_to_right != math.fsum(backlogs)
+        assert stats.backlog_workload == left_to_right
+
     def test_run_drains_backlog(self):
         params = TxAlloParams(k=2, eta=2.0, lam=1.0)
         net = LiveShardedNetwork(params, {"a": 0, "b": 0})
