@@ -321,7 +321,7 @@ class FaultyAllocator(OnlineAllocator):
 
     def __getattr__(self, name: str):
         # Transparent stand-in for the wrapped allocator (allocation,
-        # block_height, workspace_stats, ...).  Only reached for attributes
+        # block_height, fallback_shard, ...).  Only reached for attributes
         # this proxy does not define itself; guard against recursion
         # before __init__ has bound ``inner``.
         inner = self.__dict__.get("inner")

@@ -33,8 +33,7 @@ from repro.core.allocator import (
 from repro.core.atxallo import ATxAlloResult, a_txallo
 from repro.core.controller import TxAlloController, UpdateEvent
 from repro.core.csr import CSRGraph
-from repro.core.engine import AdaptiveWorkspace
-from repro.core.graph import MutationJournal, Node, TransactionGraph, pair_count
+from repro.core.graph import Node, TransactionGraph, pair_count
 from repro.core.gtxallo import GTxAlloResult, g_txallo
 from repro.core.louvain import louvain_partition, modularity
 from repro.core.metrics import (
@@ -61,13 +60,11 @@ from repro.core.resilience import ResilientAllocator
 from repro.core.params import TxAlloParams
 
 __all__ = [
-    "AdaptiveWorkspace",
     "Allocation",
     "AllocationCheckpoint",
     "AllocationUpdate",
     "AllocatorBase",
     "CSRGraph",
-    "MutationJournal",
     "FixedMappingAllocator",
     "FunctionAllocator",
     "OnlineAllocator",

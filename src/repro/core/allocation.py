@@ -71,10 +71,10 @@ class Allocation:
         self.sigma: List[float] = [0.0] * n
         self.lam_hat: List[float] = [0.0] * n
         self.members: List[Set[Node]] = [set() for _ in range(n)]
-        # Bumped by every mapping mutation (assign/move/truncate).  The
-        # adaptive workspace watermarks this to detect mutations applied
-        # behind its back (a bare count of assigned accounts cannot see
-        # a move) and rebuild instead of serving a stale id→shard view.
+        # Bumped by every mapping mutation (assign/move/truncate).  It
+        # feeds the controller's idle-refresh mark: a scheduled G-TxAllo
+        # is reused only while neither the graph nor this count changed
+        # (a bare count of assigned accounts cannot see a move).
         self.mutation_count: int = 0
 
     # ------------------------------------------------------------------

@@ -313,6 +313,11 @@ class FixedMappingAllocator(OnlineAllocator):
     explicit mapping, never memoised fallback routes — so the live forms
     of the per-account rules (hash, prefix), built with an empty mapping
     and their rule as the fallback, report ``{}``.
+
+    :attr:`fallback_shard` is that ``(account, k) -> shard`` rule, public
+    so a supervisor routing from a frozen mapping
+    (:class:`~repro.core.resilience.ResilientAllocator`) routes the
+    accounts it has never seen by the same rule.
     """
 
     def __init__(
@@ -326,7 +331,7 @@ class FixedMappingAllocator(OnlineAllocator):
         self.params = params
         self.name = name
         self._mapping = dict(mapping)
-        self._fallback = fallback or hash_fallback_shard
+        self.fallback_shard = fallback or hash_fallback_shard
         # Every route answered so far: the explicit mapping plus memoised
         # fallback shards.
         self._routes = dict(self._mapping)
@@ -345,7 +350,7 @@ class FixedMappingAllocator(OnlineAllocator):
     def shard_of(self, account: Node) -> int:
         shard = self._routes.get(account)
         if shard is None:
-            shard = self._routes[account] = self._fallback(account, self.params.k)
+            shard = self._routes[account] = self.fallback_shard(account, self.params.k)
         return shard
 
     def mapping(self) -> Dict[Node, int]:

@@ -60,7 +60,6 @@ def a_txallo(
     touched: Iterable[Node],
     *,
     epsilon: Optional[float] = None,
-    workspace=None,
 ) -> ATxAlloResult:
     """Run Algorithm 2 in place on ``alloc`` for the touched node set ``V̂``.
 
@@ -68,15 +67,9 @@ def a_txallo(
     blocks; unknown accounts among them are allocated first.  ``epsilon``
     defaults to the allocation's configured threshold.
 
-    Sweeps flat id-keyed views of the touched neighbourhoods
+    Sweeps the live neighbourhoods of the touched accounts
     (:func:`repro.core.engine.a_txallo_flat`) and mutates ``alloc``
     exactly as :func:`a_txallo_reference` would.
-
-    ``workspace`` (an :class:`repro.core.engine.AdaptiveWorkspace`) lets
-    consecutive runs share one persistent set of views, kept current
-    from the graph's mutation journal — the controller's τ₁ block loop.
-    Without one, the kernel builds the views for this run from one
-    freeze and never touches the journal.
     """
     # Imported here: the engine imports this module's MAX_SWEEPS.
     from repro.core.engine import a_txallo_flat
@@ -84,9 +77,7 @@ def a_txallo(
     t0 = time.perf_counter()
     if epsilon is None:
         epsilon = alloc.params.epsilon
-    new_nodes, swept, sweeps, moves, converged = a_txallo_flat(
-        alloc, touched, epsilon, workspace=workspace
-    )
+    new_nodes, swept, sweeps, moves, converged = a_txallo_flat(alloc, touched, epsilon)
     seconds = time.perf_counter() - t0
     return ATxAlloResult(alloc, new_nodes, swept, sweeps, moves, seconds, converged)
 
@@ -97,10 +88,7 @@ def a_txallo_reference(
     *,
     epsilon: Optional[float] = None,
 ) -> ATxAlloResult:
-    """The dict-based executable specification of :func:`a_txallo`.
-
-    Rescans the dict adjacency every sweep, so it takes no workspace.
-    """
+    """The dict-based executable specification of :func:`a_txallo`."""
     t0 = time.perf_counter()
     if epsilon is None:
         epsilon = alloc.params.epsilon

@@ -13,17 +13,8 @@ log with per-update wall-clock timings.
 
 Each periodic G-TxAllo refresh runs on a full CSR lowering of the
 cumulative graph (:meth:`repro.core.graph.TransactionGraph.freeze`).
-Consecutive A-TxAllo runs share one adaptive workspace
-(:class:`repro.core.engine.AdaptiveWorkspace`, one per controller): a
-persistent flat neighbourhood view kept current from the graph's
-mutation journal, so the τ₁ loop does not freeze the graph at all.  The
-workspace also survives G-TxAllo refreshes: its graph views do not
-depend on the allocation, so after a refresh it only re-reads the
-id→shard array from the new allocation (a *reseat*); a full rebuild
-happens only on the first run and after the graph poisons its journal
-(a competing journal on the same graph, a ``JOURNAL_EDGE_CAP``
-overflow).  :attr:`TxAlloController.workspace_stats` exposes its
-counters.
+A-TxAllo reads only the touched neighbourhoods of the live graph, so
+the τ₁ loop never freezes and keeps no state between runs.
 
 A scheduled G-TxAllo refresh whose inputs have not changed since the
 last installed G-TxAllo result is not re-run: when the graph's
@@ -34,8 +25,7 @@ allocation and still records the refresh as a ``"global"`` event.  This
 is exact, not an approximation: G-TxAllo is deterministic in the graph,
 so a re-run would rebuild the very allocation already installed.  Long
 runs of empty blocks (a live network draining its backlog) thus cost
-nothing at the τ₂ ticks, and the adaptive workspace does not even
-reseat.
+nothing at the τ₂ ticks.
 """
 
 from __future__ import annotations
@@ -47,7 +37,6 @@ from typing import Iterable, List, Optional, Sequence, Set
 from repro.core.allocation import Allocation
 from repro.core.allocator import OnlineAllocator, hash_fallback_shard
 from repro.core.atxallo import a_txallo
-from repro.core.engine import AdaptiveWorkspace
 from repro.core.graph import Node, TransactionGraph
 from repro.core.gtxallo import g_txallo
 from repro.core.params import TxAlloParams
@@ -121,10 +110,6 @@ class TxAlloController(OnlineAllocator):
         # G-TxAllo has run (an initial_mapping= start must still refresh).
         self._global_mark: Optional[tuple] = None
         self._global_moves = 0
-        # The adaptive workspace batches consecutive A-TxAllo runs over
-        # one persistent neighbourhood view (byte-identical results; see
-        # repro.core.engine).
-        self._workspace = AdaptiveWorkspace()
         if seed_transactions is not None:
             for accounts in seed_transactions:
                 self.graph.add_transaction(accounts)
@@ -212,10 +197,6 @@ class TxAlloController(OnlineAllocator):
         run would have produced exactly the installed allocation; the
         event it records carries that run's ``moves`` and ``touched``,
         and only ``seconds`` differs.
-
-        A refresh that does run replaces the allocation object; the
-        adaptive workspace notices on its next run and reseats (rebuilds
-        only its id→shard array), keeping its graph views.
         """
         t0 = time.perf_counter()
         mark = self._global_mark
@@ -242,7 +223,7 @@ class TxAlloController(OnlineAllocator):
         # whenever a_txallo raised, so the next adaptive run swept
         # nothing (regression-tested in tests/test_controller.py).
         touched = self._touched
-        result = a_txallo(self.allocation, touched, workspace=self._workspace)
+        result = a_txallo(self.allocation, touched)
         self._touched = set()
         event = UpdateEvent(
             kind="adaptive",
@@ -266,13 +247,5 @@ class TxAlloController(OnlineAllocator):
 
     @property
     def workspace_stats(self) -> dict:
-        """Adaptive-workspace counters: ``{"rebuilds", "reseats", "extends", "runs"}``.
-
-        ``rebuilds`` counts full re-lowerings from a freeze (the first
-        adaptive run, and the first after a poisoned journal), ``reseats``
-        id→shard re-reads after a G-TxAllo refresh that re-ran (a reused
-        idle refresh keeps the allocation, so none) or a foreign move,
-        ``extends`` journal replays that carried the cached views across a
-        τ₁ window, ``runs`` adaptive runs served through the workspace.
-        """
-        return self._workspace.stats
+        # Always zero: A-TxAllo keeps no workspace; perfbench/tracing.py still reads it.
+        return {"rebuilds": 0, "reseats": 0, "extends": 0, "runs": 0}

@@ -110,7 +110,8 @@ class CSRGraph:
         # Only default-weight calls read or extend it.
         self.metis_memo: Optional[object] = None
         # Lazy ascending-identifier permutation; only the global sweeps
-        # need it, so the adaptive path never pays the O(N log N) sort.
+        # need it, so a snapshot frozen for anything else never pays the
+        # O(N log N) sort.
         self._sorted_order: Optional[array] = None
         self._sorted_rank: Optional[array] = None
 
@@ -169,27 +170,13 @@ class CSRGraph:
         )
 
     # ------------------------------------------------------------------
-    def adjacency_dicts(self) -> Tuple[List[Dict[int, float]], List[float]]:
-        """Mutable id-keyed copies of the pair rows plus the loop vector.
-
-        This is the lowering the adaptive workspace
-        (:class:`repro.core.engine.AdaptiveWorkspace`) rebuilds its
-        evolving row maps from: one int-keyed dict per node whose
-        iteration order matches the CSR row (and hence the source
-        adjacency dict, self-loop entry excluded), and a fresh list of
-        self-loop weights.  The caller owns both copies — mutating them
-        never touches this immutable snapshot.
-        """
-        return [dict(prs) for prs in self.pairs], list(self.loop)
-
-    # ------------------------------------------------------------------
     @property
     def sorted_order(self) -> array:
         """Dense ids in ascending node-identifier order (lazy).
 
         ``sorted_order[r]`` is the id of the ``r``-th account in sorted
         order — the canonical deterministic sweep order of Section IV-A.
-        Built on first use (the adaptive path never needs it) and cached
+        Built on first use (only the global sweeps need it) and cached
         on this immutable snapshot.
         """
         order = self._sorted_order

@@ -10,8 +10,8 @@ compiled CSR kernel (:mod:`repro.core.csr`):
    int-indexed allocation state: ``sigma`` / ``lam_hat`` / membership as
    flat lists, neighbour-shard weights accumulated into a reusable
    per-shard scatter buffer;
-3. :func:`g_txallo_flat` / :func:`a_txallo_flat` — Algorithm 1 / 2 sweeps
-   consuming that state.
+3. :func:`g_txallo_flat` — the Algorithm 1 sweeps consuming that state;
+4. :func:`a_txallo_flat` — the Algorithm 2 sweeps over the live graph.
 
 Entry points
 ------------
@@ -52,31 +52,12 @@ same order:
 ``tests/test_engine_parity.py`` enforces this contract property-style
 across randomised workloads, shard counts and eta values.
 
-Adaptive workspace
-------------------
-:class:`AdaptiveWorkspace` batches consecutive A-TxAllo runs: instead of
-re-freezing the graph and re-reading the touched neighbourhoods from the
-CSR every τ₁ window, the workspace keeps the flat views alive *across*
-runs — id-keyed row maps mirroring the adjacency dicts, the self-loop
-vector, and a dense id→shard array — and keeps them current by replaying
-the graph's :class:`~repro.core.graph.MutationJournal` (new nodes, edge
-weight increments) in O(window delta) instead of a freeze per window.
-The workspace is a **cache, not a second engine**: the row maps replay
-the same float accumulations in the same order the CSR rows would, so a
-workspace-backed run lands on the reference's allocation, caches and
-sweep/move counts byte for byte, which
-``tests/test_engine_parity.py`` and ``tests/test_snapshot_cache.py`` pin
-property-style.  A call without a workspace builds the same views for
-the touched neighbourhoods from one freeze and discards them.  The
-workspace survives global refreshes: its row maps, loop vector, id index
-and journal describe the graph alone, so when the allocation object is
-replaced (a G-TxAllo refresh) or the allocation's mutation watermark
-(``Allocation.mutation_count``) drifts from what the workspace last saw
-(an assign/move applied behind its back), it only rebuilds the id→shard
-array from the allocation — a *reseat*.  A full rebuild from a fresh
-frozen snapshot happens only for a different graph or a poisoned journal
-(a competing journal, a stopped journal, a ``JOURNAL_EDGE_CAP``
-overflow).
+A-TxAllo
+--------
+Algorithm 2 reads only the neighbourhoods of the touched accounts, so
+:func:`a_txallo_flat` needs no snapshot: it sweeps the live adjacency
+rows and the live account→shard mapping in place, adding the same
+floats in the same order as the reference's dict scans.
 """
 
 from __future__ import annotations
@@ -749,231 +730,26 @@ def _optimise_flat(
 
 
 # ======================================================================
-# Adaptive workspace — batched A-TxAllo across τ₁ windows
+# A-TxAllo (Algorithm 2) on the live graph
 # ======================================================================
-class AdaptiveWorkspace:
-    """Persistent flat views shared by consecutive A-TxAllo runs.
-
-    Owned by :class:`repro.core.controller.TxAlloController` (one per
-    controller); the τ₁ block loop passes it to every adaptive run via
-    :func:`repro.core.atxallo.a_txallo`.  State, all in dense-id space:
-
-    * ``rows[i]`` — id-keyed weight map of node ``i``'s loop-free
-      neighbourhood, iteration-ordered like the adjacency dict row;
-    * ``loop[i]`` — the self-loop weight ``w{v, v}``;
-    * ``shard[i]`` — current community of node ``i`` (-1 unassigned),
-      updated in lockstep with every ``Allocation.assign``/``move`` the
-      runs apply.
-
-    Between runs the views are kept current by replaying the graph's
-    :class:`~repro.core.graph.MutationJournal` — O(delta) integer-dict
-    work, no freeze, no string hashing beyond interning brand-new
-    accounts.  The row maps, loop vector and id index depend on the
-    graph alone, so when only the allocation changed — a different
-    allocation object (a global refresh replaced it) or a mutation
-    watermark differing from what the last run left behind
-    (:attr:`repro.core.allocation.Allocation.mutation_count` — some
-    other code path assigned or moved accounts without the workspace) —
-    :meth:`sync` *reseats*: it rebuilds only the id→shard array.  A full
-    rebuild from a fresh frozen snapshot happens only for a different
-    graph or a poisoned journal (a competing journal, a stopped journal,
-    a ``JOURNAL_EDGE_CAP`` overflow).
-
-    The workspace is a cache, not a second engine — runs through it are
-    byte-identical to the reference (module docstring has the
-    argument; the parity suites pin it).
-    """
-
-    __slots__ = (
-        "_alloc",
-        "_graph",
-        "_journal",
-        "_index_of",
-        "_nodes",
-        "_rows",
-        "_loop",
-        "_shard",
-        "_mutation_mark",
-        "_counts",
-    )
-
-    def __init__(self) -> None:
-        self._alloc: Optional[Allocation] = None
-        self._graph = None
-        self._journal = None
-        self._index_of: Dict[Node, int] = {}
-        self._nodes: List[Node] = []
-        self._rows: List[Dict[int, float]] = []
-        self._loop: List[float] = []
-        self._shard: List[int] = []
-        self._mutation_mark = -1
-        self._counts = {"rebuilds": 0, "reseats": 0, "extends": 0, "runs": 0}
-
-    # ------------------------------------------------------------------
-    @property
-    def stats(self) -> Dict[str, int]:
-        """Lifecycle counters: ``{"rebuilds", "reseats", "extends", "runs"}``.
-
-        ``rebuilds`` counts full re-lowerings from a frozen snapshot,
-        ``reseats`` id→shard rebuilds for a replaced or foreign-mutated
-        allocation, ``extends`` journal replays that refreshed the cached
-        views, and ``runs`` A-TxAllo runs served.  Benchmarks and tests
-        use this to prove the batched path actually carried across
-        windows and refreshes.
-        """
-        return dict(self._counts)
-
-    def __del__(self) -> None:  # pragma: no cover - GC-timing dependent
-        # A discarded workspace must not leave the graph journaling into
-        # the void — on a long-lived shared graph that log would grow
-        # with every future mutation (the graph-side JOURNAL_EDGE_CAP is
-        # the backstop when even this never runs).
-        try:
-            if self._graph is not None and self._journal is not None:
-                self._graph.stop_mutation_journal(self._journal)
-        except Exception:
-            pass
-
-    # ------------------------------------------------------------------
-    def sync(self, alloc: Allocation) -> None:
-        """Bring the views up to date for a run against ``alloc``."""
-        journal = self._journal
-        if self._graph is not alloc.graph or journal is None or journal.poisoned:
-            self._rebuild(alloc)
-            return
-        if journal.nodes or journal.edges:
-            self._apply_journal(alloc, journal)
-            self._counts["extends"] += 1
-        if self._alloc is not alloc or self._mutation_mark != alloc.mutation_count:
-            self._seat(alloc)
-            self._counts["reseats"] += 1
-
-    def _rebuild(self, alloc: Allocation) -> None:
-        graph = alloc.graph
-        if self._graph is not None and self._journal is not None:
-            self._graph.stop_mutation_journal(self._journal)
-        # Freeze first, then subscribe: every journal entry is then a
-        # mutation the snapshot has not seen.
-        csr = graph.freeze()
-        self._journal = graph.start_mutation_journal()
-        self._rows, self._loop = csr.adjacency_dicts()
-        self._nodes = list(csr.nodes)
-        self._index_of = dict(csr.index_of)
-        self._graph = graph
-        self._seat(alloc)
-        self._counts["rebuilds"] += 1
-
-    def _seat(self, alloc: Allocation) -> None:
-        """Rebuild the id→shard array from ``alloc`` and adopt it."""
-        shard = [-1] * len(self._nodes)
-        index_of = self._index_of
-        for v, c in alloc._shard_of.items():
-            i = index_of.get(v)
-            if i is not None:
-                shard[i] = c
-        self._shard = shard
-        self._alloc = alloc
-        self._mutation_mark = alloc.mutation_count
-
-    def _apply_journal(self, alloc: Allocation, journal) -> None:
-        """Replay the journal onto the cached views (bit-exact).
-
-        New-neighbour entries land as ``0.0 + w`` and repeat increments
-        as ``old + w`` — the same float operations, in the same order,
-        the adjacency dicts themselves performed, so a row map always
-        equals what lowering the live dict row would produce.
-        """
-        index_of = self._index_of
-        nodes = self._nodes
-        rows = self._rows
-        loop = self._loop
-        shard = self._shard
-        shard_of_or_none = alloc.shard_of_or_none
-        for v in journal.nodes:
-            index_of[v] = len(nodes)
-            nodes.append(v)
-            rows.append({})
-            loop.append(0.0)
-            c = shard_of_or_none(v)
-            shard.append(-1 if c is None else c)
-        for u, v, w in journal.edges:
-            iu = index_of[u]
-            if u == v:
-                loop[iu] += w
-            else:
-                iv = index_of[v]
-                row = rows[iu]
-                row[iv] = row.get(iv, 0.0) + w
-                row = rows[iv]
-                row[iu] = row.get(iu, 0.0) + w
-        journal.clear()
-
-    def _note_run(self, alloc: Allocation) -> None:
-        """Record a completed run (mutation watermark + counter)."""
-        self._mutation_mark = alloc.mutation_count
-        self._counts["runs"] += 1
-
-
-# ======================================================================
-# A-TxAllo (Algorithm 2) on flat id-keyed views
-# ======================================================================
-def _kernel_views(
-    alloc: Allocation, hat_v: List[Node], workspace: Optional[AdaptiveWorkspace]
-):
-    """``(ids, rows, loop, shard)`` — the views :func:`a_txallo_flat` sweeps.
-
-    With a workspace these are its persistent dense views, synced first.
-    Without one they are built for this run only from the graph's frozen
-    CSR: id-keyed dicts holding the rows and loops of the touched ids and
-    the shard of every touched id and neighbour.  That one-off path never
-    starts, stops or reads a mutation journal, so it cannot disturb a
-    workspace subscribed to the same graph.
-    """
-    if workspace is not None:
-        workspace.sync(alloc)
-        index_of = workspace._index_of
-    else:
-        csr = alloc.graph.freeze()
-        index_of = csr.index_of
-    ids: List[int] = []
-    for v in hat_v:
-        try:
-            ids.append(index_of[v])
-        except KeyError:
-            raise GraphError(f"unknown node {v!r}") from None
-    if workspace is not None:
-        return ids, workspace._rows, workspace._loop, workspace._shard
-    rows = {i: dict(csr.pairs[i]) for i in ids}
-    shard_of = alloc._shard_of
-    nodes = csr.nodes
-    shard = {j: shard_of.get(nodes[j], -1) for i in ids for j in (i, *rows[i])}
-    return ids, rows, csr.loop, shard
-
-
 def a_txallo_flat(
-    alloc: Allocation,
-    touched: Iterable[Node],
-    epsilon: float,
-    workspace: Optional[AdaptiveWorkspace] = None,
+    alloc: Allocation, touched: Iterable[Node], epsilon: float
 ) -> Tuple[int, int, int, int, bool]:
-    """Algorithm 2 on flat id-keyed views, mutating ``alloc`` in place.
+    """Algorithm 2 on the allocation's own state, mutating ``alloc`` in place.
 
     Returns ``(new_nodes, swept_nodes, sweeps, moves, converged)`` —
     ``converged`` is ``False`` when the run exhausted the sweep cap
     before the per-sweep gain dropped below ``epsilon``.
 
-    ``workspace`` (the controller's :class:`AdaptiveWorkspace`) supplies
-    persistent views kept current from the graph's mutation journal;
-    without one the views are built for this run from the frozen CSR
-    (:func:`_kernel_views`).  Either way the graph cannot change during
-    a run, so rows are read in place: per-node ``w_ext`` is re-summed
-    from the row map in row order — the identical float sequence a CSR
-    lowering produces — and neighbour communities are read through the
-    ``shard`` view, which the applied assigns/moves keep in lockstep
-    with ``alloc``.  Assignments and moves go through
-    :meth:`Allocation.assign` / :meth:`Allocation.move` with the
-    accumulated weights, so the cache arithmetic is the reference's own
-    and the run is byte-identical to ``a_txallo_reference``.
+    The run reads only the touched neighbourhoods, so it sweeps the live
+    adjacency rows (``alloc.graph.neighbours``) and the live mapping
+    (``alloc._shard_of``) in place: no freeze, no copied view.  The graph
+    cannot change during a run, and :meth:`Allocation.assign` /
+    :meth:`Allocation.move` keep the mapping current.  Per-node ``w_ext``
+    is summed left to right over the row in dict order, skipping the
+    self-loop — the reference's own float sequence — and assignments and
+    moves pass the accumulated weights, so the cache arithmetic is the
+    reference's and the run is byte-identical to ``a_txallo_reference``.
     """
     params = alloc.params
     k = params.k
@@ -983,18 +759,21 @@ def a_txallo_flat(
 
     hat_v: List[Node] = sorted(set(touched))
     nv = len(hat_v)
-    ids, rows, loop, shard = _kernel_views(alloc, hat_v, workspace)
+    neighbours = alloc.graph.neighbours
+    shard_of = alloc._shard_of
+    # Raises GraphError for an unknown account before anything mutates.
+    rows = [neighbours(v) for v in hat_v]
 
-    # w_self / w_ext are re-derived per run: loop is maintained
-    # bit-exactly, and the explicit loop adds the row map's floats
-    # left-to-right in iteration order — exactly the lowering's
-    # accumulation of csr.ext (sum() rounds differently from 3.12 on).
-    self_w = [loop[i] for i in ids]
+    # Left to right in row order, skipping the self-loop: the
+    # reference's accumulation (sum() rounds differently from 3.12 on).
+    self_w = []
     ext_w = []
-    for i in ids:
+    for v, row in zip(hat_v, rows):
+        self_w.append(row.get(v, 0.0))
         e = 0.0
-        for w in rows[i].values():
-            e += w
+        for u, w in row.items():
+            if u != v:
+                e += w
         ext_w.append(e)
 
     acc = [0.0] * num_comms
@@ -1005,9 +784,12 @@ def a_txallo_flat(
         nonlocal epoch
         epoch += 1
         touched_comms: List[int] = []
-        for j, w in rows[ids[s]].items():
-            c = shard[j]
-            if c < 0:
+        v = hat_v[s]
+        for u, w in rows[s].items():
+            if u == v:
+                continue
+            c = shard_of.get(u)
+            if c is None:
                 continue  # unassigned neighbour carries no shard weight
             if stamp[c] == epoch:
                 acc[c] += w
@@ -1038,7 +820,7 @@ def a_txallo_flat(
         return after - before
 
     # --- Phase 1: brand-new accounts (Algorithm 2, lines 1-8) -----------
-    new_slots = [s for s in range(nv) if shard[ids[s]] < 0]
+    new_slots = [s for s in range(nv) if hat_v[s] not in shard_of]
     for s in new_slots:
         touched_comms = scan(s)
         w_self = self_w[s]
@@ -1058,7 +840,6 @@ def a_txallo_flat(
                 best_q = q
         w_q = acc[best_q] if stamp[best_q] == epoch else 0.0
         alloc.assign(hat_v[s], best_q, weights=({best_q: w_q}, w_self, w_ext))
-        shard[ids[s]] = best_q
 
     # --- Phase 2: optimise the touched set (lines 9-17) -----------------
     sigma = alloc.sigma
@@ -1082,14 +863,16 @@ def a_txallo_flat(
         sweeps += 1
         sweep_gain = 0.0
         for s in range(nv):
-            i = ids[s]
-            p = shard[i]
+            v = hat_v[s]
+            p = shard_of[v]
             epoch += 1
             del touched_comms[:]
             append = touched_comms.append
-            for j, w in rows[i].items():
-                c = shard[j]
-                if c < 0:
+            for u, w in rows[s].items():
+                if u == v:
+                    continue
+                c = shard_of.get(u)
+                if c is None:
                     continue  # unassigned neighbour carries no shard weight
                 if stamp[c] == epoch:
                     acc[c] += w
@@ -1130,12 +913,7 @@ def a_txallo_flat(
                     best_gain = gain
                     best_q = q
             if best_q >= 0 and best_gain > 0.0:
-                alloc.move(
-                    hat_v[s],
-                    best_q,
-                    weights=({p: w_p, best_q: acc[best_q]}, w_self, w_ext),
-                )
-                shard[i] = best_q
+                alloc.move(v, best_q, weights=({p: w_p, best_q: acc[best_q]}, w_self, w_ext))
                 sigma_p = sigma[p]
                 if sigma_p <= lam or sigma_p == 0.0:
                     thpt[p] = lam_hat[p]
@@ -1152,6 +930,4 @@ def a_txallo_flat(
             converged = True
             break
 
-    if workspace is not None:
-        workspace._note_run(alloc)
     return len(new_slots), nv, sweeps, moves, converged

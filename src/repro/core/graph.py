@@ -29,13 +29,6 @@ fast engine bit-identical to the reference dict-based scans.
 A snapshot of a changed graph is always one full
 ``CSRGraph.from_graph`` lowering.
 
-Between snapshots a consumer may subscribe to a :class:`MutationJournal`
-(``start_mutation_journal``): an append-only log of new nodes and
-edge-weight increments that the adaptive workspace
-(:class:`repro.core.engine.AdaptiveWorkspace`) replays to keep its flat
-neighbourhood state current *without* freezing the graph at all between
-global refreshes.
-
 Determinism
 -----------
 ``nodes()`` and ``neighbours()`` iterate in *insertion order* which, for a
@@ -60,49 +53,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Type alias for account identifiers.  Any hashable, totally-orderable value
 #: works; the chain substrate uses hex address strings.
 Node = str
-
-#: Safety valve on mutation-journal growth: past this many edge entries
-#: the journal is poisoned and detached, so an abandoned consumer (e.g. a
-#: discarded controller whose workspace was never collected) cannot
-#: grow the log without bound.  Generous on purpose — a τ₂ window at
-#: bench scale logs a few thousand entries; a live consumer drains the
-#: journal every adaptive run and never gets anywhere near it.
-JOURNAL_EDGE_CAP = 1_000_000
-
-
-class MutationJournal:
-    """Consumable log of graph mutations since the last :meth:`drain`.
-
-    The adaptive workspace (:class:`repro.core.engine.AdaptiveWorkspace`)
-    keeps flat neighbourhood state alive *across* A-TxAllo runs instead of
-    re-freezing the graph every τ₁ window.  It stays current by replaying
-    this journal: ``nodes`` lists brand-new accounts in insertion order,
-    ``edges`` lists every ``add_edge`` weight increment ``(u, v, w)`` in
-    call order (self-loops as ``u == v``) — applying the increments in
-    order reproduces the adjacency dicts' float accumulations bit for
-    bit.  ``poisoned`` flags a log that no longer describes the graph (a
-    newer journal replaced it, it was stopped, or it overflowed
-    :data:`JOURNAL_EDGE_CAP`); consumers must discard their derived state
-    and rebuild from a fresh :meth:`TransactionGraph.freeze`.
-
-    A graph feeds at most one journal at a time
-    (:meth:`TransactionGraph.start_mutation_journal` poisons any previous
-    one), so two workspaces sharing a graph degrade to rebuild-per-run
-    rather than silently corrupting each other.
-    """
-
-    __slots__ = ("nodes", "edges", "poisoned")
-
-    def __init__(self) -> None:
-        self.nodes: List[Node] = []
-        self.edges: List[Tuple[Node, Node, float]] = []
-        self.poisoned: bool = False
-
-    def clear(self) -> None:
-        """Drop the drained entries (consumers call this after replay)."""
-        self.nodes = []
-        self.edges = []
-
 
 def pair_count(num_accounts: int) -> int:
     """``π(Tx)``: number of one-to-one edges induced by a transaction.
@@ -134,7 +84,6 @@ class TransactionGraph:
         "_version",
         "_frozen",
         "_freeze_counts",
-        "_journal",
     )
 
     def __init__(self) -> None:
@@ -150,8 +99,6 @@ class TransactionGraph:
         self._frozen: Optional[Tuple[int, "CSRGraph"]] = None
         # "delta" is always 0; perfbench/tracing.py still reads it.
         self._freeze_counts: Dict[str, int] = {"full": 0, "delta": 0, "cached": 0}
-        # Optional mutation journal (adaptive-workspace consumer).
-        self._journal: Optional[MutationJournal] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -161,9 +108,6 @@ class TransactionGraph:
         if v not in self._adj:
             self._adj[v] = {}
             self._version += 1
-            journal = self._journal
-            if journal is not None:
-                journal.nodes.append(v)
 
     def add_edge(self, u: Node, v: Node, weight: float) -> None:
         """Accumulate ``weight`` on the undirected edge ``{u, v}``.
@@ -187,16 +131,6 @@ class TransactionGraph:
             self._num_edges += 1
         self._total_weight += weight
         self._version += 1
-        journal = self._journal
-        if journal is not None:
-            edges = journal.edges
-            edges.append((u, v, weight))
-            if len(edges) > JOURNAL_EDGE_CAP:
-                # No live consumer is draining this journal; stop paying
-                # for it.  The (poisoned) journal makes any late reader
-                # rebuild instead of trusting a truncated log.
-                journal.poisoned = True
-                self._journal = None
 
     def add_transaction(self, accounts: Iterable[Node]) -> None:
         """Ingest one transaction per Definition 2.
@@ -376,32 +310,6 @@ class TransactionGraph:
         ``cached`` hits on an unchanged snapshot; ``delta`` is always 0.
         """
         return dict(self._freeze_counts)
-
-    # ------------------------------------------------------------------
-    # Mutation journal (adaptive-workspace plumbing)
-    # ------------------------------------------------------------------
-    def start_mutation_journal(self) -> MutationJournal:
-        """Begin journaling mutations; returns the fresh journal.
-
-        From this call on, every new node and every ``add_edge`` weight
-        increment is appended to the returned :class:`MutationJournal`
-        until it is replaced by another ``start_mutation_journal`` call
-        (which poisons it) or detached via :meth:`stop_mutation_journal`.
-        Overflowing :data:`JOURNAL_EDGE_CAP` poisons *and* detaches it.  The caller
-        owns draining and clearing it; the graph only appends.
-        """
-        old = self._journal
-        if old is not None:
-            old.poisoned = True
-        journal = MutationJournal()
-        self._journal = journal
-        return journal
-
-    def stop_mutation_journal(self, journal: MutationJournal) -> None:
-        """Detach ``journal`` (no-op if it is not the active one)."""
-        journal.poisoned = True
-        if self._journal is journal:
-            self._journal = None
 
     # ------------------------------------------------------------------
     # Derived views

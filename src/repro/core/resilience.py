@@ -11,8 +11,9 @@ semantics the tick loop needs:
 * **Exception isolation.**  ``observe_block`` never lets the wrapped
   allocator's exception propagate into the caller.  On failure the
   block is buffered for replay and routing falls over to the *frozen
-  last-known-good mapping* (plus the protocol's hash fallback for
-  accounts the frozen mapping has never seen).
+  last-known-good mapping* (plus the inner allocator's fallback rule,
+  else the protocol's hash fallback, for accounts the frozen mapping
+  has never seen).
 * **Deadline budget.**  With ``deadline_seconds`` set, an update that
   takes longer than the budget counts as a failure even though it
   completed — the supervisor backs off so a slow allocator cannot stall
@@ -42,12 +43,14 @@ semantics the tick loop needs:
 
 **The degraded-routing contract.**  Like ``shard_of`` itself, degraded
 routing is deterministic and miner-reproducible: it is a pure function
-of the frozen mapping and ``SHA256(address) mod k`` — two miners that
+of the frozen mapping and the fallback rule — the inner allocator's
+public ``fallback_shard`` when it has one (the live forms of the
+per-account rules do), else ``SHA256(address) mod k`` — two miners that
 observed the same failure at the same block route every transaction
 identically while the circuit is open.  ``shard_of`` stays *total and
 never raises* in every state, including mid-failure: a query that
 escapes the inner allocator falls back to the last checkpoint and the
-hash rule.
+same fallback rule.
 
 :attr:`resilience_stats` exports the supervision counters (``failures``,
 ``retries``, ``deadline_overruns``, ``degraded_blocks``, ``failovers``,
@@ -123,6 +126,9 @@ class ResilientAllocator(OnlineAllocator):
             )
         self.inner = inner
         self.params = inner.params
+        # Degraded routing sends unseen accounts where the inner
+        # allocator would: its own per-account rule, else the hash rule.
+        self._fallback = getattr(inner, "fallback_shard", None) or hash_fallback_shard
         self.name = f"resilient({inner.name})"
         self._failure_threshold = failure_threshold
         self._backoff_base = backoff_base_blocks
@@ -246,9 +252,9 @@ class ResilientAllocator(OnlineAllocator):
         """Current shard of ``account`` — total, even mid-failure.
 
         Healthy: the inner allocator's answer.  Degraded: the frozen
-        last-good mapping, hash fallback for unseen accounts.  Should a
-        healthy query itself raise, it falls back to the last durable
-        checkpoint and the hash rule rather than propagating.
+        last-good mapping, the fallback rule for unseen accounts.  Should
+        a healthy query itself raise, it falls back to the last durable
+        checkpoint and the fallback rule rather than propagating.
         """
         if self._frozen is None:
             try:
@@ -260,7 +266,7 @@ class ResilientAllocator(OnlineAllocator):
             shard = self._frozen.get(account)
         if shard is not None:
             return shard
-        return hash_fallback_shard(account, self.params.k)
+        return self._fallback(account, self.params.k)
 
     def mapping(self) -> Dict[Node, int]:
         if self._frozen is not None:

@@ -54,20 +54,15 @@ def reference_kernels():
 
     Inside it the controller's ``g_txallo`` / ``a_txallo`` names — the
     ones perfbench's tracer patches too — are the dict-based reference
-    kernels; the adaptive workspace the controller hands ``a_txallo`` is
-    dropped, as the dict scans read the live graph every sweep.  It
-    yields its :class:`pytest.MonkeyPatch`, so a test can stack patches
-    of its own that are undone first.
+    kernels.  It yields its :class:`pytest.MonkeyPatch`, so a test can
+    stack patches of its own that are undone first.
     """
-
-    def a_txallo(alloc, touched, *, workspace=None, **kwargs):
-        return a_txallo_reference(alloc, touched, **kwargs)
 
     @contextlib.contextmanager
     def patched():
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(controller, "g_txallo", g_txallo_reference)
-            mp.setattr(controller, "a_txallo", a_txallo)
+            mp.setattr(controller, "a_txallo", a_txallo_reference)
             yield mp
 
     return patched

@@ -161,17 +161,22 @@ class TestConvergedFlag:
         assert result.sweeps == MAX_SWEEPS
         assert result.converged is False
 
-    def test_epsilon_zero_workspace_path_matches(self):
-        from repro.core.engine import AdaptiveWorkspace
-
+    def test_epsilon_zero_engine_matches_reference(self):
+        """Every one of the MAX_SWEEPS sweeps past convergence stays in
+        lockstep with the oracle: same moves, same cache floats."""
         graph, params, alloc = prepared()
         nodes = list(graph.nodes())
-        touched = ingest(graph, alloc, [(nodes[0], nodes[1])])
-        result = a_txallo(
-            alloc, touched, epsilon=0.0, workspace=AdaptiveWorkspace()
-        )
-        assert result.sweeps == MAX_SWEEPS
-        assert result.converged is False
+        twin = alloc.copy()
+        txs = [(nodes[0], nodes[1]), (nodes[2], "fresh"), (nodes[3], nodes[4], nodes[5])]
+        touched = ingest(graph, alloc, txs)
+        for accounts in txs:
+            twin.ingest_transaction(accounts)
+        got = a_txallo(alloc, touched, epsilon=0.0)
+        want = a_txallo_reference(twin, touched, epsilon=0.0)
+        assert (got.sweeps, got.moves, got.converged) == (want.sweeps, want.moves, want.converged)
+        assert alloc.mapping() == twin.mapping()
+        assert alloc.sigma == twin.sigma
+        assert alloc.lam_hat == twin.lam_hat
 
     def test_default_keeps_old_consumers_working(self):
         """The field defaults to True so results built without it (e.g.

@@ -125,8 +125,7 @@ class TestStateIntegrity:
 
     def test_one_full_freeze_per_refresh_and_none_in_the_tau1_loop(self):
         """Each scheduled G-TxAllo refresh lowers the grown graph once, in
-        full.  The τ₁ loop freezes only to build the adaptive workspace on
-        its first run; every later window rides the mutation journal."""
+        full.  A-TxAllo never freezes: it reads the live graph."""
         params = TxAlloParams(k=4, eta=2.0, lam=1000.0, tau1=1, tau2=2)
         controller = TxAlloController(
             params,
@@ -139,7 +138,7 @@ class TestStateIntegrity:
             event = controller.observe_block(block)
             per_block.append((event.kind, controller.graph.freeze_stats["full"] - before))
         assert per_block == [
-            ("adaptive", 1),  # the workspace's one build
+            ("adaptive", 0),
             ("global", 1),
             ("adaptive", 0),
             ("global", 1),
@@ -257,15 +256,10 @@ class TestAdaptiveExceptionSafety:
         assert len(controller.events) == num_events
 
 
-#: ``workspace_stats`` of a controller whose kernel ignores its workspace.
-WORKSPACE_OFF = {"rebuilds": 0, "reseats": 0, "extends": 0, "runs": 0}
-
-
-class TestAdaptiveWorkspace:
-    def test_block_loop_stops_freezing_between_globals(self):
-        """With the workspace (the default) the τ₁ loop must not freeze
-        the graph between global refreshes — the whole point of the
-        batched path."""
+class TestAdaptiveRuns:
+    def test_block_loop_never_freezes_between_globals(self):
+        """The τ₁ loop reads the live graph: no freeze between global
+        refreshes, and the workspace counters perfbench reads stay 0."""
         params = TxAlloParams(k=4, eta=2.0, lam=1000.0, tau1=1, tau2=50)
         controller = TxAlloController(
             params, seed_transactions=[b for blk in block_stream(12) for b in blk]
@@ -273,32 +267,11 @@ class TestAdaptiveWorkspace:
         freezes_after_seed = sum(controller.graph.freeze_stats.values())
         for block in block_stream(8, block_size=10, seed=10):
             controller.observe_block(block)
-        stats = controller.workspace_stats
-        assert stats["runs"] == 8
-        assert stats["rebuilds"] == 1  # the first adaptive run only
-        assert stats["extends"] == 7  # every later window rode the journal
-        # Exactly one freeze happened after the seed: the rebuild's.
-        assert sum(controller.graph.freeze_stats.values()) == freezes_after_seed + 1
+        assert len(controller.adaptive_events) == 8
+        assert sum(controller.graph.freeze_stats.values()) == freezes_after_seed
+        assert controller.workspace_stats == {"rebuilds": 0, "reseats": 0, "extends": 0, "runs": 0}
 
-    def test_workspace_invalidated_by_global_refresh(self):
-        """A refresh replaces the allocation; the workspace keeps its graph
-        views and only reseats its id→shard array on the next run."""
-        params = TxAlloParams(k=4, eta=2.0, lam=1000.0, tau1=1, tau2=4)
-        controller = TxAlloController(params, seed_transactions=[("a", "b")])
-        for block in block_stream(8):
-            controller.observe_block(block)
-        stats = controller.workspace_stats
-        # Scheduled globals at blocks 4 and 8: the adaptive run at 5
-        # reseats, every adaptive run after the first extends.
-        assert stats["rebuilds"] == 1  # the first adaptive run only
-        assert stats["reseats"] == 1
-        assert stats["extends"] == 5  # runs at 2, 3, 5, 6, 7
-        controller.force_adaptive()
-        assert controller.workspace_stats["reseats"] == 2  # after block 8
-        assert controller.workspace_stats["rebuilds"] == 1
-        controller.allocation.validate()
-
-    def test_workspace_matches_reference_exactly(self, monkeypatch, any_sum, reference_kernels):
+    def test_engine_matches_reference_exactly(self, monkeypatch, any_sum, reference_kernels):
         params = TxAlloParams.with_capacity_for(520, k=4, tau1=1, tau2=5)
         seed = [tx for block in block_stream(12, seed=3) for tx in block]
         calls = count_g_txallo(monkeypatch)
@@ -313,26 +286,21 @@ class TestAdaptiveWorkspace:
 
         with reference_kernels():
             ref = drive()
-        batched = drive()
-        assert ref.allocation.mapping() == batched.allocation.mapping()
-        assert ref.allocation.sigma == batched.allocation.sigma      # exact floats
-        assert ref.allocation.lam_hat == batched.allocation.lam_hat  # exact floats
+        fast = drive()
+        assert ref.allocation.mapping() == fast.allocation.mapping()
+        assert ref.allocation.sigma == fast.allocation.sigma      # exact floats
+        assert ref.allocation.lam_hat == fast.allocation.lam_hat  # exact floats
         assert [
             (e.kind, e.block_height, e.moves, e.touched, e.converged)
             for e in ref.events
         ] == [
             (e.kind, e.block_height, e.moves, e.touched, e.converged)
-            for e in batched.events
+            for e in fast.events
         ]
         # Every block carries transactions, so the refreshes at 5, 10 and
         # 15 all re-ran G-TxAllo; each was followed by an adaptive run.
         refreshes = calls[0] - 1  # minus the seed run
         assert refreshes == 3
-        stats = batched.workspace_stats
-        assert stats["rebuilds"] == 1
-        assert stats["reseats"] == refreshes
-        assert stats["extends"] > 0
-        assert ref.workspace_stats == WORKSPACE_OFF
 
 
 # ----------------------------------------------------------------------
@@ -447,22 +415,23 @@ class TestIdleRefreshReuse:
         for h in (16, 20):
             assert by_height[h].touched == num_nodes
 
-    def test_idle_refresh_keeps_the_workspace(self):
-        params = reuse_params()
-        controller = TxAlloController(params, seed_transactions=reuse_seed())
-        for block in block_stream(4, block_size=20, seed=11):
-            controller.observe_block(block)
-        controller.observe_block([])
-        controller.observe_block([])  # adaptive at 6 reseats after global at 4
-        before = controller.workspace_stats
-        assert before["rebuilds"] == 1  # the adaptive run at 2
-        assert before["reseats"] == 1  # the adaptive run at 6
-        for _ in range(12):  # globals at 8, 12, 16 are all idle
-            controller.observe_block([])
-        after = controller.workspace_stats
-        assert after["rebuilds"] == before["rebuilds"]
-        assert after["reseats"] == before["reseats"]
-        assert after["runs"] == before["runs"] + 3
+    def test_adaptive_after_idle_refreshes_matches_reference(self, any_sum, reference_kernels):
+        """The adaptive run at 14 sweeps an allocation carried through the
+        reused globals at 8 and 12, exactly as the oracle does."""
+        runs = []
+        for tier in REUSE_TIERS:
+            with kernels(tier, reference_kernels):
+                controller = TxAlloController(reuse_params(), seed_transactions=reuse_seed())
+                for block in reuse_stream():
+                    controller.observe_block(block)
+            runs.append(controller)
+        ref, fast = runs
+        assert event_tuples(fast.events) == event_tuples(ref.events)
+        by_height = {e.block_height: e for e in fast.events}
+        assert by_height[14].kind == "adaptive" and by_height[14].touched > 0
+        assert fast.mapping() == ref.mapping()
+        assert fast.allocation.sigma == ref.allocation.sigma  # exact floats
+        assert fast.allocation.lam_hat == ref.allocation.lam_hat  # exact floats
 
     def test_foreign_move_forces_a_rerun(self, monkeypatch):
         params = reuse_params()

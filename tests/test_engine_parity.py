@@ -257,10 +257,9 @@ def _atxallo_state(seed, k, tier, rounds=3, tx_size=2):
     return alloc, stats
 
 
-def _zoo_atxallo_state(topology, tier, workspace=None):
+def _zoo_atxallo_state(topology, tier):
     """G-TxAllo over 1,000 transactions of a zoo ``topology``, then three
-    A-TxAllo windows of the next 40 each; ``workspace`` batches the fast
-    windows."""
+    A-TxAllo windows of the next 40 each."""
     config = WorkloadConfig(num_accounts=300, num_transactions=1120, seed=1)
     sets_ = account_sets(make_workload_generator(topology, config).generate())
     g = TransactionGraph()
@@ -269,10 +268,7 @@ def _zoo_atxallo_state(topology, tier, workspace=None):
     stats = []
     for start in range(1000, 1120, 40):
         touched = _ingest(g, alloc, sets_[start : start + 40])
-        if workspace is None:
-            result = A_TXALLO[tier](alloc, touched)
-        else:
-            result = a_txallo(alloc, touched, workspace=workspace)
+        result = A_TXALLO[tier](alloc, touched)
         stats.append((result.new_nodes, result.swept_nodes, result.sweeps, result.moves))
     return alloc, stats
 
@@ -337,162 +333,135 @@ class TestATxAlloParity:
         assert alloc.mapping() == before
 
 
-def _atxallo_workspace_state(seed, k, rounds=3):
-    """Like _atxallo_state("fast") but batched through one workspace."""
-    from repro.core.engine import AdaptiveWorkspace
+class _Lockstep:
+    """One evolving graph under two allocations: ``fast`` runs the engine,
+    ``ref`` the oracle, and every ingest reaches both caches."""
 
-    g = make_random_graph(num_accounts=80, num_transactions=500, seed=seed, groups=4)
-    params = TxAlloParams.with_capacity_for(500, k=k, eta=2.0)
-    alloc = g_txallo(g, params).allocation
-    workspace = AdaptiveWorkspace()
-    rng = random.Random(seed)
-    stats = []
-    for round_ in range(rounds):
-        nodes = list(g.nodes())
-        txs = [tuple(rng.sample(nodes, 2)) for _ in range(40)]
-        txs += [(f"new{round_}_{i}", rng.choice(nodes)) for i in range(5)]
+    def __init__(self, seed, k, tx_size=2):
+        self.graph = make_random_graph(num_accounts=80, num_transactions=500, seed=seed, groups=4)
+        params = TxAlloParams.with_capacity_for(500, k=k, eta=2.0)
+        self.fast = g_txallo(self.graph, params).allocation
+        self.ref = self.fast.copy()
+        self.rng = random.Random(seed)
+        self.tx_size = tx_size
+
+    def ingest(self, round_):
+        nodes = list(self.graph.nodes())
+        txs = [tuple(self.rng.sample(nodes, self.tx_size)) for _ in range(40)]
+        txs += [(f"new{round_}_{i}", self.rng.choice(nodes)) for i in range(5)]
         txs.append((f"lonely{round_}",))
-        touched = _ingest(g, alloc, txs)
-        result = a_txallo(alloc, touched, workspace=workspace)
-        stats.append(
-            (result.new_nodes, result.swept_nodes, result.sweeps, result.moves)
+        return self.ingest_all(txs)
+
+    def ingest_all(self, txs):
+        touched = set()
+        for accounts in txs:
+            self.graph.add_transaction(accounts)
+            self.fast.ingest_transaction(accounts)
+            self.ref.ingest_transaction(accounts)
+            touched.update(accounts)
+        return touched
+
+    @classmethod
+    def on_graph(cls, transactions, params):
+        pair = cls.__new__(cls)
+        pair.graph = TransactionGraph()
+        pair.graph.add_transactions(transactions)
+        pair.fast = g_txallo(pair.graph, params).allocation
+        pair.ref = pair.fast.copy()
+        return pair
+
+    def run(self, touched):
+        got = a_txallo(self.fast, touched)
+        want = a_txallo_reference(self.ref, touched)
+        assert (got.new_nodes, got.swept_nodes, got.sweeps, got.moves, got.converged) == (
+            want.new_nodes, want.swept_nodes, want.sweeps, want.moves, want.converged
         )
-    return alloc, stats, workspace
+        self.assert_identical()
+
+    def assert_identical(self):
+        assert self.fast.mapping() == self.ref.mapping()
+        assert self.fast.sigma == self.ref.sigma          # exact floats
+        assert self.fast.lam_hat == self.ref.lam_hat      # exact floats
 
 
 @pytest.mark.usefixtures("any_sum")
-class TestAdaptiveWorkspaceParity:
-    """The workspace is a cache, not a second engine: batched runs must be
-    byte-identical to reference runs."""
+class TestRepeatedAdaptiveParity:
+    """Repeated engine runs on one evolving allocation stay in lockstep
+    with the oracle after every run, whatever happened between runs."""
 
+    @pytest.mark.parametrize("tx_size", (2, 4))
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("k", (2, 6))
-    def test_evolving_allocation_matches_reference(self, seed, k):
-        ref_alloc, ref_stats = _atxallo_state(seed, k, "reference")
-        ws_alloc, ws_stats, workspace = _atxallo_workspace_state(seed, k)
-        assert ref_stats == ws_stats
-        assert ref_alloc.mapping() == ws_alloc.mapping()
-        assert ref_alloc.sigma == ws_alloc.sigma          # exact floats
-        assert ref_alloc.lam_hat == ws_alloc.lam_hat      # exact floats
-        counters = workspace.stats
-        assert counters["rebuilds"] == 1
-        assert counters["extends"] == 2  # rounds 2 and 3 rode the journal
+    def test_every_run_matches_reference(self, seed, k, tx_size):
+        """At ``tx_size`` 4 the pair weights are sixths, whose row totals
+        round differently under ``math.fsum``."""
+        pair = _Lockstep(seed, k, tx_size)
+        for round_ in range(4):
+            pair.run(pair.ingest(round_))
 
     @pytest.mark.parametrize("topology", workload_names())
     def test_zoo_topologies(self, topology):
-        from repro.core.engine import AdaptiveWorkspace
+        """Windows of a zoo ``topology`` with a global refresh after the
+        first run and a foreign move after the second: every run matches
+        the oracle, not only the last."""
+        config = WorkloadConfig(num_accounts=300, num_transactions=1160, seed=1)
+        sets_ = account_sets(make_workload_generator(topology, config).generate())
+        pair = _Lockstep.on_graph(sets_[:1000], TxAlloParams.with_capacity_for(1000, k=4, eta=2.0))
+        for window, start in enumerate(range(1000, 1160, 40)):
+            pair.run(pair.ingest_all(sets_[start : start + 40]))
+            if window == 0:
+                pair.fast = g_txallo(pair.graph, pair.fast.params).allocation
+                pair.ref = pair.fast.copy()
+            elif window == 1:
+                victim = min(pair.fast.mapping())
+                target = (pair.fast.shard_of(victim) + 1) % pair.fast.params.k
+                pair.fast.move(victim, target)
+                pair.ref.move(victim, target)
+        pair.fast.validate(check_caches=True)
 
-        ref_alloc, ref_stats = _zoo_atxallo_state(topology, "reference")
-        workspace = AdaptiveWorkspace()
-        ws_alloc, ws_stats = _zoo_atxallo_state(topology, "fast", workspace)
-        assert ref_stats == ws_stats
-        assert ref_alloc.mapping() == ws_alloc.mapping()
-        assert ref_alloc.sigma == ws_alloc.sigma
-        assert ref_alloc.lam_hat == ws_alloc.lam_hat
-        assert workspace.stats["rebuilds"] == 1
+    def test_caches_exact_after_repeated_runs(self):
+        pair = _Lockstep(7, 4)
+        for round_ in range(6):
+            pair.run(pair.ingest(round_))
+        pair.fast.validate(check_caches=True)
 
-    def test_caches_exact_after_batched_runs(self):
-        alloc, _, _ = _atxallo_workspace_state(7, 4, rounds=6)
-        alloc.validate(check_caches=True)
-
-    def test_unknown_node_rejected_through_workspace(self):
-        from repro.core.engine import AdaptiveWorkspace
+    def test_unknown_node_rejected_before_any_mutation(self):
         from repro.errors import GraphError
 
-        g = make_random_graph(seed=3)
-        params = TxAlloParams.with_capacity_for(400, k=4)
-        alloc = g_txallo(g, params).allocation
+        pair = _Lockstep(3, 4)
+        touched = pair.ingest(0)
+        before = (pair.fast.mapping(), pair.fast.sigma[:], pair.fast.mutation_count)
         with pytest.raises(GraphError):
-            a_txallo(alloc, ["never-ingested"], workspace=AdaptiveWorkspace())
+            a_txallo(pair.fast, touched | {"never-ingested"})
+        assert (pair.fast.mapping(), pair.fast.sigma, pair.fast.mutation_count) == before
+        pair.run(touched)
 
-    def test_workspace_rebuilds_when_allocation_is_replaced(self):
-        """Reusing a workspace against a brand-new allocation (what a
-        global refresh produces) must reseat its id→shard view from the
-        new allocation — never serve the old one — while the graph views
-        carry over through the journal."""
-        from repro.core.engine import AdaptiveWorkspace
-
-        g = make_random_graph(seed=6)
-        params = TxAlloParams.with_capacity_for(400, k=4, eta=2.0)
-        workspace = AdaptiveWorkspace()
-        alloc = g_txallo(g, params).allocation
-        rng = random.Random(6)
-        nodes = list(g.nodes())
-        touched = _ingest(g, alloc, [tuple(rng.sample(nodes, 2)) for _ in range(20)])
-        a_txallo(alloc, touched, workspace=workspace)
-
-        refreshed = g_txallo(g, params).allocation  # "global refresh"
-        twin = refreshed.copy()
-        # One graph ingest, mirrored into both allocations' caches.
-        touched = set()
-        for _ in range(20):
-            accounts = tuple(rng.sample(nodes, 2))
-            g.add_transaction(accounts)
-            refreshed.ingest_transaction(accounts)
-            twin.ingest_transaction(accounts)
-            touched.update(accounts)
-        result_ws = a_txallo(refreshed, touched, workspace=workspace)
-        result_ref = a_txallo_reference(twin, touched)
-        assert result_ws.moves == result_ref.moves
-        assert result_ws.sweeps == result_ref.sweeps
-        assert refreshed.mapping() == twin.mapping()
-        assert refreshed.sigma == twin.sigma
-        assert refreshed.lam_hat == twin.lam_hat
-        stats = workspace.stats
-        assert stats["rebuilds"] == 1
-        assert stats["reseats"] == 1
-        assert stats["extends"] == 1
-
-    def test_empty_touched_set_through_workspace(self):
-        from repro.core.engine import AdaptiveWorkspace
-
-        g = make_random_graph(seed=3)
-        params = TxAlloParams.with_capacity_for(400, k=4)
-        alloc = g_txallo(g, params).allocation
-        before = alloc.mapping()
-        result = a_txallo(alloc, [], workspace=AdaptiveWorkspace())
+    def test_empty_touched_set_between_runs(self):
+        pair = _Lockstep(3, 4)
+        pair.run(pair.ingest(0))
+        before = pair.fast.mapping()
+        result = a_txallo(pair.fast, [])
         assert result.moves == 0 and result.sweeps >= 1
-        assert alloc.mapping() == before
+        assert pair.fast.mapping() == before
+        pair.run(pair.ingest(1))
 
-    def test_foreign_move_between_runs_forces_rebuild(self):
-        """A move applied behind the workspace's back (same allocation
-        object, same length) must be detected via the mutation watermark
-        and trigger a reseat — never a stale id→shard view."""
-        from repro.core.engine import AdaptiveWorkspace
+    def test_replaced_allocation_between_runs(self):
+        """A global refresh hands the next run a brand-new allocation; the
+        run reads that allocation's mapping, never an earlier one."""
+        pair = _Lockstep(6, 4)
+        pair.run(pair.ingest(0))
+        pair.fast = g_txallo(pair.graph, pair.fast.params).allocation
+        pair.ref = pair.fast.copy()
+        pair.run(pair.ingest(1))
 
-        g = make_random_graph(seed=15)
-        params = TxAlloParams.with_capacity_for(400, k=4, eta=2.0)
-        workspace = AdaptiveWorkspace()
-        alloc = g_txallo(g, params).allocation
-        twin = alloc.copy()
-        rng = random.Random(15)
-        nodes = list(g.nodes())
-
-        def shared_ingest(count):
-            touched = set()
-            for _ in range(count):
-                accounts = tuple(rng.sample(nodes, 2))
-                g.add_transaction(accounts)
-                alloc.ingest_transaction(accounts)
-                twin.ingest_transaction(accounts)
-                touched.update(accounts)
-            return touched
-
-        touched = shared_ingest(20)
-        a_txallo(alloc, touched, workspace=workspace)
-        a_txallo(twin, touched)
-
-        # Foreign mutation: move one account directly on both copies.
-        victim = nodes[0]
-        target = (alloc.shard_of(victim) + 1) % params.k
-        alloc.move(victim, target)
-        twin.move(victim, target)
-
-        touched = shared_ingest(20)
-        a_txallo(alloc, touched, workspace=workspace)
-        a_txallo(twin, touched)
-        assert workspace.stats["rebuilds"] == 1
-        assert workspace.stats["reseats"] == 1  # drift detected
-        assert alloc.mapping() == twin.mapping()
-        assert alloc.sigma == twin.sigma
-        assert alloc.lam_hat == twin.lam_hat
+    def test_foreign_move_between_runs(self):
+        """A move applied outside A-TxAllo between two runs is what the
+        next run reads."""
+        pair = _Lockstep(15, 4)
+        pair.run(pair.ingest(0))
+        victim = min(pair.fast.mapping())
+        target = (pair.fast.shard_of(victim) + 1) % pair.fast.params.k
+        pair.fast.move(victim, target)
+        pair.ref.move(victim, target)
+        pair.run(pair.ingest(1))
+        assert pair.fast.mutation_count == pair.ref.mutation_count

@@ -343,76 +343,37 @@ class TestFreeze:
             assert csr.sorted_order[csr.sorted_rank[i]] == i
 
 
-class TestMutationJournal:
-    def test_records_nodes_and_edge_increments_in_order(self):
-        g = TransactionGraph()
-        g.add_transaction(("a", "b"))
-        journal = g.start_mutation_journal()
-        g.add_transaction(("a", "b"))   # existing pair: increment only
-        g.add_transaction(("c",))       # new node + self-loop
-        assert journal.nodes == ["c"]
-        assert journal.edges == [("a", "b", 1.0), ("c", "c", 1.0)]
-        journal.clear()
-        assert journal.nodes == [] and journal.edges == []
-        assert not journal.poisoned
-
-    def test_edge_cap_overflow_poisons_and_detaches(self, monkeypatch):
-        from repro.core import graph as graph_module
-
-        monkeypatch.setattr(graph_module, "JOURNAL_EDGE_CAP", 2)
-        g = TransactionGraph()
-        journal = g.start_mutation_journal()
-        g.add_transactions([("a", "b"), ("b", "c")])
-        assert not journal.poisoned
-        g.add_transaction(("c", "d"))  # third entry overflows the cap of 2
-        assert journal.poisoned
-        # Detached: later mutations no longer accrue to the dead journal.
-        g.add_transaction(("d", "e"))
-        assert len(journal.edges) == 3
-
-    def test_new_journal_poisons_the_previous_one(self):
-        g = TransactionGraph()
-        first = g.start_mutation_journal()
-        second = g.start_mutation_journal()
-        assert first.poisoned and not second.poisoned
-        g.add_transaction(("x", "y"))
-        assert first.edges == [] and len(second.edges) == 1
+class TestCopy:
+    """A-TxAllo sums each live row left to right and scans it in dict
+    order, so a copy must keep the row order as well as the weights."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5, 6])
     def test_replay_onto_the_start_copy_reproduces_the_graph(self, seed):
-        """The journal is a complete log: replaying it onto a copy taken
-        when it started rebuilds the graph exactly — same insertion order,
-        same row order, bit-identical weights (multi-account shares too)."""
+        """Replaying the later mutations onto a copy taken part-way
+        rebuilds the graph exactly — same insertion order, same row
+        order, bit-identical weights (multi-account shares too)."""
         rng = random.Random(seed)
         accounts = [f"acc{i:02d}" for i in range(30)]
         g = TransactionGraph()
         for _ in range(40):
             g.add_transaction(rng.sample(accounts[:20], rng.choice([1, 2, 3])))
-        journal = g.start_mutation_journal()
         start = g.copy()
+        later = []
         for step in range(60):
-            roll = rng.random()
-            if roll < 0.1:
-                g.add_node(f"iso{step}")
+            if rng.random() < 0.1:
+                later.append(("node", f"iso{step}"))
             else:
-                g.add_transaction(rng.sample(accounts, rng.choice([1, 2, 2, 3, 4])))
-        assert journal.nodes == list(g.nodes())[start.num_nodes:]
-        for v in journal.nodes:
-            start.add_node(v)
-        for u, v, w in journal.edges:
-            start.add_edge(u, v, w)
+                later.append(("tx", rng.sample(accounts, rng.choice([1, 2, 2, 3, 4]))))
+        for graph in (g, start):
+            for kind, item in later:
+                if kind == "node":
+                    graph.add_node(item)
+                else:
+                    graph.add_transaction(item)
         assert list(start.nodes()) == list(g.nodes())
         for v in g.nodes():
             assert list(start.neighbours(v).items()) == list(g.neighbours(v).items())
             assert start.self_loop(v) == g.self_loop(v)
         assert start.num_edges == g.num_edges
+        assert start.num_transactions == g.num_transactions
         assert start.total_weight == g.total_weight
-        assert not journal.poisoned
-
-    def test_stop_detaches_only_the_active_journal(self):
-        g = TransactionGraph()
-        journal = g.start_mutation_journal()
-        g.stop_mutation_journal(journal)
-        assert journal.poisoned
-        g.add_transaction(("x", "y"))
-        assert journal.edges == []

@@ -11,9 +11,11 @@ tick, while the bare controller under the same plan raises.
 
 import pytest
 
-from repro.chain.faults import FaultPlan
+from repro import allocators
+from repro.baselines.hash_allocation import prefix_shard
+from repro.chain.faults import AllocatorFault, FaultPlan, FaultyAllocator
 from repro.chain.live import LiveShardedNetwork
-from repro.core.allocator import OnlineAllocator, hash_fallback_shard
+from repro.core.allocator import FixedMappingAllocator, OnlineAllocator, hash_fallback_shard
 from repro.core.controller import TxAlloController
 from repro.core.params import TxAlloParams
 from repro.core.persistence import allocation_digest
@@ -147,7 +149,8 @@ class TestSupervisionStateMachine:
         # Frozen mapping answers for placed accounts...
         assert sup.shard_of("a") == 0
         assert sup.shard_of("b") == 1
-        # ...and the protocol's hash rule for everything else —
+        # ...and, as the inner allocator has no fallback rule of its
+        # own, the protocol's hash rule for everything else —
         # deterministic, not the inner allocator's (possibly broken) view.
         assert sup.shard_of("never-seen") == hash_fallback_shard(
             "never-seen", params.k
@@ -288,3 +291,36 @@ class TestAcceptanceStandardPlan:
         assert report.failovers >= 1
         assert report.degraded_ticks >= 1
         assert report.resilience_stats == stats
+
+
+class TestDegradedRoutingKeepsTheInnerRule:
+    """Degraded routing sends accounts the frozen mapping never saw where
+    the inner allocator's own fallback rule would, not by the hash."""
+
+    def test_unseen_account_routes_by_the_inner_fallback(self):
+        params = make_params()
+        inner = FixedMappingAllocator({"a": 3}, params, fallback=prefix_shard)
+        plan = FaultPlan(allocator_faults=(AllocatorFault(at_block=1),))
+        sup = ResilientAllocator(FaultyAllocator(inner, plan), failure_threshold=1)
+        sup.observe_block(block(0))
+        assert sup.degraded
+        accounts = [f"0x{i:040x}" for i in range(0, 2**160, 2**155)]
+        assert [sup.shard_of(a) for a in accounts] == [prefix_shard(a, params.k) for a in accounts]
+        assert any(prefix_shard(a, params.k) != hash_fallback_shard(a, params.k) for a in accounts)
+        assert sup.shard_of("a") == 3
+
+    def test_supervised_prefix_live_form_routes_by_prefix_when_degraded(self):
+        params, seed_sets, live = _live_setup()
+        supervised = ResilientAllocator(
+            allocators.get_online("prefix", params, seed_transactions=seed_sets)
+        )
+        net = LiveShardedNetwork(params, supervised, fault_plan=FaultPlan.standard(params.tau2))
+        degraded_ticks = 0
+        for block_ in live:
+            net.tick(block_)
+            if supervised.degraded:
+                degraded_ticks += 1
+                accounts = sorted({a for tx in block_ for a in tx.accounts})
+                routes = [supervised.shard_of(a) for a in accounts]
+                assert routes == [prefix_shard(a, params.k) for a in accounts]
+        assert degraded_ticks > 0, "the plan never degraded routing"

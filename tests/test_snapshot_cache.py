@@ -8,8 +8,8 @@ copy — same node interning, same row contents in the same order,
 bit-identical ``weights`` / ``loop`` / ``ext`` (compared via
 ``tobytes``), same sorted permutation — every older snapshot stays
 exactly as it was, and the cache and its counters behave.  They also
-pin the adaptive workspace against workspace-less runs across the
-controller lifecycle.
+pin engine A-TxAllo runs against the oracle across the controller
+lifecycle.
 """
 
 import random
@@ -217,17 +217,17 @@ def interleaving_traffic(topology, seed):
     return txs[:900], [txs[i : i + 5] for i in range(900, 1000, 5)]
 
 
-class TestAdaptiveWorkspaceInterleavings:
-    """Workspace-backed engine runs against the reference oracle,
-    byte for byte, across the full controller lifecycle: block ingest,
-    scheduled adaptive runs, scheduled and forced global refreshes,
-    forced adaptives and a competing journal on the same graph (which
-    poisons the workspace's journal and must force a rebuild)."""
+class TestAdaptiveInterleavings:
+    """Engine runs against the reference oracle, byte for byte, across
+    the full controller lifecycle: block ingest, scheduled adaptive
+    runs, scheduled and forced global refreshes, forced adaptives and an
+    ``Allocation.move`` applied behind the controller's back between
+    runs."""
 
-    #: Steps after which the competing journal is started.
-    POISON_STEPS = (5, 12)
+    #: Steps after which an account is moved behind the controller's back.
+    FOREIGN_MOVE_STEPS = (5, 12)
 
-    def _drive(self, topology, seed, poison_journal):
+    def _drive(self, topology, seed, foreign_move):
         from repro.core.controller import TxAlloController
 
         history, blocks = interleaving_traffic(topology, seed)
@@ -239,8 +239,10 @@ class TestAdaptiveWorkspaceInterleavings:
         rng = random.Random(seed + 1)
         for step, block in enumerate(blocks):
             controller.observe_block(block)
-            if poison_journal and step in self.POISON_STEPS:
-                graph.start_mutation_journal()
+            if foreign_move and step in self.FOREIGN_MOVE_STEPS:
+                alloc = controller.allocation
+                victim = sorted(alloc.mapping())[step]
+                alloc.move(victim, (alloc.shard_of(victim) + 1) % params.k)
             roll = rng.random()
             if roll < 0.1:
                 controller.force_adaptive()
@@ -251,135 +253,24 @@ class TestAdaptiveWorkspaceInterleavings:
 
     @pytest.mark.parametrize("topology", TOPOLOGIES)
     @pytest.mark.parametrize("seed", SEEDS[:3])
-    @pytest.mark.parametrize("poison_journal", (False, True))
-    def test_workspace_byte_identical_across_lifecycle(
-        self, topology, seed, poison_journal, any_sum, reference_kernels
+    @pytest.mark.parametrize("foreign_move", (False, True))
+    def test_engine_byte_identical_across_lifecycle(
+        self, topology, seed, foreign_move, any_sum, reference_kernels
     ):
         with reference_kernels():
-            oracle = self._drive(topology, seed, poison_journal)
-        batched = self._drive(topology, seed, poison_journal)
-        assert oracle.allocation.mapping() == batched.allocation.mapping()
-        assert oracle.allocation.sigma == batched.allocation.sigma        # exact
-        assert oracle.allocation.lam_hat == batched.allocation.lam_hat    # exact
+            oracle = self._drive(topology, seed, foreign_move)
+        fast = self._drive(topology, seed, foreign_move)
+        assert oracle.allocation.mapping() == fast.allocation.mapping()
+        assert oracle.allocation.sigma == fast.allocation.sigma        # exact
+        assert oracle.allocation.lam_hat == fast.allocation.lam_hat    # exact
         assert [
             (e.kind, e.block_height, e.moves, e.touched, e.converged)
             for e in oracle.events
         ] == [
             (e.kind, e.block_height, e.moves, e.touched, e.converged)
-            for e in batched.events
+            for e in fast.events
         ]
-        stats = batched.workspace_stats
-        assert stats["runs"] > 0
-        assert stats["extends"] > 0, "workspace never carried across a window"
-        if poison_journal:
-            # Each competing journal poisons the workspace's: one rebuild
-            # per poisoning beyond the first adaptive run (global
-            # refreshes only reseat).
-            assert stats["rebuilds"] == 1 + len(self.POISON_STEPS)
-        else:
-            assert stats["rebuilds"] == 1
-            assert stats["reseats"] > 0
-
-    def test_competing_journal_between_runs_forces_rebuild_not_staleness(self):
-        """Directly pin the poisoned-journal path: a competing journal
-        started between two workspace runs receives the next mutations,
-        so the workspace must rebuild from a fresh freeze instead of
-        replaying its own (now incomplete) log."""
-        from repro.core.engine import AdaptiveWorkspace
-
-        rng = random.Random(13)
-        accounts = [f"acc{i:03d}" for i in range(100)]
-        results = {}
-        for label in ("snapshot", "workspace"):
-            rng = random.Random(13)
-            g = TransactionGraph()
-            seed_graph(rng, g, accounts, 600)
-            params = TxAlloParams.with_capacity_for(600, k=4, eta=2.0)
-            alloc = g_txallo(g, params).allocation
-            workspace = AdaptiveWorkspace() if label == "workspace" else None
-            stats = []
-            for step in range(4):
-                touched = set()
-                for _ in range(15):
-                    accs = rng.sample(accounts, 2)
-                    g.add_transaction(accs)
-                    alloc.ingest_transaction(accs)
-                    touched.update(accs)
-                res = a_txallo(alloc, touched, workspace=workspace)
-                stats.append((res.new_nodes, res.swept_nodes, res.sweeps, res.moves))
-                if step == 1:
-                    g.start_mutation_journal()  # poisons the journal mid-sequence
-            results[label] = (alloc.mapping(), alloc.sigma, alloc.lam_hat, stats)
-            if workspace is not None:
-                assert workspace.stats["rebuilds"] >= 2
-        assert results["snapshot"] == results["workspace"]
-
-
-class TestWorkspacePoisonTriggers:
-    """Each surviving way to poison the workspace's journal between two
-    runs forces exactly one extra rebuild, and the runs stay byte-identical
-    to workspace-less runs.
-
-    ``none`` is the control: the journal carries every window, one rebuild.
-    """
-
-    TRIGGERS = ("none", "competing_journal", "stopped_journal", "edge_cap_overflow")
-
-    @staticmethod
-    def _pull_trigger(trigger, alloc, rng, accounts, touched):
-        g = alloc.graph
-        if trigger == "competing_journal":
-            g.start_mutation_journal()
-        elif trigger == "stopped_journal":
-            if g._journal is not None:  # a workspace-less run never subscribes
-                g.stop_mutation_journal(g._journal)
-        elif trigger == "edge_cap_overflow":
-            # 15 window edges plus these 10 pass the patched cap of 20.
-            for _ in range(10):
-                accs = rng.sample(accounts, 2)
-                g.add_transaction(accs)
-                alloc.ingest_transaction(accs)
-                touched.update(accs)
-
-    def _run(self, trigger, seed, use_workspace):
-        from repro.core.engine import AdaptiveWorkspace
-
-        rng = random.Random(seed)
-        accounts = [f"acc{i:03d}" for i in range(100)]
-        g = TransactionGraph()
-        seed_graph(rng, g, accounts, 600)
-        params = TxAlloParams.with_capacity_for(600, k=4, eta=2.0)
-        alloc = g_txallo(g, params).allocation
-        workspace = AdaptiveWorkspace() if use_workspace else None
-        runs = []
-        for step in range(4):
-            touched = set()
-            for _ in range(15):
-                accs = rng.sample(accounts, 2)
-                g.add_transaction(accs)
-                alloc.ingest_transaction(accs)
-                touched.update(accs)
-            if step == 2:
-                self._pull_trigger(trigger, alloc, rng, accounts, touched)
-            res = a_txallo(alloc, touched, workspace=workspace)
-            runs.append((res.new_nodes, res.swept_nodes, res.sweeps, res.moves))
-        alloc.validate(check_caches=True)
-        outcome = (alloc.mapping(), alloc.sigma, alloc.lam_hat, runs)
-        return outcome, workspace
-
-    @pytest.mark.parametrize("seed", (1, 2))
-    @pytest.mark.parametrize("trigger", TRIGGERS)
-    def test_trigger_rebuilds_once_and_keeps_parity(self, monkeypatch, trigger, seed):
-        import repro.core.graph as graph_module
-
-        monkeypatch.setattr(graph_module, "JOURNAL_EDGE_CAP", 20)
-        snapshot, _ = self._run(trigger, seed, use_workspace=False)
-        batched, workspace = self._run(trigger, seed, use_workspace=True)
-        assert batched == snapshot
-        stats = workspace.stats
-        assert stats["runs"] == 4
-        assert stats["rebuilds"] == (1 if trigger == "none" else 2)
-        assert stats["extends"] == (3 if trigger == "none" else 2)
+        fast.allocation.validate(check_caches=True)
 
 
 def test_no_delta_path_or_freeze_counter_forwarding():
@@ -402,3 +293,37 @@ def test_no_delta_path_or_freeze_counter_forwarding():
     for cls in (OnlineAllocator, TxAlloController, ResilientAllocator, FaultyAllocator, _TimedAllocator):
         assert not any("freeze_stats" in vars(c) for c in cls.__mro__), cls
     assert not any("workspace_stats" in vars(c) for c in ResilientAllocator.__mro__)
+
+
+def test_no_adaptive_workspace_or_mutation_journal():
+    """A-TxAllo sweeps the live graph: no persistent view of it, no log
+    of its mutations, and no parameter to hand either to a run."""
+    import inspect
+    import pathlib
+
+    import repro.core as core
+    import repro.core.engine as engine
+    import repro.core.graph as graph_module
+    from repro.core.controller import TxAlloController
+
+    removed = (
+        "AdaptiveWorkspace",
+        "MutationJournal",
+        "start_mutation_journal",
+        "stop_mutation_journal",
+        "JOURNAL_EDGE_CAP",
+        "adjacency_dicts",
+        "_kernel_views",
+    )
+    for owner in (core, engine, graph_module, TransactionGraph, CSRGraph):
+        assert not [name for name in removed if hasattr(owner, name)], owner
+    assert not set(removed) & set(core.__all__)
+    assert "_journal" not in TransactionGraph.__slots__
+    for run in (a_txallo, engine.a_txallo_flat):
+        assert "workspace" not in inspect.signature(run).parameters
+    controller = TxAlloController(TxAlloParams(k=2), seed_transactions=[("a", "b")])
+    assert not hasattr(controller, "_workspace")
+    src = pathlib.Path(core.__file__).resolve().parents[1]
+    for path in sorted(src.rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        assert not [name for name in removed + ("workspace=",) if name in text], path
