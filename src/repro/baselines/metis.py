@@ -84,11 +84,10 @@ def metis_partition(
         raise ParameterError(f"number of parts k must be positive, got {k!r}")
     csr = graph.freeze()
     nodes = csr.nodes
-    order = csr.sorted_order
     if not nodes:
         return MetisResult({}, 0.0, 0.0, 0)
     if k == 1:
-        return MetisResult({nodes[i]: 0 for i in order}, 0.0, 0.0, 0)
+        return MetisResult({v: 0 for v in nodes}, 0.0, 0.0, 0)
 
     if node_weights is None:
         levels = csr.metis_memo
@@ -107,7 +106,7 @@ def metis_partition(
         part = [part[c] for c in coarse_of]
         part = _refine(adjs[level], weights[level], part, k, max_part_weight, refinement_passes)
 
-    mapping = {nodes[i]: part[r] for r, i in enumerate(order)}
+    mapping = dict(zip(nodes, part))
     cut = _edge_cut(adjs[0], part)
     imbal = _imbalance(weights[0], part, k)
     return MetisResult(mapping, cut, imbal, top + 1)
@@ -122,26 +121,23 @@ def _lower(
 ) -> Tuple[List[Dict[int, float]], List[float]]:
     """Index-keyed adjacency rows and node weights of a snapshot.
 
-    Node ``r`` is the ``r``-th account of ``csr.sorted_order``; its row
-    keeps the CSR row order with the self-loop dropped.  Its default
-    weight is the row's left-to-right sum, self-loop included (what
-    ``TransactionGraph.strength`` returns on Python <= 3.11).
+    Node ``i`` is CSR node ``i``, the ``i``-th account in ascending
+    identifier order; its row keeps the CSR row order with the self-loop
+    dropped.  Its default weight is the row's left-to-right sum,
+    self-loop included (what ``TransactionGraph.strength`` returns on
+    Python <= 3.11).
     """
-    order = csr.sorted_order
-    rank = csr.sorted_rank.tolist()  # shared int objects as dict keys
-    pairs = csr.pairs
-    adj = [{rank[j]: w for j, w in pairs[i]} for i in order]
+    adj = [dict(row) for row in csr.pairs]
     if node_weights is None:
         indptr, row_weights = csr.indptr, csr.weights
         weights = []
-        for i in order:
+        for i in range(len(adj)):
             s = 0.0
             for w in row_weights[indptr[i] : indptr[i + 1]]:
                 s += w
             weights.append(s)
     else:
-        nodes = csr.nodes
-        weights = [float(node_weights[nodes[i]]) for i in order]
+        weights = [float(node_weights[v]) for v in csr.nodes]
     # Isolated zero-weight nodes still need a home; give them unit weight
     # so the balance constraint treats them sensibly.
     return adj, [w if w > 0 else 1.0 for w in weights]

@@ -148,7 +148,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.fault_seed is not None and not args.faults:
+        parser.error("--fault-seed requires --faults")
     if args.figure == "matrix":
         # The matrix builds its own workloads per cell; none of the
         # figure plumbing below applies.

@@ -19,20 +19,20 @@ into flat CSR arrays:
 * ``pairs`` — a loop-free ``[(neighbour_id, weight), ...]`` list per node,
   the hot-loop view the sweep engine iterates (tuple unpacking is the
   fastest pure-Python idiom for this).
-* ``sorted_order``/``sorted_rank`` — the lazily-built permutation between
-  dense ids and ascending-identifier order, the canonical sweep order of
-  Section IV-A (see below).
+* ``insertion_order`` — the ids in insertion (chronological appearance)
+  order, for the one pass that replays ``TransactionGraph.edges()``
+  (see below).
 
 Id scheme
 ---------
-Node ``i`` is the ``i``-th account in **insertion** (chronological
-appearance) order — for a ledger replay, the order every miner observes.
-Insertion order is *stable under growth*: new accounts always take the
-next free ids, so a later snapshot of the same graph never renumbers
-existing rows.  The allocators' canonical ascending-identifier sweep
-order is recovered through the ``sorted_order`` permutation, and
-``TransactionGraph.edges()``-ordered cache walks are simply ascending-id
-walks (the earlier-inserted endpoint of every pair has the smaller id).
+Node ``i`` is the ``i``-th account in **ascending identifier** order
+(``TransactionGraph.nodes_sorted()``), the canonical sweep order every
+miner reproduces (paper Section IV-A).  A node's id is therefore its
+sorted index in the reference implementations, so the engine sweeps
+``range(n)`` and compares raw ids wherever the reference compares sorted
+indices.  The one pass that replays insertion order — the
+``TransactionGraph.edges()`` walk of ``Allocation`` cache rebuilds — walks
+``insertion_order`` instead.
 
 A ``CSRGraph`` is immutable; mutate the source graph and call
 :meth:`TransactionGraph.freeze` again (the graph caches the frozen form
@@ -66,8 +66,7 @@ class CSRGraph:
         "louvain_memo",
         "intra_cut_memo",
         "metis_memo",
-        "_sorted_order",
-        "_sorted_rank",
+        "insertion_order",
     )
 
     def __init__(
@@ -80,6 +79,7 @@ class CSRGraph:
         loop: array,
         ext: array,
         pairs: List[List[Tuple[int, float]]],
+        insertion_order: array,
         num_edges: int,
         total_weight: float,
     ) -> None:
@@ -91,6 +91,7 @@ class CSRGraph:
         self.loop = loop
         self.ext = ext
         self.pairs = pairs
+        self.insertion_order = insertion_order
         self.num_edges = num_edges
         self.total_weight = total_weight
         # (max_levels, resolution) -> Louvain membership list.  Sound
@@ -109,25 +110,21 @@ class CSRGraph:
         # sweep over several k lowers and coarsens this snapshot once.
         # Only default-weight calls read or extend it.
         self.metis_memo: Optional[object] = None
-        # Lazy ascending-identifier permutation; only the global sweeps
-        # need it, so a snapshot frozen for anything else never pays the
-        # O(N log N) sort.
-        self._sorted_order: Optional[array] = None
-        self._sorted_rank: Optional[array] = None
 
     # ------------------------------------------------------------------
     @classmethod
     def from_graph(cls, graph: "TransactionGraph") -> "CSRGraph":
-        """Lower ``graph`` into CSR arrays (one O(N + E) pass).
+        """Lower ``graph`` into CSR arrays (an O(N log N + E) pass).
 
-        Node ``i`` is the ``i``-th account in insertion order; row
-        contents preserve the adjacency-dict iteration order so float
+        Node ``i`` is the ``i``-th account in ascending identifier order;
+        row contents preserve the adjacency-dict iteration order so float
         accumulations stay bit-identical to the reference dict-based
         scans.
         """
-        nodes = list(graph.nodes())
+        nodes = graph.nodes_sorted()
         n = len(nodes)
         index_of = {v: i for i, v in enumerate(nodes)}
+        insertion_order = array("l", [index_of[v] for v in graph.nodes()])
 
         lsize = array("l").itemsize
         indptr = array("l", bytes(lsize * (n + 1)))  # zero-initialised
@@ -165,37 +162,10 @@ class CSRGraph:
             loop=loop,
             ext=ext,
             pairs=pairs,
+            insertion_order=insertion_order,
             num_edges=graph.num_edges,
             total_weight=graph.total_weight,
         )
-
-    # ------------------------------------------------------------------
-    @property
-    def sorted_order(self) -> array:
-        """Dense ids in ascending node-identifier order (lazy).
-
-        ``sorted_order[r]`` is the id of the ``r``-th account in sorted
-        order — the canonical deterministic sweep order of Section IV-A.
-        Built on first use (only the global sweeps need it) and cached
-        on this immutable snapshot.
-        """
-        order = self._sorted_order
-        if order is None:
-            order = array("l", sorted(range(len(self.nodes)), key=self.nodes.__getitem__))
-            self._sorted_order = order
-        return order
-
-    @property
-    def sorted_rank(self) -> array:
-        """Inverse of :attr:`sorted_order`: id -> ascending-order rank."""
-        rank = self._sorted_rank
-        if rank is None:
-            order = self.sorted_order
-            rank = array("l", bytes(order.itemsize * len(order)))
-            for r, i in enumerate(order):
-                rank[i] = r
-            self._sorted_rank = rank
-        return rank
 
     # ------------------------------------------------------------------
     @property

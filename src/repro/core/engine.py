@@ -33,15 +33,13 @@ same order:
 
 * CSR rows preserve the adjacency-dict iteration order, so per-node
   neighbourhood accumulations add the same floats in the same sequence;
-* CSR ids are insertion-ordered (stable under growth), so the
-  ``TransactionGraph.edges()`` insertion-order edge walk used by
-  ``Allocation`` cache rebuilds is an ascending-id walk, and the
-  reference's ascending-*identifier* sweep and Louvain orders are
-  replayed through the frozen ``sorted_order`` permutation.  Louvain's
-  level 0 runs on the CSR rows in id space, visiting nodes in
-  ``sorted_order``; every comparison the reference makes between
+* CSR ids are ascending-identifier ranks, so a node's id is its index
+  in the reference's sorted sweep and Louvain orders: the engine sweeps
+  ``range(n)`` and compares raw ids wherever the reference compares
   sorted indices (edge orientation, the smallest-label tie-break, the
-  once-per-pair aggregation skip) compares ``sorted_rank`` values;
+  once-per-pair aggregation skip).  Only :func:`_intra_cut` replays the
+  ``TransactionGraph.edges()`` insertion-order walk of ``Allocation``
+  cache rebuilds, through ``csr.insertion_order``;
 * every gain / delta expression is written with the same operand order
   and parenthesisation as :mod:`repro.core.objective` and
   :meth:`repro.core.allocation.Allocation.move`;
@@ -72,7 +70,7 @@ from repro.core.graph import Node, TransactionGraph
 from repro.core.gtxallo import MAX_SWEEPS as _GLOBAL_MAX_SWEEPS
 from repro.core.louvain import _MIN_GAIN
 from repro.core.params import TxAlloParams
-from repro.errors import AllocationError, GraphError
+from repro.errors import AllocationError
 
 # The sweep bounds and Louvain gain threshold are imported from the
 # reference modules (which import this engine only lazily, so there is
@@ -104,16 +102,9 @@ def louvain_flat(
     Labels are dense ints in order of first appearance over the sorted
     node sequence — identical to the reference implementation.
 
-    Level 0 runs directly on the CSR rows, in id space: nodes are visited
-    in ``csr.sorted_order`` and a community keeps the id of the node it
-    started from, so node ``sorted_order[r]`` and label
-    ``sorted_order[r]`` stand for the reference's sorted index ``r``.
-    Every index comparison the reference makes in sorted space goes
-    through ``csr.sorted_rank`` instead (edge orientation in the weight
-    total, the smallest-label tie-break, the once-per-pair aggregation
-    skip), so accumulations, moves, tie-breaks and relabels replay it
-    exactly without copying the adjacency.  Aggregated levels number
-    their super-nodes densely and use the identity order.
+    Level 0 runs directly on the CSR rows: CSR ids are the reference's
+    sorted indices, so accumulations, moves, tie-breaks and relabels
+    replay it exactly without copying the adjacency.
 
     Results are memoised on the (immutable) ``csr`` — the paper's
     evaluation sweeps run G-TxAllo for many ``(k, eta)`` cells over one
@@ -130,23 +121,19 @@ def louvain_flat(
 
     rows: List[Sequence[Tuple[int, float]]] = csr.pairs
     loops: Sequence[float] = csr.loop
-    order: Sequence[int] = csr.sorted_order
-    rank: Sequence[int] = csr.sorted_rank
     membership = list(range(n))
 
     for _level in range(max_levels):
-        community, improved = _one_level_flat(rows, loops, resolution, order, rank)
+        community, improved = _one_level_flat(rows, loops, resolution)
         relabel: Dict[int, int] = {}
-        for i in order:
-            c = community[i]
+        for c in community:
             if c not in relabel:
                 relabel[c] = len(relabel)
         community = [relabel[c] for c in community]
         membership = [community[m] for m in membership]
         if not improved or len(relabel) == len(loops):
             break
-        rows, loops = _aggregate_flat(rows, loops, community, len(relabel), order, rank)
-        order = rank = range(len(loops))
+        rows, loops = _aggregate_flat(rows, loops, community, len(relabel))
 
     csr.louvain_memo[memo_key] = membership
     return list(membership)
@@ -156,8 +143,6 @@ def _one_level_flat(
     rows: List[Sequence[Tuple[int, float]]],
     loops: Sequence[float],
     resolution: float,
-    order: Sequence[int],
-    rank: Sequence[int],
 ) -> Tuple[List[int], bool]:
     """One local-moving phase on flat rows.  Returns (community, any_move).
 
@@ -166,23 +151,18 @@ def _one_level_flat(
     (``acc``/``stamp``) instead of a fresh dict, and finds the best
     destination with an exact ``(gain, -index)`` argmax instead of a
     sorted scan.
-
-    Nodes are visited in ``order``; ``rank`` is its inverse and stands in
-    for the reference's index wherever one is compared (see
-    :func:`louvain_flat`).  Community labels start as node ids.
     """
     n = len(loops)
     k = [0.0] * n
     m = 0.0
-    for i in order:
-        ri = rank[i]
+    for i in range(n):
         s = 0.0
         m += loops[i]
         # One combined row pass; each running total (s, m) still adds the
         # same floats in the same order as the reference's separate passes.
         for j, w in rows[i]:
             s += w
-            if rank[j] > ri:
+            if j > i:
                 m += w
         k[i] = s + 2.0 * loops[i]
     if m <= 0.0:
@@ -201,7 +181,7 @@ def _one_level_flat(
     moved = True
     while moved:
         moved = False
-        for i in order:
+        for i in range(n):
             c_old = community[i]
             epoch += 1
             del touched[:]
@@ -226,7 +206,7 @@ def _one_level_flat(
                 if c == c_old:
                     continue
                 gain = acc[c] - comm_tot[c] * norm
-                if cand_c < 0 or gain > cand_gain or (gain == cand_gain and rank[c] < rank[cand_c]):
+                if cand_c < 0 or gain > cand_gain or (gain == cand_gain and c < cand_c):
                     cand_gain = gain
                     cand_c = c
             if cand_c >= 0 and cand_gain > base + _MIN_GAIN:
@@ -244,22 +224,15 @@ def _aggregate_flat(
     loops: Sequence[float],
     community: List[int],
     num_comms: int,
-    order: Sequence[int],
-    rank: Sequence[int],
 ) -> Tuple[List[Sequence[Tuple[int, float]]], List[float]]:
-    """Collapse communities into super-nodes (mirrors ``louvain._aggregate``).
-
-    Walks nodes in ``order`` and keeps each pair at its lower-``rank``
-    endpoint, as the reference walks its sorted indices.
-    """
+    """Collapse communities into super-nodes (mirrors ``louvain._aggregate``)."""
     new_adj: List[Dict[int, float]] = [{} for _ in range(num_comms)]
     new_loops = [0.0] * num_comms
-    for i in order:
+    for i, row in enumerate(rows):
         ci = community[i]
-        ri = rank[i]
         new_loops[ci] += loops[i]
-        for j, w in rows[i]:
-            if rank[j] < ri:
+        for j, w in row:
+            if j < i:
                 continue  # handle each undirected pair once
             cj = community[j]
             if ci == cj:
@@ -392,22 +365,24 @@ def _intra_cut(
     Replays ``Allocation._recompute_caches``'s edge walk exactly: the
     reference iterates ``TransactionGraph.edges()`` — insertion order
     outer, row order inner, each pair at its earlier-inserted endpoint.
-    CSR ids *are* insertion ranks, so that walk is an ascending-id walk
-    that skips the pair at its larger-id endpoint, and the accumulated
-    floats are bit-identical.  The result is independent of ``eta`` /
-    ``k``: ``sigma``/``lam_hat`` derive from it per parameter cell.
+    This is the engine's one insertion-order pass: it walks
+    ``csr.insertion_order`` and skips a pair whose other endpoint it has
+    already walked, so the accumulated floats are bit-identical.  The
+    result is independent of ``eta`` / ``k``: ``sigma``/``lam_hat``
+    derive from it per parameter cell.
     """
     intra = [0.0] * num_comms
     cut = [0.0] * num_comms
     indptr, indices, weights = csr.indptr, csr.indices, csr.weights
-    for u in range(len(comm)):
+    seen = bytearray(len(comm))
+    for u in csr.insertion_order:
         cu = comm[u]
         for t in range(indptr[u], indptr[u + 1]):
             j = indices[t]
             if j == u:
                 intra[cu] += weights[t]
                 continue
-            if j < u:
+            if seen[j]:
                 continue  # already handled at the earlier-inserted endpoint
             cj = comm[j]
             w = weights[t]
@@ -416,6 +391,7 @@ def _intra_cut(
             else:
                 cut[cu] += w
                 cut[cj] += w
+        seen[u] = 1
     return intra, cut
 
 
@@ -426,7 +402,6 @@ def g_txallo_flat(
     graph: TransactionGraph,
     params: TxAlloParams,
     initial_partition: Optional[Dict[Node, int]] = None,
-    node_order: Optional[Sequence[Node]] = None,
 ) -> Tuple[Allocation, int, int, int, int, float, float]:
     """Algorithm 1 on the flat engine.
 
@@ -455,17 +430,7 @@ def g_txallo_flat(
     flat, num_small = _initialise_flat(csr, params, comm, num_louvain, intra_cut)
     t1 = time.perf_counter()
 
-    if node_order is None:
-        # The reference sweeps graph.nodes_sorted(); on insertion-ordered
-        # CSR ids that is the sorted_order permutation.
-        order: Iterable[int] = csr.sorted_order
-    else:
-        index_of = csr.index_of
-        try:
-            order = [index_of[v] for v in node_order]
-        except KeyError as exc:
-            raise GraphError(f"unknown node {exc.args[0]!r}") from None
-    sweeps, moves = _optimise_flat(flat, order, params.epsilon)
+    sweeps, moves = _optimise_flat(flat, params.epsilon)
     t2 = time.perf_counter()
 
     alloc = flat.to_allocation(graph)
@@ -532,9 +497,9 @@ def _initialise_flat(
     loop = csr.loop
     ext = csr.ext
     num_small = 0
-    # Small-community nodes in ascending identifier order, as the
+    # Small-community nodes in ascending id (= identifier) order, as the
     # reference's sorted() scan visits them.
-    for i in csr.sorted_order:
+    for i in range(len(comm)):
         p = comm[i]
         if p < k:
             continue
@@ -597,10 +562,11 @@ def _best_join(
 
 def _optimise_flat(
     flat: _FlatAllocation,
-    order: Iterable[int],
     epsilon: float,
 ) -> Tuple[int, int]:
     """Phase 2 of Algorithm 1 (mirrors ``gtxallo._optimise``).
+
+    Sweeps nodes in ascending id order, the reference's sorted order.
 
     This is the hottest loop of the whole system, so the scatter scan and
     the gain evaluations are inlined with every array bound to a local —
@@ -624,7 +590,7 @@ def _optimise_flat(
     counts = flat.counts
     neg_inf = -float("inf")
 
-    order = list(order)
+    n = len(comm)
     touched: List[int] = []
     # Cached capped throughput per community: a pure function of
     # (sigma[c], lam_hat[c], lam), refreshed on the two communities a move
@@ -642,7 +608,7 @@ def _optimise_flat(
     while sweeps < _GLOBAL_MAX_SWEEPS:
         sweeps += 1
         sweep_gain = 0.0
-        for i in order:
+        for i in range(n):
             p = comm[i]
             epoch += 1
             del touched[:]

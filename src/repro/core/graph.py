@@ -35,9 +35,8 @@ Determinism
 ledger replay, is the chronological account-appearance order — a canonical
 order every miner can reproduce (paper Section IV-A).  ``nodes_sorted()``
 gives an explicitly sorted order when insertion order is not meaningful.
-The frozen form assigns integer ids in *insertion* order (stable under
-growth) and exposes the sorted order as a permutation
-(``CSRGraph.sorted_order``), which the allocators sweep.
+The frozen form assigns integer ids in that *sorted* order, the order the
+allocators sweep.
 """
 
 from __future__ import annotations
@@ -258,10 +257,9 @@ class TransactionGraph:
         already walked, so a pair ``{u, v}`` is emitted at its
         earlier-inserted endpoint (the later one is still missing from
         ``seen``) and skipped at the later one.  A regression test pins
-        this orientation; the frozen CSR form relies on it to replay
-        edge-ordered passes bit-identically (insertion-ordered ids make
-        this walk an ascending-id walk, see
-        :class:`repro.core.csr.CSRGraph`).
+        this orientation; the frozen CSR form replays this walk through
+        ``CSRGraph.insertion_order`` to rebuild per-shard caches
+        bit-identically (see :class:`repro.core.csr.CSRGraph`).
         """
         seen: set = set()
         for u, row in self._adj.items():
@@ -279,13 +277,13 @@ class TransactionGraph:
         """Compile the graph into its flat CSR form for the sweep engine.
 
         Returns a :class:`repro.core.csr.CSRGraph` snapshot: account
-        strings interned to dense integer ids (insertion order, stable
-        under growth) and adjacency lowered into flat
+        strings interned to dense integer ids (ascending identifier
+        order) and adjacency lowered into flat
         index/neighbour/weight arrays plus per-node self-loop and
         strength vectors.  The snapshot is cached
         against an internal mutation counter — freezing an unchanged
         graph returns the same object, so back-to-back allocator runs
-        (e.g. a (k, eta) parameter sweep) pay the O(N + E) lowering once.
+        (e.g. a (k, eta) parameter sweep) pay the O(N log N + E) lowering once.
         A changed graph is lowered in full again.
 
         The snapshot is immutable and detached: mutating the graph

@@ -63,14 +63,13 @@ def g_txallo(
     params: TxAlloParams,
     *,
     initial_partition: Optional[Dict[Node, int]] = None,
-    node_order: Optional[Sequence[Node]] = None,
 ) -> GTxAlloResult:
     """Run Algorithm 1 and return the converged k-shard allocation.
 
     ``initial_partition`` overrides the Louvain initialisation (used by the
     initialisation ablation benchmark); it may contain any number of
-    communities.  ``node_order`` fixes the sweep order; the default is the
-    sorted account order, mirroring the paper's hash-derived ordering.
+    communities.  Nodes are swept in sorted account order, mirroring the
+    paper's hash-derived ordering.
 
     Runs the flat-array sweep engine over the frozen CSR graph; the
     allocation, caches and sweep/move counts equal
@@ -80,7 +79,7 @@ def g_txallo(
     from repro.core.engine import g_txallo_flat
 
     return GTxAlloResult(
-        *g_txallo_flat(graph, params, initial_partition=initial_partition, node_order=node_order)
+        *g_txallo_flat(graph, params, initial_partition=initial_partition)
     )
 
 
@@ -89,7 +88,6 @@ def g_txallo_reference(
     params: TxAlloParams,
     *,
     initial_partition: Optional[Dict[Node, int]] = None,
-    node_order: Optional[Sequence[Node]] = None,
 ) -> GTxAlloResult:
     """The dict-based executable specification of :func:`g_txallo`."""
     t0 = time.perf_counter()
@@ -100,8 +98,7 @@ def g_txallo_reference(
     alloc, num_small = _initialise(graph, params, partition)
     t1 = time.perf_counter()
 
-    order = list(node_order) if node_order is not None else graph.nodes_sorted()
-    sweeps, moves = _optimise(alloc, order, params.epsilon)
+    sweeps, moves = _optimise(alloc, graph.nodes_sorted(), params.epsilon)
     t2 = time.perf_counter()
 
     num_louvain = 1 + max(partition.values(), default=-1)

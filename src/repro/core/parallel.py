@@ -110,9 +110,10 @@ def warm_grid_state(workload, cells: Sequence[Tuple[str, int, float]], cache):
 
     * freezes the transaction graph (the CSR snapshot every cell reads);
     * memoises the Louvain partition on that snapshot when any cell runs
-      TxAllo (``g_txallo`` consults ``csr.louvain_memo`` under its
-      default ``(32, 1.0)`` key — one parent-side run serves the whole
-      grid);
+      G-TxAllo (``txallo``: ``g_txallo`` consults ``csr.louvain_memo``
+      under its default ``(32, 1.0)`` key — one parent-side run serves
+      the whole grid); ``txallo_online`` cells replay the stream on a
+      fresh controller and never read it;
     * computes every eta-independent static mapping (hash, prefix,
       METIS) exactly once per ``(method, k)`` into ``cache`` —
       per-process memoisation would otherwise recompute them in every
@@ -126,7 +127,7 @@ def warm_grid_state(workload, cells: Sequence[Tuple[str, int, float]], cache):
 
     workload.graph.freeze()
     methods = {method for method, _, _ in cells}
-    if methods & {"txallo", "txallo_online"}:
+    if "txallo" in methods:
         louvain_partition(workload.graph)
     for method, k, eta in cells:
         entry = allocators.get_entry(method)

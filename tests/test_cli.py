@@ -61,6 +61,12 @@ class TestParser:
         assert excinfo.value.code == 2
         assert "--workers" in capsys.readouterr().err
 
+    def test_fault_seed_without_faults_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["live-compare", "--fault-seed", "3"])
+        assert excinfo.value.code == 2
+        assert "--fault-seed requires --faults" in capsys.readouterr().err
+
     def test_workers_help_names_the_grid_only(self, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["--help"])

@@ -278,27 +278,26 @@ class TestFreeze:
         g.add_node("island")
         return g
 
-    def test_freeze_interns_in_insertion_order(self):
+    def test_freeze_interns_in_sorted_order(self):
         g = self.small_graph()
         csr = g.freeze()
-        # Ids follow chronological appearance (add_transaction ingests
-        # each transaction's accounts in sorted order, so "a" precedes
-        # "b" here), stable under incremental growth ...
+        # Ids follow ascending identifier order, the canonical sweep
+        # order; insertion_order lists the ids in chronological
+        # appearance (here the two orders coincide) ...
         assert csr.nodes == ["a", "b", "c", "island"]
-        assert csr.nodes == list(g.nodes())
+        assert csr.nodes == g.nodes_sorted()
         assert csr.index_of["a"] == 0
         assert csr.num_nodes == 4
-        # ... and the canonical ascending-identifier sweep order is the
-        # sorted_order permutation.
-        assert [csr.nodes[i] for i in csr.sorted_order] == ["a", "b", "c", "island"]
-        # Ids diverge from sorted order once a later transaction brings
-        # in an earlier-sorting account.
+        assert [csr.nodes[i] for i in csr.insertion_order] == list(g.nodes())
+        # ... and a later, earlier-sorting account takes its sorted id,
+        # renumbering the accounts after it, while insertion_order
+        # lists it last.
         g.add_transaction(("aaa", "c"))
         csr = g.freeze()
-        assert csr.index_of["aaa"] == 4
-        assert [csr.nodes[i] for i in csr.sorted_order] == [
-            "a", "aaa", "b", "c", "island",
-        ]
+        assert csr.nodes == ["a", "aaa", "b", "c", "island"]
+        assert csr.index_of["aaa"] == 1
+        assert list(csr.insertion_order) == [0, 2, 3, 4, 1]
+        assert [csr.nodes[i] for i in csr.insertion_order] == list(g.nodes())
 
     def test_freeze_mirrors_adjacency(self):
         g = self.small_graph()
@@ -332,15 +331,6 @@ class TestFreeze:
         first = g.freeze()
         g.add_node("a")  # no-op: already present
         assert g.freeze() is first
-
-    def test_sorted_permutation_roundtrips(self):
-        g = self.small_graph()
-        csr = g.freeze()
-        assert list(csr.nodes) == list(g.nodes())  # ids == insertion order
-        order = [csr.nodes[i] for i in csr.sorted_order]
-        assert order == g.nodes_sorted()
-        for i in range(csr.num_nodes):
-            assert csr.sorted_order[csr.sorted_rank[i]] == i
 
 
 class TestCopy:

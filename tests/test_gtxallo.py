@@ -121,14 +121,6 @@ class TestCustomInitialisation:
             >= hash_run.allocation.total_throughput() - params.epsilon * 10
         )
 
-    def test_node_order_changes_are_deterministic_too(self):
-        graph = planted_graph()
-        params = TxAlloParams.with_capacity_for(600, k=4, eta=2.0)
-        order = list(reversed(graph.nodes_sorted()))
-        m1 = g_txallo(graph, params, node_order=order).allocation.mapping()
-        m2 = g_txallo(graph, params, node_order=order).allocation.mapping()
-        assert m1 == m2
-
 
 class TestEtaSelfAdjustment:
     def test_larger_eta_does_not_increase_cross_ratio(self):

@@ -173,6 +173,17 @@ class TestSharedStateComputedOnce:
         # At most one (re)freeze in the parent; workers inherit it.
         assert after - before <= 1
 
+    def test_louvain_warmed_only_for_g_txallo_cells(self):
+        """``txallo_online`` cells replay the stream on a fresh controller
+        and never read the snapshot's Louvain memo, so warming a grid of
+        them alone must not run Louvain."""
+        workload = experiments.build_workload(scale=0.05, seed=7)
+        cache = experiments._MappingCache()
+        parallel.warm_grid_state(workload, [("txallo_online", 4, 2.0)], cache)
+        assert workload.graph.freeze().louvain_memo == {}
+        parallel.warm_grid_state(workload, [("txallo", 4, 2.0)], cache)
+        assert list(workload.graph.freeze().louvain_memo) == [(32, 1.0)]
+
 
 # ----------------------------------------------------------------------
 # Serial A-TxAllo on an adversarially overlapping window

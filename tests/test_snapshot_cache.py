@@ -6,7 +6,7 @@ is unchanged and otherwise lowers it in full with
 re-freeze after growth is **element-identical** to a cold lowering of a
 copy — same node interning, same row contents in the same order,
 bit-identical ``weights`` / ``loop`` / ``ext`` (compared via
-``tobytes``), same sorted permutation — every older snapshot stays
+``tobytes``), same insertion walk — every older snapshot stays
 exactly as it was, and the cache and its counters behave.  They also
 pin engine A-TxAllo runs against the oracle across the controller
 lifecycle.
@@ -37,8 +37,7 @@ def assert_csr_identical(got: CSRGraph, want: CSRGraph) -> None:
     assert got.loop.tobytes() == want.loop.tobytes()
     assert got.ext.tobytes() == want.ext.tobytes()
     assert got.pairs == want.pairs
-    assert got.sorted_order == want.sorted_order
-    assert got.sorted_rank == want.sorted_rank
+    assert got.insertion_order == want.insertion_order
     assert got.num_edges == want.num_edges
     assert got.total_weight == want.total_weight
 
@@ -54,6 +53,7 @@ def csr_fingerprint(csr: CSRGraph) -> tuple:
         csr.loop.tobytes(),
         csr.ext.tobytes(),
         [list(row) for row in csr.pairs],
+        csr.insertion_order.tobytes(),
         csr.num_edges,
         csr.total_weight,
     )
@@ -126,14 +126,15 @@ class TestRefreezeEqualsColdLowering:
         g = TransactionGraph()
         assert_every_refreeze_is_cold(g, [[("b", "a"), ("c",)]])
 
-    def test_new_nodes_append_ids_sorted_order_tracks(self):
+    def test_new_nodes_take_sorted_ids_insertion_walk_appends(self):
         g = TransactionGraph()
         g.add_transaction(("m", "z"))
         g.freeze()
-        g.add_transaction(("a", "m"))  # sorts first, but ids are stable
+        g.add_transaction(("a", "m"))  # sorts first: the ids renumber
         csr = g.freeze()
-        assert csr.index_of == {"m": 0, "z": 1, "a": 2}
-        assert [csr.nodes[i] for i in csr.sorted_order] == ["a", "m", "z"]
+        assert csr.nodes == g.nodes_sorted()
+        assert csr.index_of == {"a": 0, "m": 1, "z": 2}
+        assert [csr.nodes[i] for i in csr.insertion_order] == ["m", "z", "a"]
 
 
 class TestSnapshotCache:
