@@ -190,6 +190,18 @@ class TestGTxAlloParity:
             g_txallo(g, params, initial_partition=init),
         )
 
+    def test_reverse_inserted_random_graph(self):
+        """Accounts arrive in descending identifier order, so the insertion
+        walk ``_intra_cut`` replays runs opposite to the sorted ids every
+        sweep uses; the run must still match the reference bit for bit."""
+        rng = random.Random(10)
+        accounts = [f"acc{i:03d}" for i in range(60)]
+        txs = [tuple(rng.sample(accounts, rng.choice([1, 2, 2, 3]))) for _ in range(400)]
+        g = reverse_inserted(txs)
+        assert list(g.nodes()) == sorted(g.nodes(), reverse=True)
+        params = TxAlloParams.with_capacity_for(len(txs), k=4, eta=2.0)
+        assert_gtxallo_identical(g_txallo_reference(g, params), g_txallo(g, params))
+
     def test_more_shards_than_communities(self):
         g = TransactionGraph()
         for pair in [("a", "b"), ("b", "c"), ("a", "c")]:

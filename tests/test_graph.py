@@ -299,6 +299,17 @@ class TestFreeze:
         assert list(csr.insertion_order) == [0, 2, 3, 4, 1]
         assert [csr.nodes[i] for i in csr.insertion_order] == list(g.nodes())
 
+    def test_insertion_order_is_a_permutation_of_ids(self):
+        g = TransactionGraph()
+        for tx in [("m", "z"), ("a", "m"), ("q",), ("b", "z", "a")]:
+            g.add_transaction(tx)
+        csr = g.freeze()
+        assert csr.nodes == g.nodes_sorted()
+        assert sorted(csr.insertion_order) == list(range(csr.num_nodes))
+        assert [csr.nodes[i] for i in csr.insertion_order] == list(g.nodes())
+        for i, v in enumerate(csr.nodes):
+            assert csr.index_of[v] == i
+
     def test_freeze_mirrors_adjacency(self):
         g = self.small_graph()
         csr = g.freeze()
