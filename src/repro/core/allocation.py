@@ -298,34 +298,29 @@ class Allocation:
         Call this *after* the graph itself was updated so that subsequent
         moves see consistent neighbourhoods.
         """
-        unique = sorted(set(accounts))
-        if len(unique) == 1:
-            v = unique[0]
-            i = self._shard_of.get(v)
-            if i is not None:
-                self.sigma[i] += 1.0
-                self.lam_hat[i] += 1.0
-            return
+        # Two distinct accounts need no sort: one pair's deltas commute.
+        unique = accounts
+        if type(unique) is not tuple or len(unique) != 2 or unique[0] == unique[1]:
+            unique = sorted(set(accounts))
+        sigma, lam_hat = self.sigma, self.lam_hat
         share = 1.0 / pair_count(len(unique))
-        for a in range(len(unique)):
-            for b in range(a + 1, len(unique)):
-                self._ingest_edge(unique[a], unique[b], share)
-
-    def _ingest_edge(self, u: Node, v: Node, w: float) -> None:
-        """Account for a new pair-edge of weight ``w`` between ``u != v``."""
-        eta = self.params.eta
-        iu = self._shard_of.get(u)
-        iv = self._shard_of.get(v)
-        if iu is not None and iu == iv:
-            self.sigma[iu] += w
-            self.lam_hat[iu] += w
-            return
-        if iu is not None:
-            self.sigma[iu] += eta * w
-            self.lam_hat[iu] += w / 2.0
-        if iv is not None:
-            self.sigma[iv] += eta * w
-            self.lam_hat[iv] += w / 2.0
+        cut, half = self.params.eta * share, share / 2.0
+        shards = [self._shard_of.get(v) for v in unique]
+        # Per pair u < v (or the lone account's self-loop): intra weight
+        # when both ends sit in one community, else cut weight from each
+        # assigned end's side.
+        for a, iu in enumerate(shards):
+            for iv in shards[a + 1 :] if len(shards) > 1 else shards:
+                if iu is not None and iu == iv:
+                    sigma[iu] += share
+                    lam_hat[iu] += share
+                    continue
+                if iu is not None:
+                    sigma[iu] += cut
+                    lam_hat[iu] += half
+                if iv is not None:
+                    sigma[iv] += cut
+                    lam_hat[iv] += half
 
     def truncate(self, k: Optional[int] = None) -> None:
         """Drop trailing communities, which must be empty.

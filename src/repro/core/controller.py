@@ -142,7 +142,7 @@ class TxAlloController(OnlineAllocator):
             # here would feed the allocation caches' float accumulations
             # in PYTHONHASHSEED-dependent order, breaking the
             # "canonical order every miner can reproduce" contract.
-            unique = sorted(set(accounts))
+            unique = tuple(sorted(set(accounts)))
             self.graph.add_transaction(unique)
             self.allocation.ingest_transaction(unique)
             self._touched.update(unique)

@@ -20,11 +20,12 @@ account strings to dense integer ids and lowers the adjacency into flat
 CSR arrays (:class:`repro.core.csr.CSRGraph`), which the flat-array sweep
 engine (:mod:`repro.core.engine`) consumes.  The two forms are linked by a
 version counter: every mutation (``add_node`` / ``add_edge`` /
-``add_transaction``) bumps the version, and ``freeze()`` returns a cached
-snapshot while the version is unchanged, so repeated allocator runs over a
-quiescent graph freeze exactly once.  The frozen snapshot preserves the
-dict rows' iteration order, which keeps every float accumulation in the
-fast engine bit-identical to the reference dict-based scans.
+``add_transaction``) bumps the version at least once, only equality
+between versions is meaningful, and ``freeze()`` returns a cached snapshot
+while the version is unchanged, so repeated allocator runs over a quiescent
+graph freeze exactly once.  The frozen snapshot preserves the dict rows'
+iteration order, which keeps every float accumulation in the fast engine
+bit-identical to the reference dict-based scans.
 
 A snapshot of a changed graph is always one full
 ``CSRGraph.from_graph`` lowering.
@@ -138,18 +139,45 @@ class TransactionGraph:
         input and output accounts; duplicates are collapsed, as the set
         ``A_Tx`` in the paper is a set.
         """
+        adj = self._adj
+        if type(accounts) is tuple and len(accounts) == 2 and accounts[0] != accounts[1]:
+            # The common two-account transfer: exactly add_edge(u, v, 1.0)
+            # with u < v, one version bump for the whole transaction.
+            u, v = accounts if accounts[0] < accounts[1] else (accounts[1], accounts[0])
+            # An isolated node's row is falsy; setdefault then returns it.
+            row_u = adj.get(u) or adj.setdefault(u, {})
+            row_v = adj.get(v) or adj.setdefault(v, {})
+            if v in row_u:
+                row_u[v] += 1.0
+                row_v[u] += 1.0
+            else:
+                row_u[v] = row_v[u] = 1.0
+                self._num_edges += 1
+            self._total_weight += 1.0
+            self._num_transactions += 1
+            self._version += 1
+            return
         unique: List[Node] = sorted(set(accounts))
         if not unique:
             raise TransactionError("a transaction must touch at least one account")
-        self._num_transactions += 1
         n = len(unique)
-        if n == 1:
-            self.add_edge(unique[0], unique[0], 1.0)
-            return
         share = 1.0 / pair_count(n)
-        for i in range(n):
-            for j in range(i + 1, n):
-                self.add_edge(unique[i], unique[j], share)
+        # add_edge(u, v, share) per pair, inlined: same node and row order.
+        for i, u in enumerate(unique):
+            row = adj.get(u) or adj.setdefault(u, {})
+            for v in unique[i + 1 :] if n > 1 else unique:
+                if v in row:
+                    row[v] += share
+                    if u != v:
+                        adj[v][u] += share
+                else:
+                    row[v] = share
+                    if u != v:
+                        adj.setdefault(v, {})[u] = share
+                    self._num_edges += 1
+                self._total_weight += share
+        self._num_transactions += 1
+        self._version += 1
 
     def add_transactions(self, transactions: Iterable[Iterable[Node]]) -> None:
         """Bulk :meth:`add_transaction`."""
@@ -192,9 +220,11 @@ class TransactionGraph:
 
     @property
     def version(self) -> int:
-        """Mutation counter: bumped by every node/edge insertion.  Equal
-        versions of one graph mean equal content; the freeze cache and
-        the controller's idle-refresh reuse both key on it."""
+        """Mutation counter: bumped at least once by every mutating call
+        (``add_transaction`` bumps it once per transaction).  Only
+        equality is meaningful: equal versions of one graph mean equal
+        content; the freeze cache and the controller's idle-refresh
+        reuse both key on it."""
         return self._version
 
     def nodes(self) -> Iterator[Node]:

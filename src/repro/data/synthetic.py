@@ -263,7 +263,14 @@ class EthereumWorkloadGenerator:
 
 def account_sets(transactions: Sequence[Transaction]) -> List[Tuple[Address, ...]]:
     """Project transactions to sorted account tuples (metric/graph input)."""
-    return [tuple(sorted(tx.accounts)) for tx in transactions]
+    sets_: List[Tuple[Address, ...]] = []
+    for tx in transactions:
+        if len(tx.inputs) == 1 and len(tx.outputs) == 1:
+            a, b = tx.inputs[0], tx.outputs[0]
+            sets_.append((a,) if a == b else (a, b) if a < b else (b, a))
+        else:
+            sets_.append(tuple(sorted(tx.accounts)))
+    return sets_
 
 
 def chunk_blocks(transactions: Iterable[Transaction], block_size: int) -> List[Block]:

@@ -17,6 +17,7 @@ a laptop.  Pass a larger ``scale`` to stress the allocators.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import time
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -91,13 +92,17 @@ class Workload:
     account_sets: List[tuple]
     graph: TransactionGraph
     blocks: BlockStream
-    card: DatasetCard
     #: Registered workload-zoo topology this workload was built from.
     topology: str = "ethereum"
 
     @property
     def num_transactions(self) -> int:
         return len(self.account_sets)
+
+    @functools.cached_property
+    def card(self) -> DatasetCard:
+        """The dataset card, derived on first read (only Fig. 1 reads it)."""
+        return card_from_sets(self.account_sets)
 
 
 def build_workload(
@@ -135,7 +140,6 @@ def build_workload(
         account_sets=sets_,
         graph=graph,
         blocks=BlockStream(chunk_blocks(transactions, config.block_size)),
-        card=card_from_sets(sets_),
         topology=topology,
     )
 

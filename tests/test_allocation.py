@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.allocation import Allocation, capped_throughput
-from repro.core.graph import TransactionGraph
+from repro.core.graph import TransactionGraph, pair_count
 from repro.core.params import TxAlloParams
 from repro.errors import AllocationError
 from tests.conftest import make_random_graph
@@ -263,3 +263,69 @@ def test_property_caches_never_drift(moves, eta):
     for node_index, shard in moves:
         alloc.move(nodes[node_index % len(nodes)], shard)
     alloc.validate()
+
+
+def reference_ingest(alloc, sigma, lam_hat, accounts):
+    """The per-pair cache update ``ingest_transaction`` must reproduce,
+    applied to the ``sigma`` / ``lam_hat`` lists given."""
+    unique = sorted(set(accounts))
+    if len(unique) == 1:
+        i = alloc._shard_of.get(unique[0])
+        if i is not None:
+            sigma[i] += 1.0
+            lam_hat[i] += 1.0
+        return
+    share = 1.0 / pair_count(len(unique))
+    eta = alloc.params.eta
+    for a in range(len(unique)):
+        for b in range(a + 1, len(unique)):
+            iu = alloc._shard_of.get(unique[a])
+            iv = alloc._shard_of.get(unique[b])
+            if iu is not None and iu == iv:
+                sigma[iu] += share
+                lam_hat[iu] += share
+                continue
+            if iu is not None:
+                sigma[iu] += eta * share
+                lam_hat[iu] += share / 2.0
+            if iv is not None:
+                sigma[iv] += eta * share
+                lam_hat[iv] += share / 2.0
+
+
+INGEST_FORMS = {
+    "tuple": tuple,
+    "list": list,
+    "set": set,
+    "generator": lambda accounts: (a for a in accounts),
+}
+
+
+@given(
+    mapping=st.dictionaries(st.sampled_from("abcdefg"), st.integers(0, 2), max_size=7),
+    txs=st.lists(
+        st.tuples(
+            st.lists(st.sampled_from("abcdefgxy"), min_size=1, max_size=5),
+            st.sampled_from(sorted(INGEST_FORMS)),
+        ),
+        min_size=1,
+        max_size=25,
+    ),
+    eta=st.sampled_from([1.5, 2.0, 7.3]),
+)
+@settings(max_examples=120, deadline=None)
+def test_ingest_transaction_matches_the_per_pair_update(mapping, txs, eta):
+    """Partially assigned mappings, unassigned (``x``, ``y``) and repeated
+    accounts: the caches stay ``float.hex``-equal to the per-pair update."""
+    graph = TransactionGraph()
+    alloc = Allocation(graph, TxAlloParams(k=3, eta=eta, lam=10.0))
+    for v, q in mapping.items():
+        graph.add_node(v)
+        alloc.assign(v, q)
+    sigma, lam_hat = list(alloc.sigma), list(alloc.lam_hat)
+    for accounts, form in txs:
+        graph.add_transaction(accounts)
+        alloc.ingest_transaction(INGEST_FORMS[form](accounts))
+        reference_ingest(alloc, sigma, lam_hat, accounts)
+        assert [s.hex() for s in alloc.sigma] == [s.hex() for s in sigma]
+        assert [x.hex() for x in alloc.lam_hat] == [x.hex() for x in lam_hat]

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.params import TxAlloParams
+from repro.data.synthetic import card_from_sets
 from repro.errors import ParameterError
 from repro.eval import experiments
 from repro.eval.reporting import ascii_bar_chart, ascii_line_chart, format_table
@@ -35,6 +36,13 @@ class TestBuildWorkload:
 
     def test_card_computed(self, tiny_workload):
         assert tiny_workload.card.num_transactions == tiny_workload.num_transactions
+
+    def test_card_derived_on_first_read(self):
+        w = experiments.build_workload(scale=0.05, seed=4)
+        assert "card" not in vars(w)
+        card = w.card
+        assert card == card_from_sets(w.account_sets)
+        assert w.card is card
 
 
 class TestRunMethod:

@@ -378,3 +378,114 @@ class TestCopy:
         assert start.num_edges == g.num_edges
         assert start.num_transactions == g.num_transactions
         assert start.total_weight == g.total_weight
+
+
+# ----------------------------------------------------------------------
+# Ingest parity: add_transaction against an add_edge expansion
+# ----------------------------------------------------------------------
+def reference_ingest(graph, accounts):
+    """Definition 2 spelled out through ``add_edge``: share ``1/C(n, 2)``
+    per sorted pair, or one unit self-loop for a lone account."""
+    unique = sorted(set(accounts))
+    if len(unique) == 1:
+        graph.add_edge(unique[0], unique[0], 1.0)
+        return
+    share = 1.0 / math.comb(len(unique), 2)
+    for i, u in enumerate(unique):
+        for v in unique[i + 1 :]:
+            graph.add_edge(u, v, share)
+
+
+def graph_state(graph):
+    """Node order, row order and ``float.hex`` weights, plus counters."""
+    rows = [(v, [(u, w.hex()) for u, w in graph.neighbours(v).items()]) for v in graph.nodes()]
+    return rows, graph.num_edges, graph.total_weight.hex()
+
+
+FORMS = {
+    "tuple": tuple,
+    "list": list,
+    "set": set,
+    "frozenset": frozenset,
+    "generator": lambda accounts: (a for a in accounts),
+}
+
+ingest_account = st.sampled_from(["a", "b", "c", "d", "e", "f"])
+ingest_tx = st.one_of(
+    st.lists(ingest_account, min_size=1, max_size=5),
+    st.tuples(ingest_account, ingest_account).map(list),
+    st.just(["b", "a"]),
+    st.just(["a", "a"]),
+)
+
+
+class TestIngestParity:
+    """``add_transaction`` takes a fast path for two-account tuples and an
+    inlined general path otherwise; both must build the graph exactly as
+    the ``add_edge`` expansion of Definition 2 does."""
+
+    @given(
+        isolated=st.lists(ingest_account, max_size=3),
+        txs=st.lists(st.tuples(ingest_tx, st.sampled_from(sorted(FORMS))), min_size=1, max_size=30),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_add_edge_expansion(self, isolated, txs):
+        g, ref = TransactionGraph(), TransactionGraph()
+        for v in isolated:
+            g.add_node(v)
+            ref.add_node(v)
+        for count, (accounts, form) in enumerate(txs, start=1):
+            version, snapshot = g.version, g.freeze()
+            full = g.freeze_stats["full"]
+            g.add_transaction(FORMS[form](accounts))
+            reference_ingest(ref, accounts)
+            assert graph_state(g) == graph_state(ref)
+            assert g.num_transactions == count
+            assert g.version > version
+            fresh = g.freeze()
+            assert fresh is not snapshot
+            assert g.freeze_stats["full"] == full + 1
+            assert fresh.nodes == g.nodes_sorted()
+
+    @pytest.mark.parametrize("form", sorted(FORMS))
+    def test_empty_transaction_leaves_the_graph_untouched(self, form):
+        g = TransactionGraph()
+        g.add_node("z")
+        g.add_transaction(("a", "b"))
+        g.add_transaction(("b", "c", "d"))
+        before = (graph_state(g), g.num_transactions, g.version)
+        with pytest.raises(TransactionError):
+            g.add_transaction(FORMS[form](()))
+        assert (graph_state(g), g.num_transactions, g.version) == before
+
+    def count_calls(self, monkeypatch):
+        calls = []
+        original = TransactionGraph.add_transaction
+
+        def add_transaction(graph, accounts):
+            calls.append(accounts)
+            return original(graph, accounts)
+
+        monkeypatch.setattr(TransactionGraph, "add_transaction", add_transaction)
+        return calls
+
+    def test_add_transactions_calls_add_transaction_once_per_transaction(self, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        txs = [("a", "b"), ["c"], {"a", "d", "e"}, ("b", "a"), ("f", "f")]
+        TransactionGraph().add_transactions(txs)
+        assert len(calls) == len(txs)
+
+    def test_observe_block_calls_add_transaction_once_per_transaction(self, monkeypatch):
+        from repro.core.controller import TxAlloController
+        from repro.core.params import TxAlloParams
+
+        controller = TxAlloController(
+            TxAlloParams(k=2, eta=2.0, lam=10.0),
+            seed_transactions=[("a", "b"), ("c", "d"), ("b", "c")],
+        )
+        calls = self.count_calls(monkeypatch)
+        block = [("b", "a"), ["e", "e"], ("c", "a", "c", "f"), frozenset({"d", "g"})]
+        controller.observe_block(block)
+        assert len(calls) == len(block)
+        # Each transaction reaches the graph sorted and deduplicated.
+        assert calls == [tuple(sorted(set(accounts))) for accounts in block]

@@ -6,6 +6,7 @@ import hashlib
 
 import pytest
 
+from repro.chain.types import Transaction
 from repro.data.synthetic import (
     AdversarialWorkloadGenerator,
     CommunityDriftWorkloadGenerator,
@@ -14,6 +15,7 @@ from repro.data.synthetic import (
     HotSpotWorkloadGenerator,
     MintBurstWorkloadGenerator,
     WorkloadConfig,
+    account_sets,
     address_from_int,
     get_workload_entry,
     make_workload_generator,
@@ -199,6 +201,34 @@ class TestWorkloadGolden:
         )
         seed_stream, _ = workload.blocks.split(0.4)
         assert setup.seed_sets == seed_stream.account_sets()
+
+
+class TestAccountSets:
+    """``account_sets`` emits one-input/one-output transfers without a
+    sort; every projection must still equal ``tuple(sorted(tx.accounts))``."""
+
+    @pytest.mark.parametrize("seed", (1, 2022))
+    @pytest.mark.parametrize("name", ZOO)
+    def test_matches_the_sorted_projection_on_the_zoo(self, name, seed):
+        txs = make_workload_generator(name, small_config(seed=seed)).generate()
+        assert account_sets(txs) == [tuple(sorted(tx.accounts)) for tx in txs]
+
+    def test_matches_the_sorted_projection_on_hand_made_transactions(self):
+        a, b, c = (address_from_int(i) for i in (7, 3, 5))
+        txs = [
+            Transaction.transfer(a, b),
+            Transaction.transfer(b, a),
+            Transaction.transfer(a, a),
+            Transaction(inputs=(a, a), outputs=(a,)),
+            Transaction(inputs=(c, a), outputs=(b,)),
+            Transaction(inputs=(a,), outputs=(b, c, b)),
+            Transaction(inputs=(a, b), outputs=(b, a)),
+            Transaction(inputs=(c,), outputs=(c, a)),
+        ]
+        sets_ = account_sets(txs)
+        assert sets_ == [tuple(sorted(tx.accounts)) for tx in txs]
+        assert sets_[2] == sets_[3] == (a,)
+        assert all(type(accounts) is tuple for accounts in sets_)
 
 
 # ----------------------------------------------------------------------
