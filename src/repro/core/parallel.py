@@ -108,24 +108,29 @@ def canonical_records(records: Sequence) -> List:
 def warm_grid_state(workload, cells: Sequence[Tuple[str, int, float]], cache):
     """Compute the grid's shared state once, in the calling process.
 
-    * freezes the transaction graph (the CSR snapshot every cell reads);
-    * memoises the Louvain partition on that snapshot when any cell runs
-      G-TxAllo (``txallo``: ``g_txallo`` consults ``csr.louvain_memo``
-      under its default ``(32, 1.0)`` key — one parent-side run serves
-      the whole grid); ``txallo_online`` cells replay the stream on a
-      fresh controller and never read it;
+    * memoises the Louvain partition on the frozen CSR snapshot when any
+      cell runs G-TxAllo (``txallo``: ``g_txallo`` consults
+      ``csr.louvain_memo`` under its default ``(32, 1.0)`` key — one
+      parent-side run serves the whole grid); ``txallo_online`` cells
+      replay the stream on a fresh controller and never read it;
     * computes every eta-independent static mapping (hash, prefix,
       METIS) exactly once per ``(method, k)`` into ``cache`` —
       per-process memoisation would otherwise recompute them in every
       worker.  The METIS cells share one lowered graph and coarsening
       chain on the snapshot (``csr.metis_memo``), so METIS coarsens
       once for every k.
+
+    The graph is frozen only by the cells that read the snapshot: the
+    Louvain warm-up and the METIS mapping freeze it here, so the workers
+    inherit it.  ``hash``/``random`` and ``prefix`` read only
+    ``nodes_sorted()``, and a grid without snapshot readers never
+    freezes.  A registered static allocator that reads the snapshot
+    still works: it freezes the graph on first read, in each worker.
     """
     from repro import allocators
     from repro.core.louvain import louvain_partition
     from repro.core.params import TxAlloParams
 
-    workload.graph.freeze()
     methods = {method for method, _, _ in cells}
     if "txallo" in methods:
         louvain_partition(workload.graph)

@@ -84,19 +84,20 @@ def group_into_blocks(
     """Group ``(height, tx)`` rows into linked :class:`Block` objects.
 
     Heights are re-based to start at 0 and must be non-decreasing (exports
-    are block-ordered); gaps are tolerated and collapsed.
+    are block-ordered); gaps are tolerated and collapsed.  Each block is
+    linked to its predecessor by :meth:`Block.child_of`, so no block is
+    hashed here; ``parent_hash`` and ``block_hash`` are derived on first
+    read.
     """
     blocks: List[Block] = []
     current_height: int = -1
     batch: List[Transaction] = []
-    parent = ""
 
     def flush() -> None:
-        nonlocal parent, batch
+        nonlocal batch
         if batch:
-            block = Block(height=len(blocks), transactions=tuple(batch), parent_hash=parent)
-            blocks.append(block)
-            parent = block.block_hash
+            parent = blocks[-1] if blocks else None
+            blocks.append(Block.child_of(parent, height=len(blocks), transactions=tuple(batch)))
             batch = []
 
     last_seen = None

@@ -5,8 +5,10 @@ What the parallel layer *promises* (and these tests pin):
 * the process-parallel evaluation grid returns records identical to a
   sequential run for any worker count — the only thing ``workers`` may
   change is wall-clock;
-* the shared grid state (freeze + Louvain memo + eta-independent static
-  mappings) is computed exactly once in the parent, never per worker;
+* the shared grid state (Louvain memo + eta-independent static
+  mappings, and the freeze they read) is computed exactly once in the
+  parent, never per worker, and a grid whose cells never read the
+  snapshot never freezes;
 * platforms without ``fork`` (and ``workers=1``) silently fall back to
   the sequential loop;
 * BLAS/OpenMP thread pinning sets every knob and respects explicit
@@ -172,6 +174,27 @@ class TestSharedStateComputedOnce:
         after = graph.freeze_stats["full"]
         # At most one (re)freeze in the parent; workers inherit it.
         assert after - before <= 1
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_grid_without_snapshot_readers_never_freezes(self, workers):
+        """``txallo_online`` replays the stream on its own controller and
+        ``hash`` reads only ``nodes_sorted()``: warming and running a grid
+        of them leaves the workload graph unfrozen."""
+        workload = experiments.build_workload(scale=0.05, seed=7)
+        experiments.sweep(
+            workload, ks=(2, 4), etas=(2.0,), methods=("txallo_online", "hash"),
+            workers=workers,
+        )
+        assert workload.graph.freeze_stats["full"] == 0
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_txallo_grid_freezes_exactly_once(self, workers):
+        workload = experiments.build_workload(scale=0.05, seed=7)
+        experiments.sweep(
+            workload, ks=(2, 4), etas=(2.0, 6.0), methods=("txallo",),
+            workers=workers,
+        )
+        assert workload.graph.freeze_stats["full"] == 1
 
     def test_louvain_warmed_only_for_g_txallo_cells(self):
         """``txallo_online`` cells replay the stream on a fresh controller
