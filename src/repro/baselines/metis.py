@@ -129,11 +129,10 @@ def _lower(
     """
     adj = [dict(row) for row in csr.pairs]
     if node_weights is None:
-        indptr, row_weights = csr.indptr, csr.weights
         weights = []
-        for i in range(len(adj)):
+        for row in csr.rows:
             s = 0.0
-            for w in row_weights[indptr[i] : indptr[i + 1]]:
+            for _, w in row:
                 s += w
             weights.append(s)
     else:

@@ -5,23 +5,28 @@ strings — ideal for incremental ingest, terrible for the allocation hot
 paths, which pay Python string hashing and per-node dict construction on
 every neighbourhood scan.  :class:`CSRGraph` is the *frozen* form the
 flat-array sweep engine (:mod:`repro.core.engine`) runs on: account
-strings are interned to dense integer ids and the adjacency is lowered
-into flat CSR arrays:
+strings are interned to dense integer ids and each adjacency row is
+lowered into one list of ``(neighbour_id, weight)`` tuples.  A snapshot
+holds:
 
-* ``indptr``/``indices``/``weights`` — ``array('l')``/``array('d')``
-  row-pointer, neighbour-id and weight vectors.  Rows keep the *exact*
-  iteration order of the source dict rows (including the self-loop entry
-  at its original position), so any float accumulation the engine does
-  over a row reproduces the reference implementation bit-for-bit.
+* ``nodes``/``index_of`` — id → account and account → id;
+* ``rows`` — the full row of each node, in the *exact* iteration order
+  of the source dict row, the self-loop entry at its original position.
+  Any float accumulation over a row therefore reproduces the reference
+  implementation bit-for-bit;
+* ``pairs`` — the loop-free row the sweep hot loops iterate (tuple
+  unpacking is the fastest pure-Python idiom for this).  A row without a
+  self-loop is the very list object in ``rows``;
 * ``loop``/``ext`` — per-node self-loop weight ``w{v,v}`` and external
-  strength ``w{v, V/v}`` (summed in row order, hence bit-identical to the
-  reference's per-scan accumulation).
-* ``pairs`` — a loop-free ``[(neighbour_id, weight), ...]`` list per node,
-  the hot-loop view the sweep engine iterates (tuple unpacking is the
-  fastest pure-Python idiom for this).
+  strength ``w{v, V/v}`` (summed left to right in row order, hence
+  bit-identical to the reference's per-scan accumulation);
 * ``insertion_order`` — the ids in insertion (chronological appearance)
   order, for the one pass that replays ``TransactionGraph.edges()``
-  (see below).
+  (see below);
+* ``num_edges``/``total_weight`` — the source graph's counters;
+* three memos of results derived from the snapshot alone (the Louvain
+  partition, its per-community intra/cut weights and the METIS
+  coarsening chain).
 
 Id scheme
 ---------
@@ -55,9 +60,7 @@ class CSRGraph:
     __slots__ = (
         "nodes",
         "index_of",
-        "indptr",
-        "indices",
-        "weights",
+        "rows",
         "loop",
         "ext",
         "pairs",
@@ -73,9 +76,7 @@ class CSRGraph:
         self,
         nodes: List["Node"],
         index_of: Dict["Node", int],
-        indptr: array,
-        indices: array,
-        weights: array,
+        rows: List[List[Tuple[int, float]]],
         loop: array,
         ext: array,
         pairs: List[List[Tuple[int, float]]],
@@ -85,9 +86,7 @@ class CSRGraph:
     ) -> None:
         self.nodes = nodes
         self.index_of = index_of
-        self.indptr = indptr
-        self.indices = indices
-        self.weights = weights
+        self.rows = rows
         self.loop = loop
         self.ext = ext
         self.pairs = pairs
@@ -114,7 +113,7 @@ class CSRGraph:
     # ------------------------------------------------------------------
     @classmethod
     def from_graph(cls, graph: "TransactionGraph") -> "CSRGraph":
-        """Lower ``graph`` into CSR arrays (an O(N log N + E) pass).
+        """Lower ``graph`` into a snapshot (an O(N log N + E) pass).
 
         Node ``i`` is the ``i``-th account in ascending identifier order;
         row contents preserve the adjacency-dict iteration order so float
@@ -126,39 +125,31 @@ class CSRGraph:
         index_of = {v: i for i, v in enumerate(nodes)}
         insertion_order = array("l", [index_of[v] for v in graph.nodes()])
 
-        lsize = array("l").itemsize
-        indptr = array("l", bytes(lsize * (n + 1)))  # zero-initialised
-        indices = array("l")
-        weights = array("d")
+        neighbours = graph.neighbours
+        rows: List[List[Tuple[int, float]]] = []
+        pairs: List[List[Tuple[int, float]]] = []
         loop = array("d", bytes(8 * n))
         ext = array("d", bytes(8 * n))
-        pairs: List[List[Tuple[int, float]]] = []
-
-        pos = 0
         for i, v in enumerate(nodes):
-            row = graph.neighbours(v)
-            prs: List[Tuple[int, float]] = []
+            nbrs = neighbours(v)
+            row = [(index_of[u], w) for u, w in nbrs.items()]
+            rows.append(row)
             e = 0.0
-            for u, w in row.items():
-                j = index_of[u]
-                indices.append(j)
-                weights.append(w)
-                if j == i:
-                    loop[i] = w
-                else:
+            if v in nbrs:
+                loop[i] = nbrs[v]
+                row = [t for t in row if t[0] != i]
+                for _, w in row:
                     e += w
-                    prs.append((j, w))
+            else:
+                for w in nbrs.values():
+                    e += w
             ext[i] = e
-            pairs.append(prs)
-            pos += len(row)
-            indptr[i + 1] = pos
+            pairs.append(row)
 
         return cls(
             nodes=nodes,
             index_of=index_of,
-            indptr=indptr,
-            indices=indices,
-            weights=weights,
+            rows=rows,
             loop=loop,
             ext=ext,
             pairs=pairs,

@@ -8,8 +8,9 @@ compiled CSR kernel (:mod:`repro.core.csr`):
    dict (and dict sort) per node;
 2. :class:`_FlatAllocation` (internal to :func:`g_txallo_flat`) — the
    int-indexed allocation state: ``sigma`` / ``lam_hat`` / membership as
-   flat lists, neighbour-shard weights accumulated into a reusable
-   per-shard scatter buffer;
+   flat lists plus the reusable per-shard scatter buffer that the
+   inlined initialise and optimise scans accumulate neighbour-shard
+   weights into;
 3. :func:`g_txallo_flat` — the Algorithm 1 sweeps consuming that state;
 4. :func:`a_txallo_flat` — the Algorithm 2 sweeps over the live graph.
 
@@ -44,8 +45,9 @@ same order:
   and parenthesisation as :mod:`repro.core.objective` and
   :meth:`repro.core.allocation.Allocation.move`;
 * ties break toward the smallest community index via an exact
-  ``(gain, -index)`` argmax, matching the reference's
-  ascending-candidate strict-improvement scan.
+  ``(gain, -index)`` argmax over the candidates in first-touch order,
+  matching the reference's ascending-candidate strict-improvement scan
+  without sorting them.
 
 ``tests/test_engine_parity.py`` enforces this contract property-style
 across randomised workloads, shard counts and eta values.
@@ -68,14 +70,15 @@ from repro.core.atxallo import MAX_SWEEPS as _ADAPTIVE_MAX_SWEEPS
 from repro.core.csr import CSRGraph
 from repro.core.graph import Node, TransactionGraph
 from repro.core.gtxallo import MAX_SWEEPS as _GLOBAL_MAX_SWEEPS
-from repro.core.louvain import _MIN_GAIN
+from repro.core.louvain import LOUVAIN_DEFAULTS, _MIN_GAIN
 from repro.core.params import TxAlloParams
 from repro.errors import AllocationError
 
-# The sweep bounds and Louvain gain threshold are imported from the
-# reference modules (which import this engine only lazily, so there is
-# no cycle) — the engine and its oracle cannot drift apart on
-# convergence behaviour.
+# The sweep bounds, Louvain gain threshold and Louvain defaults are
+# imported from the reference modules (which import this engine only
+# lazily, so there is no cycle) — the engine and its oracle cannot drift
+# apart on convergence behaviour, and G-TxAllo's cached intra/cut weights
+# are always those of the partition it seeds from.
 
 
 # ======================================================================
@@ -83,8 +86,8 @@ from repro.errors import AllocationError
 # ======================================================================
 def louvain_fast(
     graph: TransactionGraph,
-    max_levels: int = 32,
-    resolution: float = 1.0,
+    max_levels: int = LOUVAIN_DEFAULTS[0],
+    resolution: float = LOUVAIN_DEFAULTS[1],
 ) -> Dict[Node, int]:
     """The kernel behind :func:`repro.core.louvain.louvain_partition`."""
     csr = graph.freeze()
@@ -94,8 +97,8 @@ def louvain_fast(
 
 def louvain_flat(
     csr: CSRGraph,
-    max_levels: int = 32,
-    resolution: float = 1.0,
+    max_levels: int = LOUVAIN_DEFAULTS[0],
+    resolution: float = LOUVAIN_DEFAULTS[1],
 ) -> List[int]:
     """Louvain over a frozen graph; returns per-node community labels.
 
@@ -254,7 +257,8 @@ class _FlatAllocation:
     ``comm[i]`` is the community of CSR node ``i``; ``sigma`` / ``lam_hat``
     and the per-community member counts are plain lists indexed by
     community.  ``acc`` / ``stamp`` form the reusable per-shard scatter
-    accumulator behind every neighbour-shard-weight scan.
+    accumulator behind every neighbour-shard-weight scan; ``epoch`` is
+    the last stamp a scan used.
     """
 
     __slots__ = ("csr", "params", "comm", "sigma", "lam_hat", "counts",
@@ -283,54 +287,6 @@ class _FlatAllocation:
         self.acc = [0.0] * num_comms
         self.stamp = [0] * num_comms
         self.epoch = 0
-
-    # ------------------------------------------------------------------
-    def scan(self, i: int) -> List[int]:
-        """Accumulate node ``i``'s weight toward each community.
-
-        Scatter into ``acc`` under a fresh epoch and return the list of
-        communities touched, in first-touch (row) order.  ``acc[c]`` is
-        valid for exactly the returned communities until the next scan.
-        """
-        self.epoch += 1
-        epoch = self.epoch
-        acc = self.acc
-        stamp = self.stamp
-        comm = self.comm
-        touched: List[int] = []
-        for j, w in self.csr.pairs[i]:
-            c = comm[j]
-            if stamp[c] == epoch:
-                acc[c] += w
-            else:
-                stamp[c] = epoch
-                acc[c] = w
-                touched.append(c)
-        return touched
-
-    def weight_to(self, c: int) -> float:
-        """``w{v, V_c}`` from the most recent :meth:`scan` (0.0 if none)."""
-        return self.acc[c] if self.stamp[c] == self.epoch else 0.0
-
-    # ------------------------------------------------------------------
-    def move(self, i: int, p: int, q: int, w_self: float, w_ext: float) -> None:
-        """Apply ``Allocation.move``'s deltas for node ``i``: ``p`` → ``q``.
-
-        Caller must have :meth:`scan`-ned ``i`` immediately before.
-        """
-        eta = self.params.eta
-        w_p = self.weight_to(p)
-        w_q = self.weight_to(q)
-        half = w_self + w_ext / 2.0
-        sigma = self.sigma
-        lam_hat = self.lam_hat
-        sigma[p] += -w_self - eta * (w_ext - w_p) + (eta - 1.0) * w_p
-        lam_hat[p] -= half
-        sigma[q] += w_self + eta * (w_ext - w_q) + (1.0 - eta) * w_q
-        lam_hat[q] += half
-        self.comm[i] = q
-        self.counts[p] -= 1
-        self.counts[q] += 1
 
     def truncate(self, k: int) -> None:
         """Drop trailing (empty) communities, as ``Allocation.truncate``."""
@@ -373,19 +329,17 @@ def _intra_cut(
     """
     intra = [0.0] * num_comms
     cut = [0.0] * num_comms
-    indptr, indices, weights = csr.indptr, csr.indices, csr.weights
+    rows = csr.rows
     seen = bytearray(len(comm))
     for u in csr.insertion_order:
         cu = comm[u]
-        for t in range(indptr[u], indptr[u + 1]):
-            j = indices[t]
+        for j, w in rows[u]:
             if j == u:
-                intra[cu] += weights[t]
+                intra[cu] += w
                 continue
             if seen[j]:
                 continue  # already handled at the earlier-inserted endpoint
             cj = comm[j]
-            w = weights[t]
             if cu == cj:
                 intra[cu] += w
             else:
@@ -413,13 +367,12 @@ def g_txallo_flat(
     csr = graph.freeze()
 
     if initial_partition is None:
-        memo_key = (32, 1.0)  # the louvain defaults used below
-        comm = louvain_flat(csr)
+        comm = louvain_flat(csr, *LOUVAIN_DEFAULTS)
         num_louvain = 1 + max(comm, default=-1)
-        intra_cut = csr.intra_cut_memo.get(memo_key)
+        intra_cut = csr.intra_cut_memo.get(LOUVAIN_DEFAULTS)
         if intra_cut is None:
             intra_cut = _intra_cut(csr, comm, num_louvain)
-            csr.intra_cut_memo[memo_key] = intra_cut
+            csr.intra_cut_memo[LOUVAIN_DEFAULTS] = intra_cut
     else:
         # The label count follows the partition dict (which may mention
         # accounts beyond the graph), matching the reference exactly.
@@ -474,90 +427,90 @@ def _initialise_flat(
             intra_cut = (intra_cut[0] + pad, intra_cut[1] + pad)
         return _FlatAllocation(csr, params, comm, k, intra_cut), 0
 
-    staged = _FlatAllocation(csr, params, comm, num_comms, intra_cut)
-    ranked = sorted(range(num_comms), key=lambda c: (-staged.sigma[c], c))
+    flat = _FlatAllocation(csr, params, comm, num_comms, intra_cut)
+    ranked = sorted(range(num_comms), key=lambda c: (-flat.sigma[c], c))
     relabel = {c: i for i, c in enumerate(ranked)}
     # Relabelling permutes the caches; the float sums per community are
     # unchanged (same additions in the same order into a renamed slot).
-    flat = staged
-    flat.comm = [relabel[c] for c in comm]
-    sigma = [0.0] * num_comms
-    lam_hat = [0.0] * num_comms
-    counts = [0] * num_comms
-    for c in range(num_comms):
-        r = relabel[c]
-        sigma[r] = staged.sigma[c]
-        lam_hat[r] = staged.lam_hat[c]
-        counts[r] = staged.counts[c]
-    flat.sigma, flat.lam_hat, flat.counts = sigma, lam_hat, counts
+    comm = flat.comm = [relabel[c] for c in comm]
+    sigma = flat.sigma = [flat.sigma[c] for c in ranked]
+    lam_hat = flat.lam_hat = [flat.lam_hat[c] for c in ranked]
+    counts = flat.counts = [flat.counts[c] for c in ranked]
 
     lam = params.lam
     eta = params.eta
-    comm = flat.comm
+    one_minus_eta = 1.0 - eta
+    eta_minus_one = eta - 1.0
+    pairs = csr.pairs
     loop = csr.loop
     ext = csr.ext
+    acc = flat.acc
+    stamp = flat.stamp
+    epoch = flat.epoch
+    neg_inf = -float("inf")
+    touched: List[int] = []
     num_small = 0
     # Small-community nodes in ascending id (= identifier) order, as the
-    # reference's sorted() scan visits them.
+    # reference's sorted() scan visits them.  Scan, Eq. (6) argmax and
+    # move deltas are inlined as in _optimise_flat; the expressions are
+    # ``GainComputer.best_join``'s and ``Allocation.move``'s.
     for i in range(len(comm)):
         p = comm[i]
         if p < k:
             continue
         num_small += 1
-        touched = flat.scan(i)
+        epoch += 1
+        del touched[:]
+        append = touched.append
+        for j, w in pairs[i]:
+            c = comm[j]
+            if stamp[c] == epoch:
+                acc[c] += w
+            else:
+                stamp[c] = epoch
+                acc[c] = w
+                append(c)
         w_self = loop[i]
         w_ext = ext[i]
-        candidates: Iterable[int] = sorted(
-            c for c in touched if c < k and flat.acc[c] > 0.0
-        )
+        half_ext = w_ext / 2.0
+        candidates: Iterable[int] = [c for c in touched if c < k and acc[c] > 0.0]
         if not candidates:
             # The node connects to no large community: every shard is a
             # candidate (Algorithm 1, lines 4-6).
             candidates = range(k)
-        q = _best_join(flat, candidates, w_self, w_ext, eta, lam)[0]
-        flat.move(i, p, q, w_self, w_ext)
+        best_q = -1
+        best_gain = neg_inf
+        for q in candidates:
+            w_q = acc[q] if stamp[q] == epoch else 0.0
+            sigma_q = sigma[q]
+            lam_hat_q = lam_hat[q]
+            sigma_new = sigma_q + w_self + eta * (w_ext - w_q) + one_minus_eta * w_q
+            lam_hat_new = lam_hat_q + w_self + half_ext
+            if sigma_q <= lam or sigma_q == 0.0:
+                before = lam_hat_q
+            else:
+                before = lam / sigma_q * lam_hat_q
+            if sigma_new <= lam or sigma_new == 0.0:
+                after = lam_hat_new
+            else:
+                after = lam / sigma_new * lam_hat_new
+            gain = after - before
+            if gain > best_gain or (gain == best_gain and q < best_q):
+                best_gain = gain
+                best_q = q
+        w_p = acc[p] if stamp[p] == epoch else 0.0
+        w_q = acc[best_q] if stamp[best_q] == epoch else 0.0
+        half = w_self + half_ext
+        sigma[p] += -w_self - eta * (w_ext - w_p) + eta_minus_one * w_p
+        lam_hat[p] -= half
+        sigma[best_q] += w_self + eta * (w_ext - w_q) + one_minus_eta * w_q
+        lam_hat[best_q] += half
+        comm[i] = best_q
+        counts[p] -= 1
+        counts[best_q] += 1
+    flat.epoch = epoch
     flat.truncate(k)
     return flat, num_small
-
-
-def _best_join(
-    flat: _FlatAllocation,
-    candidates: Iterable[int],
-    w_self: float,
-    w_ext: float,
-    eta: float,
-    lam: float,
-) -> Tuple[Optional[int], float]:
-    """Argmax of Eq. (6) over ``candidates`` (ascending; ties → smallest).
-
-    Bit-identical to ``GainComputer.best_join`` /
-    ``capped_throughput``: same expressions, same operand order.
-    """
-    sigma = flat.sigma
-    lam_hat = flat.lam_hat
-    best_q: Optional[int] = None
-    best_gain = -float("inf")
-    for q in candidates:
-        w_q = flat.weight_to(q)
-        sigma_q = sigma[q]
-        lam_hat_q = lam_hat[q]
-        sigma_new = sigma_q + w_self + eta * (w_ext - w_q) + (1.0 - eta) * w_q
-        lam_hat_new = lam_hat_q + w_self + w_ext / 2.0
-        if sigma_q <= lam or sigma_q == 0.0:
-            before = lam_hat_q
-        else:
-            before = lam / sigma_q * lam_hat_q
-        if sigma_new <= lam or sigma_new == 0.0:
-            after = lam_hat_new
-        else:
-            after = lam / sigma_new * lam_hat_new
-        gain = after - before
-        if gain > best_gain:
-            best_gain = gain
-            best_q = q
-    if best_q is None:
-        return None, 0.0
-    return best_q, best_gain
 
 
 def _optimise_flat(
@@ -627,7 +580,6 @@ def _optimise_flat(
             if not touched or (len(touched) == 1 and touched[0] == p):
                 # The node connects only to its own community; it stays.
                 continue
-            touched.sort()
             w_self = loop[i]
             w_ext = ext[i]
             half_ext = w_ext / 2.0
@@ -660,7 +612,7 @@ def _optimise_flat(
                 else:
                     join_after = lam / sigma_new * lam_hat_new
                 gain = leave + (join_after - thpt[q])
-                if gain > best_gain:
+                if gain > best_gain or (gain == best_gain and q < best_q):
                     best_gain = gain
                     best_q = q
             if best_q >= 0 and best_gain > 0.0:
@@ -711,17 +663,21 @@ def a_txallo_flat(
     adjacency rows (``alloc.graph.neighbours``) and the live mapping
     (``alloc._shard_of``) in place: no freeze, no copied view.  The graph
     cannot change during a run, and :meth:`Allocation.assign` /
-    :meth:`Allocation.move` keep the mapping current.  Per-node ``w_ext``
-    is summed left to right over the row in dict order, skipping the
-    self-loop — the reference's own float sequence — and assignments and
-    moves pass the accumulated weights, so the cache arithmetic is the
-    reference's and the run is byte-identical to ``a_txallo_reference``.
+    :meth:`Allocation.move` keep the mapping current.  Each scan of a row
+    also sums the node's ``w_ext`` left to right in dict order, skipping
+    the self-loop — the reference's own float sequence — and assignments
+    and moves pass the accumulated weights, so the cache arithmetic is
+    the reference's and the run is byte-identical to
+    ``a_txallo_reference``.
     """
     params = alloc.params
     k = params.k
     eta = params.eta
     lam = params.lam
     num_comms = alloc.num_communities
+    one_minus_eta = 1.0 - eta
+    eta_minus_one = eta - 1.0
+    neg_inf = -float("inf")
 
     hat_v: List[Node] = sorted(set(touched))
     nv = len(hat_v)
@@ -730,89 +686,74 @@ def a_txallo_flat(
     # Raises GraphError for an unknown account before anything mutates.
     rows = [neighbours(v) for v in hat_v]
 
-    # Left to right in row order, skipping the self-loop: the
-    # reference's accumulation (sum() rounds differently from 3.12 on).
-    self_w = []
-    ext_w = []
-    for v, row in zip(hat_v, rows):
-        self_w.append(row.get(v, 0.0))
-        e = 0.0
-        for u, w in row.items():
-            if u != v:
-                e += w
-        ext_w.append(e)
-
     acc = [0.0] * num_comms
     stamp = [0] * num_comms
     epoch = 0
-
-    def scan(s: int) -> List[int]:
-        nonlocal epoch
-        epoch += 1
-        touched_comms: List[int] = []
-        v = hat_v[s]
-        for u, w in rows[s].items():
-            if u == v:
-                continue
-            c = shard_of.get(u)
-            if c is None:
-                continue  # unassigned neighbour carries no shard weight
-            if stamp[c] == epoch:
-                acc[c] += w
-            else:
-                stamp[c] = epoch
-                acc[c] = w
-                touched_comms.append(c)
-        return touched_comms
+    touched_comms: List[int] = []
 
     # Assign/move below pass *minimal* weight triples — only the source
     # and destination communities are ever read (``by_shard.get(p)`` /
     # ``.get(q)``), and the values are the same stamped accumulator reads
     # the full per-community dict would carry, so the cache arithmetic is
-    # bit-identical to the reference's ``neighbour_shard_weights``.
-    def join_gain(q: int, w_q: float, w_self: float, w_ext: float) -> float:
-        sigma_q = alloc.sigma[q]
-        lam_hat_q = alloc.lam_hat[q]
-        sigma_new = sigma_q + w_self + eta * (w_ext - w_q) + (1.0 - eta) * w_q
-        lam_hat_new = lam_hat_q + w_self + w_ext / 2.0
-        if sigma_q <= lam or sigma_q == 0.0:
-            before = lam_hat_q
-        else:
-            before = lam / sigma_q * lam_hat_q
-        if sigma_new <= lam or sigma_new == 0.0:
-            after = lam_hat_new
-        else:
-            after = lam / sigma_new * lam_hat_new
-        return after - before
+    # bit-identical to the reference's ``neighbour_shard_weights``.  The
+    # scans of both phases are the same loop: unassigned neighbours carry
+    # no shard weight but count toward ``w_ext``.
 
     # --- Phase 1: brand-new accounts (Algorithm 2, lines 1-8) -----------
+    sigma = alloc.sigma
+    lam_hat = alloc.lam_hat
     new_slots = [s for s in range(nv) if hat_v[s] not in shard_of]
     for s in new_slots:
-        touched_comms = scan(s)
-        w_self = self_w[s]
-        w_ext = ext_w[s]
-        candidates: Iterable[int] = sorted(
+        v = hat_v[s]
+        epoch += 1
+        del touched_comms[:]
+        append = touched_comms.append
+        w_self = 0.0
+        w_ext = 0.0
+        for u, w in rows[s].items():
+            if u == v:
+                w_self = w
+                continue
+            w_ext += w
+            c = shard_of.get(u)
+            if c is None:
+                continue
+            if stamp[c] == epoch:
+                acc[c] += w
+            else:
+                stamp[c] = epoch
+                acc[c] = w
+                append(c)
+        half_ext = w_ext / 2.0
+        candidates: Iterable[int] = [
             c for c in touched_comms if c < k and acc[c] > 0.0
-        )
+        ]
         if not candidates:
             candidates = range(k)
         best_q = -1
-        best_gain = -float("inf")
+        best_gain = neg_inf
         for q in candidates:
             w_q = acc[q] if stamp[q] == epoch else 0.0
-            gain = join_gain(q, w_q, w_self, w_ext)
-            if gain > best_gain:
+            sigma_q = sigma[q]
+            lam_hat_q = lam_hat[q]
+            sigma_new = sigma_q + w_self + eta * (w_ext - w_q) + one_minus_eta * w_q
+            lam_hat_new = lam_hat_q + w_self + half_ext
+            if sigma_q <= lam or sigma_q == 0.0:
+                before = lam_hat_q
+            else:
+                before = lam / sigma_q * lam_hat_q
+            if sigma_new <= lam or sigma_new == 0.0:
+                after = lam_hat_new
+            else:
+                after = lam / sigma_new * lam_hat_new
+            gain = after - before
+            if gain > best_gain or (gain == best_gain and q < best_q):
                 best_gain = gain
                 best_q = q
         w_q = acc[best_q] if stamp[best_q] == epoch else 0.0
-        alloc.assign(hat_v[s], best_q, weights=({best_q: w_q}, w_self, w_ext))
+        alloc.assign(v, best_q, weights=({best_q: w_q}, w_self, w_ext))
 
     # --- Phase 2: optimise the touched set (lines 9-17) -----------------
-    sigma = alloc.sigma
-    lam_hat = alloc.lam_hat
-    one_minus_eta = 1.0 - eta
-    eta_minus_one = eta - 1.0
-    neg_inf = -float("inf")
     thpt = [0.0] * num_comms
     for c in range(num_comms):
         sigma_c = sigma[c]
@@ -821,7 +762,6 @@ def a_txallo_flat(
         else:
             thpt[c] = lam / sigma_c * lam_hat[c]
 
-    touched_comms: List[int] = []
     sweeps = 0
     moves = 0
     converged = False
@@ -834,12 +774,16 @@ def a_txallo_flat(
             epoch += 1
             del touched_comms[:]
             append = touched_comms.append
+            w_self = 0.0
+            w_ext = 0.0
             for u, w in rows[s].items():
                 if u == v:
+                    w_self = w
                     continue
+                w_ext += w
                 c = shard_of.get(u)
                 if c is None:
-                    continue  # unassigned neighbour carries no shard weight
+                    continue
                 if stamp[c] == epoch:
                     acc[c] += w
                 else:
@@ -850,9 +794,6 @@ def a_txallo_flat(
                 len(touched_comms) == 1 and touched_comms[0] == p
             ):
                 continue
-            touched_comms.sort()
-            w_self = self_w[s]
-            w_ext = ext_w[s]
             half_ext = w_ext / 2.0
             w_p = acc[p] if stamp[p] == epoch else 0.0
             sigma_new = sigma[p] - w_self - eta * (w_ext - w_p) + eta_minus_one * w_p
@@ -875,7 +816,7 @@ def a_txallo_flat(
                 else:
                     join_after = lam / sigma_new * lam_hat_new
                 gain = leave + (join_after - thpt[q])
-                if gain > best_gain:
+                if gain > best_gain or (gain == best_gain and q < best_q):
                     best_gain = gain
                     best_q = q
             if best_q >= 0 and best_gain > 0.0:

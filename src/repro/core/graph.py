@@ -16,14 +16,14 @@ The allocation hot paths (Louvain initialisation, G-TxAllo optimisation
 sweeps) do not run on the dict form — scanning string-keyed dicts per node
 per sweep pays Python string hashing and per-node dict construction.  They
 run on the *frozen* form instead: :meth:`TransactionGraph.freeze` interns
-account strings to dense integer ids and lowers the adjacency into flat
-CSR arrays (:class:`repro.core.csr.CSRGraph`), which the flat-array sweep
-engine (:mod:`repro.core.engine`) consumes.  The two forms are linked by a
-version counter: every mutation (``add_node`` / ``add_edge`` /
-``add_transaction``) bumps the version at least once, only equality
-between versions is meaningful, and ``freeze()`` returns a cached snapshot
-while the version is unchanged, so repeated allocator runs over a quiescent
-graph freeze exactly once.  The frozen snapshot preserves the dict rows'
+account strings to dense integer ids and lowers each adjacency row into
+a list of ``(id, weight)`` tuples (:class:`repro.core.csr.CSRGraph`),
+which the flat-array sweep engine (:mod:`repro.core.engine`) consumes.
+The two forms are linked by a version counter: every mutation
+(``add_node`` / ``add_edge`` / ``add_transaction``) bumps the version at
+least once, only equality between versions is meaningful, and
+``freeze()`` returns a cached snapshot while the version is unchanged, so
+repeated allocator runs over a quiescent graph freeze exactly once.  The frozen snapshot preserves the dict rows'
 iteration order, which keeps every float accumulation in the fast engine
 bit-identical to the reference dict-based scans.
 
@@ -308,9 +308,10 @@ class TransactionGraph:
 
         Returns a :class:`repro.core.csr.CSRGraph` snapshot: account
         strings interned to dense integer ids (ascending identifier
-        order) and adjacency lowered into flat
-        index/neighbour/weight arrays plus per-node self-loop and
-        strength vectors.  The snapshot is cached
+        order), each adjacency row lowered into one list of
+        ``(neighbour_id, weight)`` tuples in dict order, plus the
+        loop-free rows and per-node self-loop and external-strength
+        vectors.  The snapshot is cached
         against an internal mutation counter — freezing an unchanged
         graph returns the same object, so back-to-back allocator runs
         (e.g. a (k, eta) parameter sweep) pay the O(N log N + E) lowering once.

@@ -25,18 +25,22 @@ Self-loops follow the usual convention: a loop of weight ``w`` contributes
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from repro.core.graph import Node, TransactionGraph
 
 #: Moves whose modularity gain is below this are treated as no-ops.
 _MIN_GAIN = 1e-12
 
+#: ``(max_levels, resolution)`` of a default Louvain run.  G-TxAllo seeds
+#: from exactly this partition and keys the snapshot memos by it.
+LOUVAIN_DEFAULTS: Tuple[int, float] = (32, 1.0)
+
 
 def louvain_partition(
     graph: TransactionGraph,
-    max_levels: int = 32,
-    resolution: float = 1.0,
+    max_levels: int = LOUVAIN_DEFAULTS[0],
+    resolution: float = LOUVAIN_DEFAULTS[1],
 ) -> Dict[Node, int]:
     """Partition ``graph`` into communities by modularity maximisation.
 
@@ -50,7 +54,7 @@ def louvain_partition(
     Runs the flat-array implementation over the frozen CSR graph; the
     result equals :func:`louvain_reference`'s.
     """
-    # Imported here: the engine imports this module's _MIN_GAIN.
+    # Imported here: the engine imports this module's constants.
     from repro.core.engine import louvain_fast
 
     return louvain_fast(graph, max_levels=max_levels, resolution=resolution)
@@ -58,8 +62,8 @@ def louvain_partition(
 
 def louvain_reference(
     graph: TransactionGraph,
-    max_levels: int = 32,
-    resolution: float = 1.0,
+    max_levels: int = LOUVAIN_DEFAULTS[0],
+    resolution: float = LOUVAIN_DEFAULTS[1],
 ) -> Dict[Node, int]:
     """The dict-based executable specification of :func:`louvain_partition`."""
     nodes = graph.nodes_sorted()

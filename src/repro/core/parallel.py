@@ -110,7 +110,7 @@ def warm_grid_state(workload, cells: Sequence[Tuple[str, int, float]], cache):
 
     * memoises the Louvain partition on the frozen CSR snapshot when any
       cell runs G-TxAllo (``txallo``: ``g_txallo`` consults
-      ``csr.louvain_memo`` under its default ``(32, 1.0)`` key — one
+      ``csr.louvain_memo`` under ``louvain.LOUVAIN_DEFAULTS`` — one
       parent-side run serves the whole grid); ``txallo_online`` cells
       replay the stream on a fresh controller and never read it;
     * computes every eta-independent static mapping (hash, prefix,

@@ -227,6 +227,27 @@ class TestGTxAlloParity:
             g_txallo(g, params),
         )
 
+    @pytest.mark.parametrize("phase", ("initialise", "optimise"))
+    def test_equal_gains_break_toward_smaller_shard(self, phase):
+        """The mirror-image neighbourhood of the A-TxAllo tie case: ``v``
+        joins ``a``'s shard 1 and ``c``'s shard 2 with bit-equal gains, and
+        shard 2 comes first in ``v``'s row.  As a small community ``v``
+        meets the tie in the initialise phase, from shard 0 in the optimise
+        phase; both pick shard 1, as the reference's ascending scan does."""
+        g = TransactionGraph()
+        history = [("c", "d")] * 3 + [("a", "b")] * 3 + [("x", "y")] * 5
+        for accounts in history + [("v", "c"), ("v", "a")]:
+            g.add_transaction(accounts)
+        partition = {"a": 1, "b": 1, "c": 2, "d": 2, "x": 0, "y": 0}
+        partition["v"] = 3 if phase == "initialise" else 0
+        params = TxAlloParams(k=3, eta=2.0, lam=2.0)
+        ref = g_txallo_reference(g, params, initial_partition=partition)
+        fast = g_txallo(g, params, initial_partition=partition)
+        assert_gtxallo_identical(ref, fast)
+        absorbed_and_moves = (1, 0) if phase == "initialise" else (0, 1)
+        assert (fast.small_nodes_absorbed, fast.moves) == absorbed_and_moves
+        assert fast.allocation.shard_of("v") == 1
+
 
 def _ingest(graph, alloc, txs):
     touched = set()

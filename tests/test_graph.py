@@ -313,18 +313,23 @@ class TestFreeze:
     def test_freeze_mirrors_adjacency(self):
         g = self.small_graph()
         csr = g.freeze()
+        assert g.self_loop("a") > 0.0  # "a"'s loop sits after its "b" entry
         for v in g.nodes():
             i = csr.index_of[v]
             row = g.neighbours(v)
-            start, end = csr.indptr[i], csr.indptr[i + 1]
-            got = {csr.nodes[csr.indices[t]]: csr.weights[t] for t in range(start, end)}
-            assert got == dict(row)
+            # The full row, self-loop included at its dict position.
+            assert [(csr.nodes[j], w.hex()) for j, w in csr.rows[i]] == [
+                (u, w.hex()) for u, w in row.items()
+            ]
             assert csr.loop[i] == g.self_loop(v)
             assert csr.ext[i] == pytest.approx(g.external_strength(v))
-            # The loop-free hot view carries the same (neighbour, weight)s.
-            assert {csr.nodes[j]: w for j, w in csr.pairs[i]} == {
-                u: w for u, w in row.items() if u != v
-            }
+            # The loop-free hot view carries the same (neighbour, weight)s
+            # in the same order, and is the row itself when there is no loop.
+            assert [(csr.nodes[j], w.hex()) for j, w in csr.pairs[i]] == [
+                (u, w.hex()) for u, w in row.items() if u != v
+            ]
+            if v not in row:
+                assert csr.pairs[i] is csr.rows[i]
 
     def test_freeze_is_cached_until_mutation(self):
         g = self.small_graph()

@@ -5,8 +5,8 @@ is unchanged and otherwise lowers it in full with
 ``CSRGraph.from_graph``.  These tests pin what callers rely on: a
 re-freeze after growth is **element-identical** to a cold lowering of a
 copy — same node interning, same row contents in the same order,
-bit-identical ``weights`` / ``loop`` / ``ext`` (compared via
-``tobytes``), same insertion walk — every older snapshot stays
+bit-identical row weights (compared via ``float.hex``) and ``loop`` /
+``ext`` (compared via ``tobytes``), same insertion walk — every older snapshot stays
 exactly as it was, and the cache and its counters behave.  They also
 pin engine A-TxAllo runs against the oracle across the controller
 lifecycle.
@@ -27,16 +27,27 @@ from repro.errors import GraphError
 SEEDS = (1, 2, 3, 4, 5)
 
 
+def hex_rows(rows) -> list:
+    """Rows with every weight as ``float.hex``, so equality is bit-for-bit."""
+    return [[(j, w.hex()) for j, w in row] for row in rows]
+
+
+def assert_loop_free_rows_shared(csr: CSRGraph) -> None:
+    """A row without a self-loop is one list in ``rows`` and ``pairs``."""
+    for i, row in enumerate(csr.rows):
+        if all(j != i for j, _ in row):
+            assert csr.pairs[i] is row
+
+
 def assert_csr_identical(got: CSRGraph, want: CSRGraph) -> None:
-    """Field-by-field equality; float arrays compared bit-for-bit."""
+    """Field-by-field equality; floats compared bit-for-bit."""
     assert got.nodes == want.nodes
     assert got.index_of == want.index_of
-    assert got.indptr == want.indptr
-    assert got.indices == want.indices
-    assert got.weights.tobytes() == want.weights.tobytes()
+    assert hex_rows(got.rows) == hex_rows(want.rows)
     assert got.loop.tobytes() == want.loop.tobytes()
     assert got.ext.tobytes() == want.ext.tobytes()
-    assert got.pairs == want.pairs
+    assert hex_rows(got.pairs) == hex_rows(want.pairs)
+    assert_loop_free_rows_shared(got)
     assert got.insertion_order == want.insertion_order
     assert got.num_edges == want.num_edges
     assert got.total_weight == want.total_weight
@@ -47,12 +58,10 @@ def csr_fingerprint(csr: CSRGraph) -> tuple:
     return (
         list(csr.nodes),
         dict(csr.index_of),
-        csr.indptr.tobytes(),
-        csr.indices.tobytes(),
-        csr.weights.tobytes(),
+        hex_rows(csr.rows),
         csr.loop.tobytes(),
         csr.ext.tobytes(),
-        [list(row) for row in csr.pairs],
+        hex_rows(csr.pairs),
         csr.insertion_order.tobytes(),
         csr.num_edges,
         csr.total_weight,
